@@ -3,11 +3,16 @@
     python3 perfbench/run.py --workload free-spectra --seed 1 --seconds 15 --trace 0
 
 Run from the repository root; qwire is imported from ./src and nowhere else.
+Every time it reports is in seconds at the reference speed of the host, as
+measured by the calibration kernel timed around each operation and set-up
+(calibration.py); fd-oracle has no kernel and reports wall seconds.  Wall
+times are printed on the lines above the result.
 With --trace 0 the run sets up SETUPS times (setup_s is their median), then
-repeats whole rounds of the workload's operations until --seconds have
-passed and prints the end-to-end metrics.  With --trace 1 it runs one round
-untraced, then sets up and runs one round traced, prints the per-layer
-metrics with the tracing overhead and writes the spans to perfbench/out/.
+repeats whole rounds of the workload's operations for as long as the next
+round would still end within --seconds, and prints the end-to-end metrics.
+With --trace 1 it runs one round untraced, then sets up and runs one round
+traced, prints the per-layer metrics with the tracing overhead and writes
+the spans to perfbench/out/.
 The last line of standard output is one JSON object.
 """
 
@@ -37,15 +42,18 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 sys.path.insert(0, str(HERE))
 
+from calibration import Calibration  # noqa: E402
 from tracing import Tracer, purge_qwire  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import CALIBRATION, WORKLOADS  # noqa: E402
 
-SETUPS = 5
+SETUPS = 11
 
 
 @dataclass
 class Round:
     op_s: list = field(default_factory=list)
+    kernel_s: list = field(default_factory=list)     # calibration kernel times
+    scale: float = 1.0                               # wall seconds -> reference seconds
     verified: int = 0
     failures: list = field(default_factory=list)     # (op, message)
     peak_rss_mb: float = 0.0                         # high-water mark before the checks
@@ -53,6 +61,10 @@ class Round:
     @property
     def solve_s(self) -> float:
         return sum(self.op_s)
+
+    @property
+    def ref_solve_s(self) -> float:
+        return self.scale * self.solve_s
 
 
 def load_qwire():
@@ -68,7 +80,7 @@ def load_qwire():
 
 
 def setup(workload: str, seed: int, out: Path, tracer: Tracer | None = None):
-    """Import qwire afresh and generate the workload's inputs; returns (ops, seconds)."""
+    """Import qwire afresh and generate the workload's inputs; returns (ops, wall seconds)."""
     t0 = time.perf_counter()
     qw = load_qwire()
     if tracer is not None:
@@ -80,12 +92,14 @@ def setup(workload: str, seed: int, out: Path, tracer: Tracer | None = None):
     return ops, time.perf_counter() - t0
 
 
-def run_round(ops, tracer: Tracer | None = None) -> Round:
-    """Time every operation, then check them all (untimed, tracing off)."""
+def run_round(ops, cal: Calibration, tracer: Tracer | None = None) -> Round:
+    """Time every operation, with one calibration kernel before each and one
+    after the last, then check them all (untimed, tracing off)."""
     rnd = Round()
     results: dict = {}
     errors: dict = {}
     for op in ops:
+        rnd.kernel_s.append(cal.measure())
         if tracer is not None:
             tracer.op, tracer.on = op.name, True
         t0 = time.perf_counter()
@@ -96,6 +110,8 @@ def run_round(ops, tracer: Tracer | None = None) -> Round:
         rnd.op_s.append(time.perf_counter() - t0)
         if tracer is not None:
             tracer.on = False
+    rnd.kernel_s.append(cal.measure())
+    rnd.scale = cal.scale(rnd.kernel_s)
     rnd.peak_rss_mb = peak_rss_mb()
     for op in ops:
         err = errors.get(op.name)
@@ -129,38 +145,46 @@ def main(argv=None) -> int:
     out = HERE / "out"
     work = out / args.workload
     work.mkdir(parents=True, exist_ok=True)
-    setup_times = []
+    cal = Calibration(CALIBRATION[args.workload])
+    setup_wall, setup_ref = [], []
     for _ in range(SETUPS):
+        before = cal.measure()
         ops, dt = setup(args.workload, args.seed, work)
-        setup_times.append(dt)
+        setup_wall.append(dt)
+        setup_ref.append(dt * cal.scale([before, cal.measure()]))
     first_op_s = time.perf_counter() - T_START
 
     rounds = []
     t_measure = time.perf_counter()
     if args.trace:
-        rounds.append(run_round(ops))
+        rounds.append(run_round(ops, cal))
         tracer = Tracer()
         ops, _ = setup(args.workload, args.seed, work, tracer)
-        traced = run_round(ops, tracer)
+        traced = run_round(ops, cal, tracer)
         rounds.append(traced)
         metrics = {name: {"value": value, "unit": unit}
                    for name, (value, unit) in tracer.metrics().items()}
-        metrics["trace.solve_s"] = {"value": traced.solve_s, "unit": "s"}
-        metrics["trace.overhead_s"] = {"value": traced.solve_s - rounds[0].solve_s, "unit": "s"}
+        # in reference seconds, so that a change of the host's speed between
+        # the two rounds does not read as overhead
+        metrics["trace.solve_s"] = {"value": traced.ref_solve_s, "unit": "s"}
+        metrics["trace.overhead_s"] = {"value": traced.ref_solve_s - rounds[0].ref_solve_s,
+                                       "unit": "s"}
         spans_path = out / f"spans-{args.workload}.jsonl"
         tracer.write(spans_path)
     else:
+        # whole rounds, at least one, and none that would end past --seconds
         while True:
-            rounds.append(run_round(ops))
-            if time.perf_counter() - t_measure >= args.seconds:
+            rounds.append(run_round(ops, cal))
+            elapsed = time.perf_counter() - t_measure
+            if elapsed * (len(rounds) + 1) / len(rounds) > args.seconds:
                 break
-        solve_s = statistics.median(r.solve_s for r in rounds)
-        total_s = sum(r.solve_s for r in rounds)
+        # every time in reference seconds (calibration.py)
+        total_s = sum(r.ref_solve_s for r in rounds)
         metrics = {
-            "setup_s": {"value": statistics.median(setup_times), "unit": "s"},
-            "solve_s": {"value": solve_s, "unit": "s"},
+            "setup_s": {"value": statistics.median(setup_ref), "unit": "s"},
+            "solve_s": {"value": statistics.median(r.ref_solve_s for r in rounds), "unit": "s"},
             "eigs_per_s": {"value": sum(r.verified for r in rounds) / total_s, "unit": "1/s"},
-            "op_p50_s": {"value": statistics.median(t for r in rounds for t in r.op_s),
+            "op_p50_s": {"value": statistics.median(r.scale * t for r in rounds for t in r.op_s),
                          "unit": "s"},
             # the first round's, so memory taken by checks (the FD cross-check
             # of variable-spectra) is not counted
@@ -172,13 +196,18 @@ def main(argv=None) -> int:
     print("machine " + " ".join(f"{k}={v}" for k, v in machine().items()))
     print(f"workload {args.workload} seed {args.seed} rounds {len(rounds)} "
           f"first_op_after_s {first_op_s:.3f}")
+    print(f"wall time: setup median {statistics.median(setup_wall):.4f} s, "
+          f"round median {statistics.median(r.solve_s for r in rounds):.4f} s; "
+          f"reference seconds per wall second, median over rounds "
+          f"{statistics.median(r.scale for r in rounds):.4f}")
     for op, msg in failures:
         tag = "known fault" if op.known_fault else "FAILED"
         print(f"{tag} {op.name}: {msg}")
     if args.trace:
         print(f"spans written to {spans_path.relative_to(HERE.parent)}")
     for i, op in enumerate(ops):
-        print(f"op {op.name:28s} {statistics.median(r.op_s[i] for r in rounds):.4f} s")
+        print(f"op {op.name:28s} wall {statistics.median(r.op_s[i] for r in rounds):.4f} s  "
+              f"reference {statistics.median(r.scale * r.op_s[i] for r in rounds):.4f} s")
     for name, m in metrics.items():
         print(f"{name:34s} {m['value']:.6g} {m['unit']}")
     correct = all(op.known_fault for op, _ in failures)
