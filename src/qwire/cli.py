@@ -234,13 +234,16 @@ def load_config(path: str) -> ProblemConfig:
             f"but the domain has {domain.n} interval(s)"
         )
 
-    lo = float(solve_section.get("lambda_min", -1.0))
-    hi = float(solve_section.get("lambda_max", 10.0))
-    opts = spectral.SolveOptions(
-        grid=int(solve_section.get("grid", 300)),
-        sigma_tol=float(solve_section.get("sigma_tol", 1e-6)),
-        max_eigs=(int(solve_section["max_eigs"]) if "max_eigs" in solve_section else None),
-    )
+    try:
+        lo = float(solve_section.get("lambda_min", -1.0))
+        hi = float(solve_section.get("lambda_max", 10.0))
+        opts = spectral.SolveOptions(
+            grid=int(solve_section.get("grid", 300)),
+            sigma_tol=float(solve_section.get("sigma_tol", 1e-6)),
+            max_eigs=(int(solve_section["max_eigs"]) if "max_eigs" in solve_section else None),
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad [solve] section: {err}") from err
     return ProblemConfig(domain, boundary, (lo, hi), opts)
 
 

@@ -52,6 +52,7 @@ _FUNCTIONS = {
     "exp": math.exp,
     "cosh": math.cosh,
     "sinh": math.sinh,
+    "tanh": math.tanh,
     "abs": abs,
 }
 

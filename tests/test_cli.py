@@ -228,6 +228,19 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert err.startswith("qwire:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old,new", [
+    ("grid = 250", "grid = abc"),
+    ("grid = 250", "max_eigs = 1.5"),
+    ("lambda_min = -1", "lambda_min = low"),
+])
+def test_exit_code_bad_solve_number(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.cfg"
+    path.write_text(FREE_CFG.replace(old, new))
+    assert run(["spectrum", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("qwire:") and "[solve]" in err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"
@@ -238,9 +251,11 @@ def test_exit_code_numeric_error(tmp_path, capsys):
 
 
 def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "qwire.cli"],
+    # runpy warns when qwire.cli is already imported before it runs as __main__
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qwire.cli"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
 
 
 def test_robin_and_u2_kinds(tmp_path):

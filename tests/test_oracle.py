@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qwire.bc import (
     CayleySingular,
+    UnitaryBC,
     make_dirichlet,
     make_neumann,
     make_quasiperiodic,
@@ -17,6 +19,46 @@ from qwire.oracle import fd_spectrum, robin_edge_groundstate
 from qwire.spectral import SolveOptions, find_eigenvalues
 
 FREE = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "0")])
+LENGTHS = [1.0, 1.3, 0.7]
+THREE = QuantumDomain([Interval(0.0, L, "1", "0") for L in LENGTHS])
+
+
+def _unitary_with_phases(rng, m=6):
+    """Q diag(exp(i phases)) Q^H, phases uniform in (-pi + 1, pi - 1), Q Haar."""
+    phases = rng.uniform(-math.pi + 1.0, math.pi - 1.0, size=m)
+    Q = random_unitary(m, rng).matrix
+    return UnitaryBC((Q * np.exp(1j * phases)) @ Q.conj().T)
+
+
+def _free_robin_levels(U, lengths, guesses):
+    """Levels of free intervals under dpsi = A psi, A the Cayley transform of U.
+
+    On [0, L] the Dirichlet-to-Neumann map sends the end values (psi(0), psi(L))
+    to the outward derivatives (1/s) [[c, -1], [-1, c]] (psi(0), psi(L)), with
+    c = cos(kL), s = sin(kL)/k, k = sqrt(2 lam) (cosh, sinh and k = sqrt(-2 lam)
+    below 0).  A level is a root of the real function det(DtN(lam) - A), solved
+    here to 1e-15 within 1e-6 of its guess.
+    """
+    n = len(lengths)
+    L = np.asarray(lengths)
+    eye = np.eye(2 * n)
+    A = -1j * (eye - U.matrix) @ np.linalg.inv(eye + U.matrix)
+    A = 0.5 * (A + A.conj().T)
+    i = np.arange(n)
+
+    def det(lam):
+        k = math.sqrt(2.0 * abs(lam))
+        if lam > 0.0:
+            c, s = np.cos(k * L), np.sin(k * L) / k
+        else:
+            c, s = np.cosh(k * L), np.sinh(k * L) / k
+        dtn = np.zeros((2 * n, 2 * n))
+        dtn[i, i] = dtn[n + i, n + i] = c / s
+        dtn[i, n + i] = dtn[n + i, i] = -1.0 / s
+        return np.linalg.det(dtn - A).real
+
+    return np.array([scipy.optimize.brentq(det, g - 1e-6, g + 1e-6, xtol=1e-15)
+                     for g in guesses])
 
 
 def test_dirichlet_first_eigenvalue():
@@ -63,6 +105,36 @@ def test_variable_metric_and_potential():
     flat = [lam for lam, _, _ in spectrum.flat()][:3]
     for lam_s, lam_f, e in zip(flat, lams, est):
         assert abs(lam_s - lam_f) <= e
+
+
+def test_three_interval_robin_against_spectral_solver():
+    U = _unitary_with_phases(np.random.default_rng(12))
+    lams, est = fd_spectrum(U, THREE, N=400, k=5)
+    spectrum = find_eigenvalues(U, THREE, (float(lams[0]) - 0.5, float(lams[4]) + 0.3),
+                                SolveOptions(grid=300, max_eigs=5))
+    flat = [lam for lam, _, _ in spectrum.flat()][:5]
+    assert len(flat) == 5
+    for lam_s, lam_f, e in zip(flat, lams, est):
+        assert abs(lam_s - lam_f) <= max(e, 1e-8)
+
+
+def test_estimate_bounds_error_where_resolutions_agree():
+    # the extrapolation step |lam_N - lam_2N| / 3 of the level near 0.5434 is
+    # 1e-10 or less here, below the rounding of an eigensolver on Hs
+    U = _unitary_with_phases(np.random.default_rng(4))
+    lams, est = fd_spectrum(U, THREE, N=400, k=5)
+    want = _free_robin_levels(U, LENGTHS, lams)
+    assert abs(want[2] - 0.54339635) <= 1e-8
+    err = np.abs(lams - want)
+    assert np.all(err <= est)
+    # the Ritz polish removes the band reduction's rounding (4e-10 here)
+    assert np.all(err <= 1e-10)
+
+
+def test_dirichlet_at_maximum_resolution():
+    lams, est = fd_spectrum(make_dirichlet(1), FREE, N=4000, k=3)
+    want = np.array([k * k / 8.0 for k in range(1, 4)])
+    assert np.all(np.abs(lams - want) <= np.minimum(est, 1e-10))
 
 
 def test_eigenvalues_are_real_and_sorted():
