@@ -244,6 +244,14 @@ def load_config(path: str) -> ProblemConfig:
         )
     except ValueError as err:
         raise ConfigError(f"bad [solve] section: {err}") from err
+    if not lo < hi:
+        raise ConfigError(f"bad [solve] section: lambda_min {lo} must be below lambda_max {hi}")
+    if opts.grid < 3:
+        raise ConfigError(f"bad [solve] section: grid must be at least 3, got {opts.grid}")
+    if not opts.sigma_tol > 0.0:
+        raise ConfigError(f"bad [solve] section: sigma_tol must be positive, got {opts.sigma_tol}")
+    if opts.max_eigs is not None and opts.max_eigs < 1:
+        raise ConfigError(f"bad [solve] section: max_eigs must be at least 1, got {opts.max_eigs}")
     return ProblemConfig(domain, boundary, (lo, hi), opts)
 
 

@@ -1,46 +1,75 @@
 """Fundamental solutions of the eigenvalue ODE on a single interval.
 
 For H = -(1/(2*sqrt(eta))) d/dx (eta**-0.5 d/dx) + V the eigenvalue equation
-H u = lam u is integrated as the first-order system
+H u = lam u is written for the quasi-derivative pair y = (u, eta**-0.5 u'):
 
-    u' = v
-    v' = 2*eta*(V - lam)*u + eta'/(2*eta) * v
+    y' = sqrt(eta) * [[0, 1], [2*(V - lam), 0]] * y
 
-with the canonical value/slope basis at the left endpoint:
-u1(a) = 1, u1'(a) = 0 and u2(a) = 0, u2'(a) = 1.  The modified Wronskian
-p(x) (u1 u2' - u1' u2) with p = eta**-0.5 is an invariant of the flow and is
-used as an integration sanity check.
+The matrix is traceless, so every transfer matrix has determinant 1, and no
+derivative of eta is needed.  The canonical basis at the left endpoint is
+u1(a) = 1, u1'(a) = 0 and u2(a) = 0, u2'(a) = 1 (plain derivatives).  The
+modified Wronskian p(x) (u1 u2' - u1' u2) with p = eta**-0.5 is an invariant
+of the flow and is used as a sanity check.
 
-Deep tunnelling (lam far below V) produces exponentially large solutions; the
-integrator rescales both basis solutions by a common factor whenever their
-magnitude passes 1e100 and records the accumulated logarithm in
-``scale_exponent``.  A uniform positive rescaling multiplies the spectral
-determinant by a positive constant and leaves its zero set unchanged.
+Constant coefficients have a closed form.  Otherwise the interval is cut into
+a uniform mesh of (samples - 1) * 2**j cells aligned with the sample grid,
+and each cell of width h contributes the fourth-order Magnus transfer matrix
+
+    Omega = h/6 (A0 + 4 Am + A1) + h**2/12 [A1, A0]
+
+from the coefficient matrix A at the cell's ends and midpoint.  Omega is a
+traceless 2x2 matrix, Omega**2 = q**2 I, so exp(Omega) = cosh(q) I +
+sinh(q)/q Omega (cos and sin when q**2 < 0).  The coefficients do not depend
+on lam and the nodes of a level include those of every coarser one, so each
+interval's coefficients are evaluated once per node and cached (for the 16
+intervals used last, process-wide); all cells of a level are formed in one
+numpy pass.
+
+Error control halves the mesh: level j is accepted when the endpoint
+transfer matrices of levels j and j + 1 agree to ``rel_tol`` relative to
+their largest entry, and the finer one is returned with that difference as
+``error_estimate``.  The next call on the same interval starts at the level
+last accepted.  Halving also stops when the difference no longer falls:
+near an eigenvalue of an interval with forbidden regions at both ends the
+growing and decaying modes cancel, and amplified rounding then exceeds
+``rel_tol`` on every mesh (the estimate says so).
+
+Cells are multiplied pairwise into the sample cells, then by a parallel
+prefix product into the transfer matrices from a to every sample point.
+Every product is divided by its largest entry and the logarithm of the
+factor is carried alongside, so deep tunnelling (lam far below V) cannot
+overflow.  Samples whose magnitude would exceed 1e100 are stored with a
+factor exp(-scale_exponent); a uniform positive rescaling multiplies the
+spectral determinant by a positive constant and leaves its zero set
+unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import expr
 from .domain import Interval
 
 __all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "free_exponential_basis"]
 
-_RESCALE_LIMIT = 1e100
 # In a fully classically forbidden interval both left-launched solutions
 # converge onto the growing mode and the basis collapses at the level
 # exp(-action); beyond this action a solution is launched from each endpoint
 # instead (the determinant's zero set is basis independent).
 _TWO_SIDED_ACTION = 25.0
+# log(1e100): solutions growing past this are stored with a scale factor
+_SCALE_LOG = 100.0 * math.log(10.0)
+# finest mesh level, (samples - 1) * 2**_MAX_LEVEL cells
+_MAX_LEVEL = 10
 
 
 class OdeError(Exception):
-    """Integration failure (coefficient blow-up, step-size underflow)."""
+    """Integration failure (non-positive metric, mesh that does not converge)."""
 
 
 @dataclass(frozen=True)
@@ -50,8 +79,9 @@ class FundamentalPair:
     ``values`` has shape (2, m): dense samples of the two basis solutions on
     the uniform grid ``xs``.  Endpoint data are plain (unnormalised)
     derivatives; the metric trace factors are applied downstream.  All stored
-    numbers carry a common factor exp(-scale_exponent) relative to the exact
-    canonical solutions.
+    numbers carry a factor exp(-scale_exponent) relative to the exact
+    canonical solutions.  ``error_estimate`` is the mesh-halving estimate of
+    the relative error of the endpoint data, 0.0 for the closed form.
     """
 
     lam: float
@@ -63,6 +93,7 @@ class FundamentalPair:
     psi_b: np.ndarray
     dpsi_b: np.ndarray
     scale_exponent: float
+    error_estimate: float = 0.0
 
     def wronskian_drift(self) -> float:
         """Relative change of the modified Wronskian between the endpoints."""
@@ -74,172 +105,238 @@ class FundamentalPair:
         return abs(w_b - w_a) / max(abs(w_a), abs(w_b), 1e-300)
 
 
-def _coefficients(interval: Interval):
-    metric, potential = interval.metric, interval.potential
-    h = 1e-6 * (interval.b - interval.a)
+class _Mesh:
+    """Lam-independent data of one variable-coefficient interval.
 
-    if expr.is_constant(metric):
-        eta0 = expr.evaluate(metric, 0.5 * (interval.a + interval.b))
+    eta and V are held at the ends and midpoints of the cells of the finest
+    level evaluated so far, which include the nodes of every coarser level,
+    so a halving evaluates only the new midpoints.  Per level j the cells
+    hold b, c and d0 with Omega = [[c, b], [d0 - 2 lam b, -c]] at eigenvalue
+    lam.
+    """
 
-        def eta(x, _v=eta0):
-            return _v
+    def __init__(self, interval: Interval, samples: int):
+        self.interval = interval
+        self.cells0 = samples - 1
+        self.finest = 0
+        self.eta, self.pot = _coefficients_at(
+            interval, np.linspace(interval.a, interval.b, 2 * self.cells0 + 1))
+        self.eta0, self.pot0 = self.eta, self.pot     # for the forbidden test
+        self.sqrt_eta_a, self.sqrt_eta_b = math.sqrt(self.eta[0]), math.sqrt(self.eta[-1])
+        self.levels: dict = {}
+        self.start: dict = {}                           # rel_tol -> last accepted level
 
-        def eta_prime(x):
-            return 0.0
-    else:
-        eta = expr.compile_fn(metric)
-        eta_fn = eta
+    def cells(self, level: int):
+        if level not in self.levels:
+            while self.finest < level:
+                self._halve()
+            stride = 1 << (self.finest - level)
+            h = self.interval.length / (self.cells0 << level)
+            self.levels[level] = _magnus_coefficients(self.eta[::stride], self.pot[::stride], h)
+        return self.levels[level]
 
-        def eta_prime(x):
-            return (eta_fn(x + h) - eta_fn(x - h)) / (2.0 * h)
+    def _halve(self):
+        iv, n = self.interval, len(self.eta) - 1
+        eta, pot = _coefficients_at(iv, iv.a + iv.length * (np.arange(n) + 0.5) / n)
+        self.eta = np.insert(self.eta, np.arange(1, n + 1), eta)
+        self.pot = np.insert(self.pot, np.arange(1, n + 1), pot)
+        self.finest += 1
 
-    if expr.is_constant(potential):
-        v0 = expr.evaluate(potential, 0.5 * (interval.a + interval.b))
 
-        def pot(x, _v=v0):
-            return _v
-    else:
-        pot = expr.compile_fn(potential)
+def _coefficients_at(interval: Interval, xs: np.ndarray):
+    values = []
+    for e in (interval.metric, interval.potential):
+        if expr.is_constant(e):
+            values.append(np.full(xs.shape, expr.evaluate(e, float(xs[0]))))
+        else:
+            fn = expr.compile_fn(e)
+            values.append(np.array([fn(x) for x in xs.tolist()]))
+    bad = ~(values[0] > 0.0)
+    if bad.any():
+        raise OdeError(f"metric not positive at x={xs[bad][0]:.6g}")
+    return values
 
-    return eta, eta_prime, pot
+
+def _magnus_coefficients(eta: np.ndarray, pot: np.ndarray, h: float):
+    """Cell coefficients b, c, d0 from eta and V at cell ends and midpoints.
+
+    Simpson's rule and the end-point commutator give the fourth-order
+    Omega = h/6 (A0 + 4 Am + A1) + h**2/12 [A1, A0].
+    """
+    s = np.sqrt(eta)
+    s0, sm, s1 = s[:-1:2], s[1::2], s[2::2]
+    v0, vm, v1 = pot[:-1:2], pot[1::2], pot[2::2]
+    b = h / 6.0 * (s0 + 4.0 * sm + s1)
+    c = h * h / 6.0 * s0 * s1 * (v0 - v1)
+    d0 = h / 3.0 * (s0 * v0 + 4.0 * sm * vm + s1 * v1)
+    return b, c, d0
+
+
+@functools.lru_cache(maxsize=16)
+def _mesh(interval: Interval, samples: int) -> _Mesh:
+    return _Mesh(interval, samples)
+
+
+def _cell_matrices(coeffs, lam: float):
+    """exp(Omega) of every cell as rows (m00, m01, m10, m11), shape (4, N).
+
+    Growing cells (q**2 > 0) are stored times exp(-q); q is returned as their
+    log factor.
+    """
+    b, c, d0 = coeffs
+    d = d0 - 2.0 * lam * b
+    q2 = c * c + b * d
+    r = np.sqrt(np.abs(q2))
+    grow = q2 > 0.0
+    em = np.expm1(-2.0 * r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ch = np.where(grow, 1.0 + 0.5 * em, np.cos(r))
+        sh = np.where(grow, -0.5 * em, np.sin(r)) / r
+    sh[r == 0.0] = 1.0
+    shc = sh * c
+    return np.stack([ch + shc, sh * b, sh * d, ch - shc]), np.where(grow, r, 0.0)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cellwise 2x2 products a @ b of (4, N) row-stacked matrices."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11])
+
+
+def _normalised(m: np.ndarray, logs: np.ndarray):
+    peak = np.abs(m).max(axis=0)
+    return m / peak, logs + np.log(peak)
+
+
+def _pair_products(m: np.ndarray, logs: np.ndarray):
+    """Products of neighbouring cells (2i, then 2i+1); an odd last cell is carried."""
+    even = m.shape[1] & ~1
+    prod, pl = _mul(m[:, 1:even:2], m[:, 0:even:2]), logs[1:even:2] + logs[0:even:2]
+    if even < m.shape[1]:
+        prod, pl = np.concatenate([prod, m[:, -1:]], axis=1), np.append(pl, logs[-1])
+    return prod, pl
+
+
+def _sample_cells(mesh: _Mesh, level: int, lam: float):
+    """Transfer matrices of the sample cells, normalised, with their log factors.
+
+    Within one sample cell the growth is carried by the cell logs, so the
+    2**level sub-cell products need no normalisation of their own.
+    """
+    m, logs = _cell_matrices(mesh.cells(level), lam)
+    for _ in range(level):
+        m, logs = _pair_products(m, logs)
+    return _normalised(m, logs)
+
+
+def _total(m: np.ndarray, logs: np.ndarray):
+    """Product of all cells by a pairwise tree, as (matrix (4,), log factor)."""
+    while m.shape[1] > 1:
+        m, logs = _normalised(*_pair_products(m, logs))
+    return m[:, 0], float(logs[0])
+
+
+def _prefix(m: np.ndarray, logs: np.ndarray):
+    """Products M_i ... M_1 for every i, by a Hillis-Steele scan."""
+    m, logs = m.copy(), logs.copy()
+    step = 1
+    while step < m.shape[1]:
+        m[:, step:], logs[step:] = _normalised(_mul(m[:, step:], m[:, :-step]),
+                                               logs[step:] + logs[:-step])
+        step *= 2
+    return m, logs
+
+
+def _distance(t, t_log: float, ref, ref_log: float) -> float:
+    """Largest entry of t - ref relative to ref's; ref is normalised to a peak of 1."""
+    return float(np.max(np.abs(t * math.exp(t_log - ref_log) - ref)))
+
+
+def _storage_scale(logs: np.ndarray) -> float:
+    top = max(float(np.max(logs)), 0.0)
+    return top if top > _SCALE_LOG else 0.0
 
 
 def fundamental_solutions(
     interval: Interval,
     lam: float,
     rel_tol: float = 1e-10,
-    abs_tol: float | None = None,
     samples: int = 257,
 ) -> FundamentalPair:
-    """Integrate the canonical solution pair and sample it densely.
+    """Propagate the canonical solution pair and sample it densely.
 
-    ``samples`` is the number of uniform grid points (including endpoints).
+    ``samples`` is the number of uniform grid points (including endpoints);
+    ``rel_tol`` bounds the mesh-halving difference of the endpoint transfer
+    matrix relative to its largest entry.
     """
     if samples < 3:
         raise ValueError("samples must be at least 3")
-    if abs_tol is None:
-        abs_tol = rel_tol * 1e-2
+    if not rel_tol > 0.0:
+        raise ValueError("rel_tol must be positive")
     if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
         return _constant_coefficient_pair(interval, lam, samples)
-    eta, eta_prime, pot = _coefficients(interval)
-    a, b = interval.a, interval.b
+    mesh = _mesh(interval, samples)
+    level = mesh.start.get(rel_tol, 0)
+    coarse, coarse_log = _total(*_sample_cells(mesh, level, lam))
+    last_change = math.inf
+    while True:
+        cells, cell_logs = _sample_cells(mesh, level + 1, lam)
+        p, pl = _prefix(cells, cell_logs)
+        fine, fine_log = p[:, -1], float(pl[-1])
+        error = _distance(coarse, coarse_log, fine, fine_log)
+        if error <= rel_tol:
+            mesh.start[rel_tol] = level
+            break
+        # Where growth and decay cancel in the product (an eigenvalue between
+        # two forbidden regions), amplified rounding can exceed rel_tol on
+        # every mesh: halving stops once the difference no longer falls.
+        change = math.log(error) + fine_log
+        if change > last_change - math.log(2.0):
+            break
+        level += 1
+        if level >= _MAX_LEVEL:
+            raise OdeError(f"mesh halving did not reach rel_tol={rel_tol:g} "
+                           f"(difference {error:.3g} at level {level})")
+        coarse, coarse_log, last_change = fine, fine_log, change
 
-    def rhs(x, y):
-        e = eta(x)
-        if e <= 0.0 or not math.isfinite(e):
-            raise OdeError(f"metric not positive at x={x:.6g}")
-        c_u = 2.0 * e * (pot(x) - lam)
-        c_v = eta_prime(x) / (2.0 * e)
-        return (y[1], c_u * y[0] + c_v * y[1],
-                y[3], c_u * y[2] + c_v * y[3])
-
-    # chunk count scaled to the worst exponential growth rate so that no
-    # single chunk can overflow double precision
-    probe = np.linspace(a, b, 33)
-    w_probe = [2.0 * eta(x) * (pot(x) - lam) for x in probe]
-    kappa = math.sqrt(max(max(w_probe), 0.0))
-    chunks = max(4, int(kappa * (b - a) / 100.0) + 1)
-
-    xs = np.linspace(a, b, samples)
-
-    if min(w_probe) > 0.0 and kappa * (b - a) > _TWO_SIDED_ACTION:
-        def rhs2(x, y):
-            e = eta(x)
-            if e <= 0.0 or not math.isfinite(e):
-                raise OdeError(f"metric not positive at x={x:.6g}")
-            return (y[1], 2.0 * e * (pot(x) - lam) * y[0]
-                    + eta_prime(x) / (2.0 * e) * y[1])
-
-        v1, ya1, yb1, s1 = _march(rhs2, a, b, xs, chunks, rel_tol, abs_tol)
-        v2, yb2, ya2, s2 = _march(rhs2, b, a, xs, chunks, rel_tol, abs_tol)
+    xs = np.linspace(interval.a, interval.b, samples)
+    sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
+    w = 2.0 * mesh.eta0 * (mesh.pot0 - lam)
+    kappa = math.sqrt(max(float(w.max()), 0.0))
+    if w.min() > 0.0 and kappa * (interval.b - interval.a) > _TWO_SIDED_ACTION:
+        # u1 as usual; u2 launched from b with u = 1, u' = 0.  With Q the
+        # transfer matrix from x to b, det Q = 1 gives
+        # y2(x) = Q^-1 (1, 0) = (Q11, -Q10).  The transposes of Q are the
+        # prefix products of the reversed, transposed cells.
+        q, ql = _prefix(cells[[0, 2, 1, 3], ::-1], cell_logs[::-1])
+        q, ql = q[:, ::-1], ql[::-1]           # q[:, i] holds Q(x_i)^T, i < m - 1
+        s1, s2 = _storage_scale(pl), _storage_scale(ql)
+        f1, f2 = np.exp(pl - s1), np.exp(ql - s2)
+        values = np.empty((2, samples))
+        values[0, 0], values[0, 1:] = math.exp(-s1), f1 * p[0]
+        values[1, :-1], values[1, -1] = f2 * q[3], math.exp(-s2)
         return FundamentalPair(
-            lam=lam, interval=interval, xs=xs, values=np.vstack([v1, v2]),
-            psi_a=np.array([ya1[0], ya2[0]]), dpsi_a=np.array([ya1[1], ya2[1]]),
-            psi_b=np.array([yb1[0], yb2[0]]), dpsi_b=np.array([yb1[1], yb2[1]]),
-            scale_exponent=s1 + s2,
+            lam=lam, interval=interval, xs=xs, values=values,
+            psi_a=values[:, 0].copy(), dpsi_a=np.array([0.0, -sa * f2[0] * q[1, 0]]),
+            psi_b=values[:, -1].copy(), dpsi_b=np.array([sb * f1[-1] * p[2, -1], 0.0]),
+            scale_exponent=s1 + s2, error_estimate=error,
         )
+    scale = _storage_scale(pl)
+    f = np.exp(pl - scale)
+    sf = math.exp(-scale)
     values = np.empty((2, samples))
-    y = np.array([1.0, 0.0, 0.0, 1.0])
-    scale_exponent = 0.0
-    edges = np.linspace(a, b, chunks + 1)
-    values[:, 0] = y[[0, 2]]
-    psi_a = y[[0, 2]].copy()
-    dpsi_a = y[[1, 3]].copy()
-    consumed = 1  # sample points already written
-
-    for k in range(chunks):
-        lo, hi = edges[k], edges[k + 1]
-        sol = solve_ivp(rhs, (lo, hi), y, method="RK45", rtol=rel_tol,
-                        atol=abs_tol, dense_output=True)
-        if not sol.success:
-            raise OdeError(f"integration failed on [{lo:.6g}, {hi:.6g}]: {sol.message}")
-        pad = 1e-12 * (b - a)
-        hi_edge = b + pad if k == chunks - 1 else hi + pad
-        take = np.flatnonzero(xs <= hi_edge)
-        take = take[take >= consumed]
-        if take.size:
-            dense = sol.sol(xs[take])
-            values[0, take] = dense[0]
-            values[1, take] = dense[2]
-            consumed = take[-1] + 1
-        y = sol.y[:, -1].copy()
-        peak = float(np.max(np.abs(y)))
-        if peak > _RESCALE_LIMIT:
-            shift = math.log(peak)
-            factor = math.exp(-shift)
-            y *= factor
-            values[:, :consumed] *= factor
-            psi_a *= factor
-            dpsi_a *= factor
-            scale_exponent += shift
-
+    values[:, 0] = sf, 0.0
+    values[0, 1:] = f * p[0]
+    values[1, 1:] = f * p[1] / sa
     return FundamentalPair(
         lam=lam, interval=interval, xs=xs, values=values,
-        psi_a=psi_a, dpsi_a=dpsi_a,
-        psi_b=y[[0, 2]].copy(), dpsi_b=y[[1, 3]].copy(),
-        scale_exponent=scale_exponent,
+        psi_a=np.array([sf, 0.0]), dpsi_a=np.array([0.0, sf]),
+        psi_b=values[:, -1].copy(),
+        dpsi_b=sb * f[-1] * np.array([p[2, -1], p[3, -1] / sa]),
+        scale_exponent=scale, error_estimate=error,
     )
-
-
-def _march(rhs, x0: float, x1: float, xs: np.ndarray, chunks: int,
-           rel_tol: float, abs_tol: float):
-    """Integrate one (u, u') solution from x0 to x1 (either direction).
-
-    The solution starts with value 1 and slope 0 at x0.  Samples of u are
-    taken on the ascending grid ``xs``; the overflow guard rescales the
-    launch data, the already-written samples and the running state together,
-    returning the accumulated log-factor.
-    """
-    span = x1 - x0
-    edges = [x0 + span * k / chunks for k in range(chunks + 1)]
-    pad = 1e-12 * abs(span)
-    vals = np.empty(len(xs))
-    filled = np.zeros(len(xs), dtype=bool)
-    y = np.array([1.0, 0.0])
-    y_start = y.copy()
-    scale = 0.0
-    for k in range(chunks):
-        sol = solve_ivp(rhs, (edges[k], edges[k + 1]), y, method="RK45",
-                        rtol=rel_tol, atol=abs_tol, dense_output=True)
-        if not sol.success:
-            raise OdeError(
-                f"integration failed on [{edges[k]:.6g}, {edges[k + 1]:.6g}]: {sol.message}"
-            )
-        lo, hi = sorted((edges[k], edges[k + 1]))
-        sel = ~filled & (xs >= lo - pad) & (xs <= hi + pad)
-        if np.any(sel):
-            vals[sel] = sol.sol(xs[sel])[0]
-            filled[sel] = True
-        y = sol.y[:, -1].copy()
-        peak = float(np.max(np.abs(y)))
-        if peak > _RESCALE_LIMIT:
-            shift = math.log(peak)
-            factor = math.exp(-shift)
-            y *= factor
-            y_start *= factor
-            vals[filled] *= factor
-            scale += shift
-    return vals, y_start, y, scale
 
 
 def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
@@ -248,8 +345,7 @@ def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> 
     With w = 2*eta*(V - lam) the equation u'' = w u has the canonical basis
     cosh(sqrt(w) z) and sinh(sqrt(w) z)/sqrt(w) (trigonometric for w < 0,
     linear for w = 0) in z = x - a.  For large positive w the pair is scaled
-    uniformly by exp(-scale_exponent) exactly like the integrator's overflow
-    guard.
+    uniformly by exp(-scale_exponent) exactly like the propagator's.
     """
     a, b = interval.a, interval.b
     eta0 = expr.evaluate(interval.metric, 0.5 * (a + b))
@@ -311,9 +407,9 @@ def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -
     Validation path only: requires a trivial metric, vanishing potential and
     lam > 0.  The pair is complex valued.
     """
-    eta, _, pot = _coefficients(interval)
     for x in np.linspace(interval.a, interval.b, 17):
-        if abs(eta(x) - 1.0) > 1e-14 or abs(pot(x)) > 1e-14:
+        if (abs(expr.evaluate(interval.metric, x) - 1.0) > 1e-14
+                or abs(expr.evaluate(interval.potential, x)) > 1e-14):
             raise ValueError("free_exponential_basis requires eta == 1 and V == 0")
     if lam <= 0.0:
         raise ValueError("free_exponential_basis requires lam > 0")

@@ -469,14 +469,12 @@ def deficiency_indices(domain: QuantumDomain, verify: bool = False,
 
     On a compact union of n intervals every solution of H* u = -+ i u is
     square integrable and each interval contributes a two-dimensional solution
-    space.  With ``verify`` the complex eigenvalue ODE is integrated as a real
-    4-dimensional first-order system per interval and the finiteness and
-    independence of the two solutions is checked numerically.
+    space.  With ``verify`` the complex eigenvalue ODE is integrated per
+    interval and the finiteness and independence of the two solutions is
+    checked numerically.
     """
     n = domain.n
     if verify:
-        from scipy.integrate import solve_ivp
-
         for iv in domain.intervals:
             for s in (+1.0, -1.0):
                 gram = _deficiency_gram(iv, s, opts)
@@ -486,26 +484,23 @@ def deficiency_indices(domain: QuantumDomain, verify: bool = False,
 
 
 def _deficiency_gram(iv, s: float, opts: SolveOptions) -> np.ndarray:
-    """L2 Gram matrix of the two solutions of H u = s*i*u on one interval."""
+    """L2 Gram matrix of the two solutions of H u = s*i*u on one interval.
+
+    The solutions are integrated in the quasi-derivative variables
+    y = (u, eta**-0.5 u') of :mod:`qwire.odesolve`,
+    y' = sqrt(eta) [[0, 1], [2 (V - s i), 0]] y.
+    """
     from scipy.integrate import solve_ivp
 
-    h = 1e-6 * (iv.b - iv.a)
-
     def rhs(x, y):
-        e = expr.evaluate(iv.metric, x)
-        ep = (expr.evaluate(iv.metric, x + h) - expr.evaluate(iv.metric, x - h)) / (2 * h)
-        c = 2.0 * e * (expr.evaluate(iv.potential, x) - 1j * s)
-        u1, v1, u2, v2 = y[0] + 1j * y[1], y[2] + 1j * y[3], y[4] + 1j * y[5], y[6] + 1j * y[7]
-        du1, dv1 = v1, c * u1 + ep / (2 * e) * v1
-        du2, dv2 = v2, c * u2 + ep / (2 * e) * v2
-        return [du1.real, du1.imag, dv1.real, dv1.imag,
-                du2.real, du2.imag, dv2.real, dv2.imag]
+        root = math.sqrt(expr.evaluate(iv.metric, x))
+        c = 2.0 * (expr.evaluate(iv.potential, x) - 1j * s)
+        return root * np.array([y[1], c * y[0], y[3], c * y[2]])
 
-    y0 = [1, 0, 0, 0, 0, 0, 1, 0]
     xs = np.linspace(iv.a, iv.b, 129)
-    sol = solve_ivp(rhs, (iv.a, iv.b), y0, t_eval=xs, rtol=1e-9, atol=1e-11)
-    u1 = sol.y[0] + 1j * sol.y[1]
-    u2 = sol.y[4] + 1j * sol.y[5]
+    sol = solve_ivp(rhs, (iv.a, iv.b), np.array([1, 0, 0, 1], dtype=complex),
+                    t_eval=xs, rtol=1e-9, atol=1e-11)
+    u1, u2 = sol.y[0], sol.y[2]
     w = _simpson_weights(len(xs), (iv.b - iv.a) / (len(xs) - 1))
     eta = np.sqrt(np.array([expr.evaluate(iv.metric, x) for x in xs]))
     gram = np.empty((2, 2), dtype=complex)

@@ -241,6 +241,23 @@ def test_exit_code_bad_solve_number(tmp_path, capsys, old, new):
     assert err.startswith("qwire:") and "[solve]" in err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("grid = 250", "grid = 2"),
+    ("lambda_min = -1", "lambda_min = 40"),
+    ("lambda_min = -1", "lambda_min = 3"),
+    ("lambda_min = -1", "lambda_min = nan"),
+    ("grid = 250", "grid = 250\nsigma_tol = 0"),
+    ("grid = 250", "grid = 250\nsigma_tol = -1e-6"),
+    ("grid = 250", "grid = 250\nmax_eigs = 0"),
+])
+def test_exit_code_solve_value_out_of_range(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.cfg"
+    path.write_text(FREE_CFG.replace(old, new))
+    assert run(["spectrum", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("qwire:") and "[solve]" in err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"

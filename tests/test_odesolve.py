@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import airy
 
+from qwire import expr, odesolve
 from qwire.domain import Interval
 from qwire.odesolve import (
     OdeError,
@@ -36,8 +38,8 @@ def test_lambda_zero_gives_linear_pair():
 
 
 def test_constant_fast_path_matches_integrator():
-    # '1 + 0*x' is not recognized as constant, so it takes the adaptive
-    # integrator path; the values must match the closed-form branch.
+    # '1 + 0*x' is not recognized as constant, so it takes the Magnus
+    # propagator path; the values must match the closed-form branch.
     lam = 0.8
     iv_fast = Interval(0.0, 3.0, "1", "2")
     iv_slow = Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x")
@@ -118,6 +120,22 @@ def test_deep_tunnelling_integrator_path():
     assert _total_growth(fp) == pytest.approx(want, rel=1e-4)
 
 
+def test_two_sided_launch_against_airy():
+    # V = 40 + x on [0, 5] at lam = 0 is forbidden everywhere with action
+    # above 45, so u2 is launched from b with u = 1, u' = 0.
+    a, b, lam = 0.0, 5.0, 0.0
+    fp = fundamental_solutions(Interval(a, b, "1", "40 + x"), lam)
+    assert fp.scale_exponent == 0.0
+    u_left, du_left = _airy_pair(a, lam - 40.0, fp.xs)
+    u_right, du_right = _airy_pair(b, lam - 40.0, fp.xs)
+    for got, want in ((fp.values[0], u_left[0]), (fp.values[1], u_right[0])):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert fp.psi_a == pytest.approx([1.0, u_right[0, 0]], rel=1e-10)
+    assert fp.dpsi_a == pytest.approx([0.0, du_right[0, 0]], rel=1e-10)
+    assert fp.psi_b == pytest.approx([u_left[0, -1], 1.0], rel=1e-10)
+    assert fp.dpsi_b == pytest.approx([du_left[0, -1], 0.0], rel=1e-10)
+
+
 def test_metric_must_be_positive():
     with pytest.raises(OdeError):
         fundamental_solutions(Interval(0.0, 2.0, "x - 1 + 0*sin(x)", "0"), 1.0)
@@ -126,3 +144,115 @@ def test_metric_must_be_positive():
 def test_samples_validation():
     with pytest.raises(ValueError):
         fundamental_solutions(Interval(0.0, 1.0), 1.0, samples=2)
+    with pytest.raises(ValueError):
+        fundamental_solutions(Interval(0.0, 1.0, "1", "x"), 1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_metric_against_arc_length_closed_form(a):
+    # With eta = (1 + 0.3x)^2 and V = 0 the arc length s(x) = int_a^x sqrt(eta)
+    # turns H into -1/2 d^2/ds^2: u1 = cos(k s), u2 = sin(k s) / (k sqrt(eta(a))).
+    b, lam = a + 2.0, 1.7
+    k = math.sqrt(2.0 * lam)
+    iv = Interval(a, b, "(1+0.3*x)^2", "0")
+    fp = fundamental_solutions(iv, lam)
+    x = fp.xs
+    s = (x - a) + 0.15 * (x * x - a * a)
+    root_a, root = 1.0 + 0.3 * a, 1.0 + 0.3 * x
+    assert np.max(np.abs(fp.values[0] - np.cos(k * s))) <= 1e-10
+    assert np.max(np.abs(fp.values[1] - np.sin(k * s) / (k * root_a))) <= 1e-10
+    sb = s[-1]
+    assert np.allclose(fp.psi_b, [math.cos(k * sb), math.sin(k * sb) / (k * root_a)],
+                       rtol=0.0, atol=1e-10)
+    assert np.allclose(fp.dpsi_b, [-k * math.sin(k * sb) * root[-1],
+                                   math.cos(k * sb) * root[-1] / root_a], rtol=0.0, atol=1e-10)
+
+
+def _airy_pair(a, lam, x):
+    """Canonical pair of u'' = 2 (x - lam) u: values and derivatives at x.
+
+    With z = 2^(1/3) (x - lam) the equation is Airy's, u_zz = z u.
+    """
+    c = 2.0 ** (1.0 / 3.0)
+    ai, aip, bi, bip = airy(c * (a - lam))
+    # inverse of [[Ai, Bi], [c Ai', c Bi']], whose determinant is c / pi
+    coef = math.pi / c * np.array([[c * bip, -bi], [-c * aip, ai]])
+    ai, aip, bi, bip = airy(c * (np.asarray(x) - lam))
+    u = np.array([ai, bi]).T @ coef
+    du = c * np.array([aip, bip]).T @ coef
+    return u.T, du.T
+
+
+def test_linear_potential_against_airy():
+    iv = Interval(-1.0, 3.0, "1", "x")
+    for lam in (-0.5, 1.2, 4.0):
+        fp = fundamental_solutions(iv, lam)
+        u, du = _airy_pair(iv.a, lam, fp.xs)
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(fp.values - u)) <= 1e-10 * scale
+        assert np.max(np.abs(fp.psi_b - u[:, -1])) <= 1e-10 * scale
+        assert np.max(np.abs(fp.dpsi_b - du[:, -1])) <= 1e-10 * np.max(np.abs(du))
+
+
+def _endpoint_transfer(fp):
+    # (u, eta^-1/2 u') at b for the launch data (1, 0) and (0, 1), eta = 1
+    return np.array([fp.psi_b, fp.dpsi_b])
+
+
+def test_error_estimate_bounds_true_error():
+    iv = Interval(-1.0, 3.0, "1", "x")
+    for rel_tol in (1e-5, 1e-7, 1e-9, 1e-11):
+        for lam in (-0.5, 1.2, 4.0):
+            fp = fundamental_solutions(iv, lam, rel_tol=rel_tol)
+            u, du = _airy_pair(iv.a, lam, [iv.b])
+            exact = np.array([u[:, 0], du[:, 0]])
+            err = np.max(np.abs(_endpoint_transfer(fp) - exact)) / np.max(np.abs(exact))
+            assert 0.0 < fp.error_estimate <= rel_tol
+            assert err <= fp.error_estimate
+    assert fundamental_solutions(Interval(0.0, 1.0, "1", "2"), 0.5).error_estimate == 0.0
+
+
+def test_fourth_order_convergence():
+    # Halving the Magnus mesh divides the endpoint error by about 2^4.
+    iv = Interval(-1.0, 3.0, "1", "x")
+    lam = 1.2
+    u, du = _airy_pair(iv.a, lam, [iv.b])
+    exact = np.array([u[:, 0], du[:, 0]]).ravel()
+    mesh = odesolve._Mesh(iv, 17)
+    errors = []
+    for level in range(4):
+        t, log = odesolve._total(*odesolve._sample_cells(mesh, level, lam))
+        errors.append(np.max(np.abs(t * math.exp(log) - exact)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 10.0 * fine
+
+
+def test_coefficients_evaluated_once_per_level(monkeypatch):
+    # Each halving evaluates the coefficients at the new midpoints only, and
+    # later calls on the same interval evaluate nothing.
+    points = []
+    compile_fn = expr.compile_fn
+
+    def counting(e):
+        fn = compile_fn(e)
+        points.append(0)
+
+        def call(x):
+            points[-1] += 1
+            return fn(x)
+        return call
+
+    monkeypatch.setattr(expr, "compile_fn", counting)
+    odesolve._mesh.cache_clear()
+    iv = Interval(0.0, 2.0 * math.pi, "1", "x^2/2 + 0.1*sin(3*x)")
+    lams = np.linspace(-1.0, 6.0, 20)
+    for lam in lams:
+        fundamental_solutions(iv, lam, rel_tol=1e-11)
+    finest = odesolve._mesh(iv, 257).finest
+    assert finest >= 2
+    assert len(points) == finest + 1                       # one pass per level
+    assert sum(points) == 2 * 256 * 2 ** finest + 1        # every node once
+    evaluated = sum(points)
+    for lam in lams:
+        fundamental_solutions(iv, lam, rel_tol=1e-11)
+    assert sum(points) == evaluated
