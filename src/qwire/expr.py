@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Expr",
     "ExprError",
@@ -26,6 +28,7 @@ __all__ = [
     "evaluate",
     "is_constant",
     "compile_fn",
+    "evaluate_on",
 ]
 
 
@@ -232,6 +235,19 @@ def compile_fn(e: Expr):
         return v
 
     return call
+
+
+def evaluate_on(e: Expr, xs: np.ndarray) -> np.ndarray:
+    """Values of ``e`` at every point of ``xs``, as :func:`evaluate` gives them.
+
+    A constant expression is evaluated once; otherwise it is compiled once
+    and the callable runs per point.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if is_constant(e):
+        return np.full(xs.shape, evaluate(e, 0.0))
+    fn = compile_fn(e)
+    return np.array([fn(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
 
 
 def _pysource(e: Expr) -> str:

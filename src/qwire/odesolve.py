@@ -49,13 +49,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr
 from .domain import Interval
 
-__all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "free_exponential_basis"]
+__all__ = ["FundamentalPair", "EndpointTraces", "OdeError", "fundamental_solutions",
+           "endpoint_traces", "free_exponential_basis"]
 
 # In a fully classically forbidden interval both left-launched solutions
 # converge onto the growing mode and the basis collapses at the level
@@ -96,13 +98,26 @@ class FundamentalPair:
     error_estimate: float = 0.0
 
     def wronskian_drift(self) -> float:
-        """Relative change of the modified Wronskian between the endpoints."""
+        """Change of the modified Wronskian between the endpoints, relative to
+        the size that a normwise error of the endpoint data gives it.
+
+        At each end W = det T with T = [[u1, u2], [p u1', p u2']], p =
+        eta**-0.5, and an error of eps * |T| in the entries of T moves det T
+        by up to about 2 eps |T|**2 (|T| the largest entry), so the drift is
+        divided by the larger |T|**2 of the two ends.  Dividing by |W| instead
+        reads a growing solution's rounding as drift: beside a solution of
+        size 3e7 the other is 1e-7 and carries an error of 3e7 * eps.  The
+        Magnus cells have determinant 1, so on that path the drift shows
+        rounding; ``error_estimate`` shows the truncation error.
+        """
         iv = self.interval
-        p_a = expr.evaluate(iv.metric, iv.a) ** -0.5
-        p_b = expr.evaluate(iv.metric, iv.b) ** -0.5
-        w_a = p_a * (self.psi_a[0] * self.dpsi_a[1] - self.dpsi_a[0] * self.psi_a[1])
-        w_b = p_b * (self.psi_b[0] * self.dpsi_b[1] - self.dpsi_b[0] * self.psi_b[1])
-        return abs(w_b - w_a) / max(abs(w_a), abs(w_b), 1e-300)
+        ends = []
+        for end, psi, dpsi in (("a", self.psi_a, self.dpsi_a), ("b", self.psi_b, self.dpsi_b)):
+            p = expr.evaluate(iv.metric, getattr(iv, end)) ** -0.5
+            t = np.array([[psi[0], psi[1]], [p * dpsi[0], p * dpsi[1]]])
+            ends.append((t[0, 0] * t[1, 1] - t[1, 0] * t[0, 1], float(np.max(np.abs(t)))))
+        (w_a, t_a), (w_b, t_b) = ends
+        return abs(w_b - w_a) / max(t_a * t_a, t_b * t_b, 1e-300)
 
 
 class _Mesh:
@@ -144,13 +159,7 @@ class _Mesh:
 
 
 def _coefficients_at(interval: Interval, xs: np.ndarray):
-    values = []
-    for e in (interval.metric, interval.potential):
-        if expr.is_constant(e):
-            values.append(np.full(xs.shape, expr.evaluate(e, float(xs[0]))))
-        else:
-            fn = expr.compile_fn(e)
-            values.append(np.array([fn(x) for x in xs.tolist()]))
+    values = [expr.evaluate_on(e, xs) for e in (interval.metric, interval.potential)]
     bad = ~(values[0] > 0.0)
     if bad.any():
         raise OdeError(f"metric not positive at x={xs[bad][0]:.6g}")
@@ -339,65 +348,107 @@ def fundamental_solutions(
     )
 
 
-def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
-    """Closed-form canonical pair for constant eta and V.
+def _closed_form(interval: Interval, lams: np.ndarray, xs: np.ndarray):
+    """Canonical pair for constant eta and V at the points ``xs``, for every lam.
 
     With w = 2*eta*(V - lam) the equation u'' = w u has the canonical basis
     cosh(sqrt(w) z) and sinh(sqrt(w) z)/sqrt(w) (trigonometric for w < 0,
-    linear for w = 0) in z = x - a.  For large positive w the pair is scaled
-    uniformly by exp(-scale_exponent) exactly like the propagator's.
+    linear for w = 0) in z = x - a.  Where the interval is forbidden at an
+    action sqrt(w) (b - a) above ``_TWO_SIDED_ACTION``, u2 is cosh(sqrt(w)
+    (b - x)) instead, launched from b.  Growing solutions are scaled
+    uniformly by exp(-max(0, sqrt(w) (b - a) - 300)) per launch, exactly like
+    the propagator's.  Returns values and plain derivatives, shape (G, 2, m)
+    each, and the scale exponent, shape (G,).
     """
     a, b = interval.a, interval.b
     eta0 = expr.evaluate(interval.metric, 0.5 * (a + b))
     if eta0 <= 0.0:
         raise OdeError("metric not positive")
     v0 = expr.evaluate(interval.potential, 0.5 * (a + b))
-    w = 2.0 * eta0 * (v0 - lam)
-    xs = np.linspace(a, b, samples)
-    z = xs - a
-    values = np.empty((2, samples))
-    if abs(w) < 1e-30:
-        scale = 0.0
-        values[0] = 1.0
-        values[1] = z
-        d_end = np.array([0.0, 1.0])
-    elif w < 0.0:
-        k = math.sqrt(-w)
-        scale = 0.0
-        values[0] = np.cos(k * z)
-        values[1] = np.sin(k * z) / k
-        d_end = np.array([-k * math.sin(k * (b - a)), math.cos(k * (b - a))])
-    elif math.sqrt(w) * (b - a) > _TWO_SIDED_ACTION:
-        # fully forbidden at high action: cosh launched from each endpoint
-        k = math.sqrt(w)
-        L = b - a
-        scale = max(0.0, k * L - 300.0)
-        values[0] = 0.5 * (np.exp(k * z - scale) + np.exp(-k * z - scale))
-        zr = b - xs
-        values[1] = 0.5 * (np.exp(k * zr - scale) + np.exp(-k * zr - scale))
-        coshL = 0.5 * (math.exp(k * L - scale) + math.exp(-k * L - scale))
-        sinhL = 0.5 * (math.exp(k * L - scale) - math.exp(-k * L - scale))
-        sf = math.exp(-scale)
-        return FundamentalPair(
-            lam=lam, interval=interval, xs=xs, values=values,
-            psi_a=np.array([sf, coshL]), dpsi_a=np.array([0.0, -k * sinhL]),
-            psi_b=np.array([coshL, sf]), dpsi_b=np.array([k * sinhL, 0.0]),
-            scale_exponent=2.0 * scale,
-        )
-    else:
-        k = math.sqrt(w)
-        scale = max(0.0, k * (b - a) - 300.0)
-        ep = np.exp(k * z - scale)
-        em = np.exp(-k * z - scale)
-        values[0] = 0.5 * (ep + em)
-        values[1] = 0.5 * (ep - em) / k
-        d_end = np.array([k * 0.5 * (ep[-1] - em[-1]), 0.5 * (ep[-1] + em[-1])])
-    sf = math.exp(-scale)
+    w = 2.0 * eta0 * (v0 - lams)
+    z, zr = xs - a, b - xs
+    values = np.empty((len(lams), 2, len(xs)))
+    derivs = np.empty_like(values)
+    scale = np.zeros(len(lams))
+
+    flat = np.abs(w) < 1e-30
+    values[flat] = np.stack([np.ones_like(z), z])
+    derivs[flat] = np.stack([np.zeros_like(z), np.ones_like(z)])
+
+    osc = ~flat & (w < 0.0)
+    k = np.sqrt(-w[osc])[:, np.newaxis]
+    c, s = np.cos(k * z), np.sin(k * z)
+    values[osc] = np.stack([c, s / k], axis=1)
+    derivs[osc] = np.stack([-k * s, c], axis=1)
+
+    forbidden = ~flat & (w > 0.0)
+    k = np.sqrt(w[forbidden])
+    kl = k * (b - a)
+    two_sided = kl > _TWO_SIDED_ACTION
+    sc = np.maximum(0.0, kl - 300.0)
+    k, sc = k[:, np.newaxis], sc[:, np.newaxis]
+    ep, em = np.exp(k * z - sc), np.exp(-k * z - sc)
+    epr, emr = np.exp(k * zr - sc), np.exp(-k * zr - sc)
+    cosh, sinh = 0.5 * (ep + em), 0.5 * (ep - em)
+    # one-sided: sinh(k z)/k; two-sided: cosh launched from b
+    ts = two_sided[:, np.newaxis]
+    u2 = np.where(ts, 0.5 * (epr + emr), sinh / k)
+    du2 = np.where(ts, -k * 0.5 * (epr - emr), cosh)
+    values[forbidden] = np.stack([cosh, u2], axis=1)
+    derivs[forbidden] = np.stack([k * sinh, du2], axis=1)
+    scale[forbidden] = np.where(two_sided, 2.0, 1.0) * sc[:, 0]
+    return values, derivs, scale
+
+
+def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
+    """Closed-form canonical pair for constant eta and V (see ``_closed_form``)."""
+    xs = np.linspace(interval.a, interval.b, samples)
+    values, derivs, scale = _closed_form(interval, np.array([lam]), xs)
+    values, derivs = values[0], derivs[0]
     return FundamentalPair(
         lam=lam, interval=interval, xs=xs, values=values,
-        psi_a=np.array([sf, 0.0]), dpsi_a=np.array([0.0, sf]),
-        psi_b=values[:, -1].copy(), dpsi_b=d_end,
-        scale_exponent=scale,
+        psi_a=values[:, 0].copy(), dpsi_a=derivs[:, 0].copy(),
+        psi_b=values[:, -1].copy(), dpsi_b=derivs[:, -1].copy(),
+        scale_exponent=float(scale[0]),
+    )
+
+
+class EndpointTraces(NamedTuple):
+    """Endpoint data of the canonical pair for an array of G eigenvalues.
+
+    Each array has the meaning of the :class:`FundamentalPair` field of the
+    same name, with a leading axis over lam: shape (G, 2), and (G,) for
+    ``scale_exponent``.
+    """
+
+    psi_a: np.ndarray
+    dpsi_a: np.ndarray
+    psi_b: np.ndarray
+    dpsi_b: np.ndarray
+    scale_exponent: np.ndarray
+
+
+def endpoint_traces(interval: Interval, lams, rel_tol: float = 1e-10,
+                    samples: int = 257) -> EndpointTraces:
+    """Endpoint data of the canonical pair for every lam of an array.
+
+    Constant coefficients take the closed form for all lam in one numpy pass
+    and build no dense samples.  Variable coefficients call
+    :func:`fundamental_solutions` once per lam with ``rel_tol`` and
+    ``samples``, which fix its mesh.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
+        values, derivs, scale = _closed_form(interval, lams,
+                                             np.array([interval.a, interval.b]))
+        return EndpointTraces(values[:, :, 0], derivs[:, :, 0],
+                              values[:, :, 1], derivs[:, :, 1], scale)
+    fps = [fundamental_solutions(interval, lam, rel_tol=rel_tol, samples=samples)
+           for lam in lams.tolist()]
+    return EndpointTraces(
+        np.array([fp.psi_a for fp in fps]), np.array([fp.dpsi_a for fp in fps]),
+        np.array([fp.psi_b for fp in fps]), np.array([fp.dpsi_b for fp in fps]),
+        np.array([fp.scale_exponent for fp in fps]),
     )
 
 

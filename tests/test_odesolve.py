@@ -10,6 +10,7 @@ from qwire import expr, odesolve
 from qwire.domain import Interval
 from qwire.odesolve import (
     OdeError,
+    endpoint_traces,
     free_exponential_basis,
     fundamental_solutions,
 )
@@ -54,6 +55,47 @@ def test_wronskian_invariant_variable_coefficients():
     for lam in (-0.7, 0.0, 2.5):
         fp = fundamental_solutions(iv, lam)
         assert fp.wronskian_drift() <= 1e-6
+
+
+def test_wronskian_drift_beside_a_growing_solution():
+    # At lam = 1.5 on [0, 2 pi] u1 grows to 3e7 while u2 (an oscillator level
+    # with u2(0) = 0) decays to 1e-7, so u2(b) carries an error of 3e7 times
+    # the normwise accuracy; relative to |W| = 1 that read as a drift of 4e-5.
+    fp = fundamental_solutions(Interval(0.0, 2.0 * math.pi, "1", "x^2/2"), 1.5)
+    assert np.max(np.abs(fp.dpsi_b)) > 1e7
+    assert fp.wronskian_drift() <= 1e-8
+
+
+@pytest.mark.parametrize("iv, tol", [
+    (Interval(0.0, 1.3, "2", "3"), 1e-14),
+    # the mesh a variable-coefficient call starts from depends on the calls
+    # before it, so the two sweeps agree to the halving tolerance only
+    (Interval(-1.0, 1.0, "1 + 0.2*x", "x^2"), 1e-9),
+])
+def test_endpoint_traces_match_fundamental_solutions(iv, tol):
+    # lam above V, lam = V, then growing with action k L <= 25, two-sided with
+    # 25 < k L <= 300, and two-sided with the k L - 300 rescale.
+    lams = np.array([10.0, 3.0, -3.0, -300.0, -1e5])
+    names = ("psi_a", "dpsi_a", "psi_b", "dpsi_b")
+    got = endpoint_traces(iv, lams, rel_tol=1e-10)
+    for g, lam in enumerate(lams):
+        fp = fundamental_solutions(iv, float(lam), rel_tol=1e-10)
+        assert got.scale_exponent[g] == pytest.approx(fp.scale_exponent, rel=1e-14)
+        want = np.array([getattr(fp, name) for name in names])
+        have = np.array([getattr(got, name)[g] for name in names])
+        assert np.max(np.abs(have - want)) <= tol * np.max(np.abs(want))
+    if expr.is_constant(iv.potential):
+        k = np.sqrt(2.0 * 2.0 * (3.0 - lams[2:]))
+        assert k[0] * iv.length <= 25.0 < k[1] * iv.length <= 300.0 < k[2] * iv.length
+        assert got.scale_exponent[-1] > 0.0
+        # growing: cosh(k z) and sinh(k z) / k; two-sided: u2 = cosh(k (b - x))
+        ch, sh = np.cosh(k[:2] * iv.length), np.sinh(k[:2] * iv.length)
+        data = np.array([got.psi_a[2:4], got.dpsi_a[2:4], got.psi_b[2:4], got.dpsi_b[2:4]])
+        want = np.array([[[1.0, 0.0], [1.0, ch[1]]],
+                         [[0.0, 1.0], [0.0, -k[1] * sh[1]]],
+                         [[ch[0], sh[0] / k[0]], [ch[1], 1.0]],
+                         [[k[0] * sh[0], ch[0]], [k[1] * sh[1], 0.0]]])
+        assert np.allclose(data, want, rtol=1e-13, atol=0.0)
 
 
 def test_exponential_basis_change():

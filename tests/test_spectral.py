@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qwire import expr, spectral
 from qwire.bc import (
     admissible_subspace,
     make_dirichlet,
@@ -247,6 +248,8 @@ def test_find_eigenvalues_validation(free_2pi):
         find_eigenvalues(make_dirichlet(1), free_2pi, (2.0, 1.0))
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(grid=2))
+    with pytest.raises(ValueError):
+        find_eigenvalues(make_dirichlet(2), free_2pi, (0.0, 1.0))
 
 
 def test_spectral_matrix_interval_count_mismatch(free_2pi):
@@ -259,3 +262,207 @@ def test_max_eigs_truncates(free_2pi):
     spectrum = find_eigenvalues(make_dirichlet(1), free_2pi, (0.05, 4.8),
                                 SolveOptions(grid=300, max_eigs=3))
     assert sum(e.multiplicity for e in spectrum.eigs) == 3
+
+
+def _branch_domain(n):
+    # constant eta = 2, V = 3 on intervals of lengths 1.0, 1.3, 0.7
+    return QuantumDomain([Interval(0.0, L, "2", "3") for L in (1.0, 1.3, 0.7)[:n]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_sigma_min_matches_spectral_matrix(n):
+    # lam above V, lam = V, growing with k L <= 25, two-sided with
+    # 25 < k L <= 300, and with the k L - 300 rescale, on every interval.
+    rng = np.random.default_rng(40 + n)
+    dom = _branch_domain(n)
+    U = random_unitary(2 * n, rng)
+    opts = SolveOptions()
+    lams = np.array([10.0, 3.0, -3.0, -300.0, -1e5, *rng.uniform(-2.0, 20.0, 5)])
+    got = spectral._sigma_min(U, dom, lams, opts)
+    for lam, sig in zip(lams, got):
+        want = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts)).sigma_min
+        assert want > 0.0
+        assert abs(sig - want) <= 1e-12 * want, lam
+
+
+def test_batched_sigma_min_variable_coefficients():
+    dom = QuantumDomain([Interval(0.0, 1.0, "2", "3"),
+                         Interval(0.0, 2.0 * math.pi, "1 + 0.1*x", "x^2/2")])
+    U = random_unitary(4, np.random.default_rng(44))
+    opts = SolveOptions(rel_tol=1e-11)
+    lams = np.array([-2.0, 0.3, 1.5, 4.2])
+    got = spectral._sigma_min(U, dom, lams, opts)
+    for lam, sig in zip(lams, got):
+        want = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts)).sigma_min
+        assert abs(sig - want) <= 1e-12 * want, lam
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assembly_matches_blockwise_formula(n):
+    # M and its row scales against the block-by-block construction written
+    # out with Hadamard column scalings, at one lam and as a stack.
+    rng = np.random.default_rng(60 + n)
+    dom = QuantumDomain([Interval(0.0, L, "1 + 0.5*x", "x") for L in (1.0, 1.3, 0.7)[:n]])
+    U = random_unitary(2 * n, rng)
+    lams = np.array([-2.0, 0.7, 5.5])
+    opts = SolveOptions()
+    eye = np.eye(n)
+    for lam in lams:
+        fps = spectral._solve_pairs(dom, float(lam), opts)
+        sm = spectral_matrix(U, fps)
+        psi_l, psi_r, dpsi_l, dpsi_r = spectral._endpoint_traces(fps)
+        M = np.empty((2 * n, 2 * n), dtype=complex)
+        row_scale = np.zeros(2 * n)
+        for sigma in (0, 1):
+            lp, lm = psi_l[sigma] + 1j * dpsi_l[sigma], psi_l[sigma] - 1j * dpsi_l[sigma]
+            rp, rm = psi_r[sigma] + 1j * dpsi_r[sigma], psi_r[sigma] - 1j * dpsi_r[sigma]
+            cols = slice(sigma * n, (sigma + 1) * n)
+            M[:n, cols] = hadamard_mat(eye, lm) - hadamard_mat(U.u11, lp) - hadamard_mat(U.u12, rp)
+            M[n:, cols] = hadamard_mat(eye, rm) - hadamard_mat(U.u21, lp) - hadamard_mat(U.u22, rp)
+            row_scale[:n] = np.maximum(row_scale[:n], np.abs(lm) + np.abs(U.u11) @ np.abs(lp)
+                                       + np.abs(U.u12) @ np.abs(rp))
+            row_scale[n:] = np.maximum(row_scale[n:], np.abs(rm) + np.abs(U.u21) @ np.abs(lp)
+                                       + np.abs(U.u22) @ np.abs(rp))
+        assert np.array_equal(sm.matrix, M)
+        np.testing.assert_allclose(sm.row_scale, row_scale, rtol=1e-15, atol=0.0)
+        svals = np.linalg.svd(M / row_scale[:, np.newaxis], compute_uv=False)
+        assert sm.sigma_min == pytest.approx(svals[-1], rel=1e-12)
+    # the stack of all three lam gives the same matrices
+    ends = [spectral.endpoint_traces(iv, lams, opts.rel_tol) for iv in dom.intervals]
+    M, Me, row_scale = spectral._assemble(U, *spectral._traces(dom.intervals, ends))
+    for g, lam in enumerate(lams):
+        sm = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts))
+        np.testing.assert_allclose(M[g], sm.matrix, rtol=1e-12, atol=1e-12 * np.abs(sm.matrix).max())
+        np.testing.assert_allclose(row_scale[g], sm.row_scale, rtol=1e-12)
+
+
+def _golden_scalar(f, a, b, xtol):
+    """Golden-section minimisation of a scalar function, one point at a time."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def test_lockstep_golden_visits_the_scalar_points():
+    # Each bracket must see exactly the points of a scalar search on it alone.
+    # brackets of different widths and tolerances finish after different
+    # numbers of steps; the last one is flat, so every comparison ties.
+    a = np.array([-3.0, 0.0, 1.0, 10.0, 20.0])
+    b = np.array([-0.5, 1.0, 1.5, 10.1, 21.0])
+    xtol = np.array([1e-3, 1e-10, 1e-6, 1e-9, 1e-4])
+    centres = np.array([-2.2, 0.3, 1.49, 10.05, 20.5])
+
+    def g(x):       # one landscape per (disjoint) bracket
+        bump = np.abs(np.sin(3.0 * (x - centres[np.searchsorted(a, x, "right") - 1])))
+        return np.where(x < 20.0, bump + 0.1 * x, 1.0)
+
+    seen: list[np.ndarray] = []
+
+    def batched(x):
+        seen.append(np.array(x))
+        return g(np.asarray(x))
+
+    lam, val = spectral._golden_lockstep(batched, a, b, xtol)
+    visited = np.concatenate(seen)
+    for i in range(len(a)):
+        points = []
+
+        def scalar(x):
+            points.append(x)
+            return float(g(np.array([x]))[0])
+        want = _golden_scalar(scalar, a[i], b[i], xtol[i])
+        mine = visited[(visited >= a[i]) & (visited <= b[i])]
+        assert sorted(points) == sorted(mine.tolist())
+        assert (lam[i], val[i]) == want
+
+
+def test_scan_is_batched(monkeypatch):
+    calls = []
+    traces = spectral.endpoint_traces
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return traces(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "endpoint_traces", counting)
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0),
+                                SolveOptions(grid=12000))
+    assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
+    assert len(calls) <= 100
+    assert max(calls) <= spectral._BLOCK and sum(calls) >= 12000
+
+
+def test_lockstep_roots_match_scalar_golden_section():
+    rng = np.random.default_rng(17)
+    U = random_unitary(2, rng)
+    opts = SolveOptions(grid=150)
+    spectrum = find_eigenvalues(U, FREE, (0.05, 6.0), opts)
+    assert len(spectrum.eigs) >= 5
+
+    def sigma(lam):
+        return float(spectral._sigma_min(U, FREE, np.array([lam]), opts)[0])
+
+    grid = np.linspace(0.05, 6.0, opts.grid)
+    vals = [sigma(l) for l in grid]
+    refined = []
+    for i in range(1, len(grid) - 1):
+        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+            a, b = grid[i - 1], grid[i + 1]
+            width = 1e-10 * max(1.0, max(abs(a), abs(b)))
+            refined.append(_golden_scalar(sigma, a, b, width)[0])
+    for e in spectrum.eigs:
+        assert min(abs(r - e.lam) for r in refined) <= 1e-12 * max(1.0, abs(e.lam))
+
+
+def test_evolve_matches_per_interval_loops():
+    # evolve's matrix products against the inner products taken one pair
+    # and one interval at a time, on two intervals with a metric.
+    dom = QuantumDomain([Interval(0.0, 1.0, "(1+0.3*x)^2", "0"), Interval(0.0, 1.3, "2", "1")])
+    U = random_unitary(4, np.random.default_rng(23))
+    spectrum = find_eigenvalues(U, dom, (-1.0, 30.0), SolveOptions(grid=200))
+    xs = spectrum.eigs[0].xs
+    initial = np.exp(-4.0 * (xs - 0.5) ** 2) * (1.0 + 0.3j * xs)
+    times = np.linspace(0.0, 5.0, 7)
+    report = evolve(U, dom, spectrum, initial, times)
+
+    w = np.empty(xs.shape)
+    for k, iv in enumerate(dom.intervals):
+        simpson = np.ones(xs.shape[1])
+        simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+        h = (iv.b - iv.a) / (xs.shape[1] - 1)
+        w[k] = simpson * h / 3.0 * np.sqrt([expr.evaluate(iv.metric, x) for x in xs[k]])
+    assert np.array_equal(spectral._quad_weights(dom, xs), w)
+
+    def inner(f, g):
+        return sum(complex(np.sum(w[k] * np.conj(f[k]) * g[k])) for k in range(dom.n))
+
+    basis = np.concatenate([e.samples for e in spectrum.eigs])
+    K = len(basis)
+    gram = np.array([[inner(basis[a], basis[b]) for b in range(K)] for a in range(K)])
+    evals, evecs = np.linalg.eigh(gram)
+    basis = np.tensordot((evecs * evals ** -0.5) @ evecs.conj().T, basis, axes=(0, 0))
+    coeffs = np.array([inner(f, initial) for f in basis])
+    projected = np.tensordot(coeffs, basis, axes=(0, 0))
+    resid = initial - projected
+    norm0 = math.sqrt(inner(projected, projected).real)
+    drift = 0.0
+    for i, t in enumerate(times):
+        ft = np.tensordot(coeffs * np.exp(-1j * report["lams"] * t), basis, axes=(0, 0))
+        assert np.max(np.abs(report["samples"][i] - ft)) <= 1e-12
+        drift = max(drift, abs(math.sqrt(inner(ft, ft).real) - norm0))
+    assert np.max(np.abs(report["coefficients"] - coeffs)) <= 1e-12
+    assert report["truncation_residual"] == pytest.approx(
+        math.sqrt(inner(resid, resid).real), abs=1e-12)
+    assert report["projected_norm"] == pytest.approx(norm0, abs=1e-12)
+    assert report["norm_drift"] == pytest.approx(drift, abs=1e-12)
