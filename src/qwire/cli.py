@@ -360,10 +360,7 @@ def _cmd_evolve(args) -> int:
     xs = spectrum.eigs[0].xs
     re = expr.parse(args.initial)
     im = expr.parse(args.initial_imag) if args.initial_imag else None
-    initial = np.empty(xs.shape, dtype=complex)
-    for k in range(xs.shape[0]):
-        initial[k] = [expr.evaluate(re, x) + 1j * (expr.evaluate(im, x) if im else 0.0)
-                      for x in xs[k]]
+    initial = expr.evaluate(re, xs) + 1j * (expr.evaluate(im, xs) if im else 0.0)
     times = _parse_times(args.times)
     report = spectral.evolve(cfg.boundary, cfg.domain, spectrum, initial, times)
     lines = ["# qwire-evolve v1",

@@ -119,8 +119,8 @@ def validate_domain(domain: QuantumDomain, grid_points: int = 64) -> dict:
     for k, iv in enumerate(domain.intervals):
         xs = np.linspace(iv.a, iv.b, grid_points)
         try:
-            eta = np.array([expr.evaluate(iv.metric, x) for x in xs])
-            pot = np.array([expr.evaluate(iv.potential, x) for x in xs])
+            eta = expr.evaluate(iv.metric, xs)
+            pot = expr.evaluate(iv.potential, xs)
         except expr.EvalDomainError as err:
             raise DomainError(f"interval {k}: non-finite coefficient: {err}") from err
         if np.any(eta <= 0.0):

@@ -10,12 +10,17 @@ the variable ``x``.  The grammar is a small calculator language:
 
 Unary minus binds tighter than '^' when it appears in base position, so
 ``-2^2`` parses as ``(-2)^2``.
+
+Each tree is compiled once into a composition of numpy ufuncs, with its
+constant subtrees folded, so one call evaluates a float or a whole array.
+Floating-point exceptions other than underflow raise inside the call and
+become :class:`EvalDomainError`, for whichever element meets them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +33,6 @@ __all__ = [
     "evaluate",
     "is_constant",
     "compile_fn",
-    "evaluate_on",
 ]
 
 
@@ -48,15 +52,13 @@ class EvalDomainError(ExprError):
     """Evaluation left the real domain (division by zero, log of a negative, ...)."""
 
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "cosh": math.cosh,
-    "sinh": math.sinh,
-    "tanh": math.tanh,
-    "abs": abs,
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "cosh", "sinh", "tanh", "abs", "log", "sqrt")
+
+# the ufunc that evaluates each operator and function node
+_UFUNCS = {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": np.divide, "^": np.power,
+    **{name: getattr(np, name) for name in _FUNCTIONS},
 }
 
 
@@ -72,8 +74,9 @@ class Expr:
     kind: str
     args: tuple = ()
     value: float = 0.0
+    _fn: object = field(default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return evaluate(self, x)
 
     def __str__(self) -> str:
@@ -191,7 +194,7 @@ class _Parser:
         name = text[start:self.pos]
         if name == "x":
             return Expr("var")
-        if name in _FUNCTIONS or name in ("log", "sqrt"):
+        if name in _FUNCTIONS:
             self.expect("(")
             arg = self.expr()
             self.expect(")")
@@ -214,118 +217,86 @@ def is_constant(e: Expr) -> bool:
     return all(is_constant(a) for a in e.args)
 
 
-def compile_fn(e: Expr):
-    """Compile the expression into a fast plain-Python callable of x.
+def evaluate(e: Expr, x):
+    """Evaluate ``e`` at ``x`` in IEEE double precision.
 
-    The callable evaluates identically to :func:`evaluate` on the expression's
-    real domain; outside it (or on a non-finite result) it raises
-    :class:`EvalDomainError` like the tree walker, though possibly with a less
-    specific message.  Intended for inner loops (ODE right-hand sides).
+    ``x`` is a float (the result is a float) or an array (the result is an
+    array of its shape).  Raises :class:`EvalDomainError` when any element
+    meets division by zero, log of a non-positive argument, sqrt of a
+    negative argument, a negative base raised to a non-integer power, or an
+    overflowing or otherwise non-finite value.
     """
-    src = _pysource(e)
-    fn = eval(f"lambda x: ({src})", {"math": math})  # noqa: S307 - closed AST, no user code
+    return _compiled(e)(x)
 
-    def call(x: float) -> float:
+
+def compile_fn(e: Expr):
+    """The callable that :func:`evaluate` runs for ``e``, built once per node."""
+    return _compiled(e)
+
+
+def _compiled(e: Expr):
+    fn = e._fn
+    if fn is None:
+        fn = _compile(e)
+        object.__setattr__(e, "_fn", fn)
+    return fn
+
+
+def _compile(e: Expr):
+    """Compose the numpy ufuncs of the tree into one function of x.
+
+    Constant subtrees are folded to their value here, so a constant that
+    leaves the domain raises already.
+    """
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            value, f = _fold(e)
+    except FloatingPointError as err:
+        raise EvalDomainError(str(err)) from err
+
+    if f is None:
+        def constant(x):
+            # isinstance first: np.ndim costs ten times the rest of a scalar call
+            if isinstance(x, (float, int)) or np.ndim(x) == 0:
+                return value
+            return np.full(np.shape(x), value)
+        return constant
+
+    def call(x):
+        x = np.array(x, dtype=float)
         try:
-            v = fn(x)
-        except (ValueError, OverflowError, ZeroDivisionError) as err:
+            with np.errstate(all="raise", under="ignore"):
+                v = f(x)
+        except FloatingPointError as err:
             raise EvalDomainError(str(err)) from err
-        if not math.isfinite(v):
-            raise EvalDomainError(f"non-finite result {v!r}")
-        return v
-
+        if not np.isfinite(v).all():
+            raise EvalDomainError("non-finite value")
+        return float(v) if v.ndim == 0 else v
     return call
 
 
-def evaluate_on(e: Expr, xs: np.ndarray) -> np.ndarray:
-    """Values of ``e`` at every point of ``xs``, as :func:`evaluate` gives them.
-
-    A constant expression is evaluated once; otherwise it is compiled once
-    and the callable runs per point.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if is_constant(e):
-        return np.full(xs.shape, evaluate(e, 0.0))
-    fn = compile_fn(e)
-    return np.array([fn(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
-
-
-def _pysource(e: Expr) -> str:
+def _fold(e: Expr):
+    """``(value, None)`` for a constant subtree, ``(None, f)`` for one in x."""
     kind = e.kind
     if kind == "num":
-        return repr(e.value)
+        if not math.isfinite(e.value):
+            raise EvalDomainError(f"non-finite literal {e.value!r}")
+        return e.value, None
     if kind == "var":
-        return "x"
-    if kind == "neg":
-        return f"(-{_pysource(e.args[0])})"
-    if kind in ("+", "-", "*", "/"):
-        return f"({_pysource(e.args[0])}{kind}{_pysource(e.args[1])})"
-    if kind == "^":
-        # evaluate() forbids a negative base with a non-integer exponent;
-        # math.pow raises ValueError there, matching via the call wrapper
-        return f"math.pow({_pysource(e.args[0])}, {_pysource(e.args[1])})"
-    if kind == "abs":
-        return f"abs({_pysource(e.args[0])})"
-    if kind in _FUNCTIONS or kind in ("log", "sqrt"):
-        return f"math.{kind}({_pysource(e.args[0])})"
-    raise ExprError(f"unknown node kind {kind!r}")
-
-
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate ``e`` at ``x`` in IEEE double precision.
-
-    Raises :class:`EvalDomainError` on division by zero, log/sqrt of a
-    negative argument, a negative base raised to a non-integer power, or
-    any non-finite result.
-    """
-    v = _eval(e, x)
-    if not math.isfinite(v):
-        raise EvalDomainError(f"non-finite result {v!r}")
-    return v
-
-
-def _eval(e: Expr, x: float) -> float:
-    kind = e.kind
-    if kind == "num":
-        return e.value
-    if kind == "var":
-        return x
-    if kind == "neg":
-        return -_eval(e.args[0], x)
-    if kind == "+":
-        return _eval(e.args[0], x) + _eval(e.args[1], x)
-    if kind == "-":
-        return _eval(e.args[0], x) - _eval(e.args[1], x)
-    if kind == "*":
-        return _eval(e.args[0], x) * _eval(e.args[1], x)
-    if kind == "/":
-        den = _eval(e.args[1], x)
-        if den == 0.0:
-            raise EvalDomainError("division by zero")
-        return _eval(e.args[0], x) / den
-    if kind == "^":
-        b = _eval(e.args[0], x)
-        p = _eval(e.args[1], x)
-        if b < 0.0 and p != math.floor(p):
-            raise EvalDomainError("negative base with non-integer exponent")
-        try:
-            return math.pow(b, p)
-        except (ValueError, OverflowError) as err:
-            raise EvalDomainError(str(err)) from err
-    if kind == "log":
-        v = _eval(e.args[0], x)
-        if v <= 0.0:
-            raise EvalDomainError("log of a non-positive argument")
-        return math.log(v)
-    if kind == "sqrt":
-        v = _eval(e.args[0], x)
-        if v < 0.0:
-            raise EvalDomainError("sqrt of a negative argument")
-        return math.sqrt(v)
-    fn = _FUNCTIONS.get(kind)
-    if fn is None:
+        return None, _identity
+    op = _UFUNCS.get(kind)
+    if op is None:
         raise ExprError(f"unknown node kind {kind!r}")
-    try:
-        return fn(_eval(e.args[0], x))
-    except (ValueError, OverflowError) as err:
-        raise EvalDomainError(str(err)) from err
+    parts = [_fold(a) for a in e.args]
+    if all(f is None for _, f in parts):
+        return float(op(*(v for v, _ in parts))), None
+    fs = [f or (lambda x, v=v: v) for v, f in parts]
+    if len(fs) == 1:
+        f = fs[0]
+        return None, lambda x: op(f(x))
+    f, g = fs
+    return None, lambda x: op(f(x), g(x))
+
+
+def _identity(x):
+    return x

@@ -112,8 +112,8 @@ class FundamentalPair:
         """
         iv = self.interval
         ends = []
-        for end, psi, dpsi in (("a", self.psi_a, self.dpsi_a), ("b", self.psi_b, self.dpsi_b)):
-            p = expr.evaluate(iv.metric, getattr(iv, end)) ** -0.5
+        ps = expr.evaluate(iv.metric, np.array([iv.a, iv.b])) ** -0.5
+        for p, psi, dpsi in zip(ps, (self.psi_a, self.psi_b), (self.dpsi_a, self.dpsi_b)):
             t = np.array([[psi[0], psi[1]], [p * dpsi[0], p * dpsi[1]]])
             ends.append((t[0, 0] * t[1, 1] - t[1, 0] * t[0, 1], float(np.max(np.abs(t)))))
         (w_a, t_a), (w_b, t_b) = ends
@@ -159,7 +159,7 @@ class _Mesh:
 
 
 def _coefficients_at(interval: Interval, xs: np.ndarray):
-    values = [expr.evaluate_on(e, xs) for e in (interval.metric, interval.potential)]
+    values = [expr.evaluate(e, xs) for e in (interval.metric, interval.potential)]
     bad = ~(values[0] > 0.0)
     if bad.any():
         raise OdeError(f"metric not positive at x={xs[bad][0]:.6g}")
@@ -458,10 +458,10 @@ def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -
     Validation path only: requires a trivial metric, vanishing potential and
     lam > 0.  The pair is complex valued.
     """
-    for x in np.linspace(interval.a, interval.b, 17):
-        if (abs(expr.evaluate(interval.metric, x) - 1.0) > 1e-14
-                or abs(expr.evaluate(interval.potential, x)) > 1e-14):
-            raise ValueError("free_exponential_basis requires eta == 1 and V == 0")
+    xs = np.linspace(interval.a, interval.b, 17)
+    if (np.any(np.abs(expr.evaluate(interval.metric, xs) - 1.0) > 1e-14)
+            or np.any(np.abs(expr.evaluate(interval.potential, xs)) > 1e-14)):
+        raise ValueError("free_exponential_basis requires eta == 1 and V == 0")
     if lam <= 0.0:
         raise ValueError("free_exponential_basis requires lam > 0")
     k = math.sqrt(2.0 * lam)

@@ -77,14 +77,13 @@ def _discretize(domain: QuantumDomain, N: int):
     for k, iv in enumerate(domain.intervals):
         xs = np.linspace(iv.a, iv.b, N + 1)
         h = (iv.b - iv.a) / N
-        eta = np.array([expr.evaluate(iv.metric, x) for x in xs])
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        p_mid = np.array([expr.evaluate(iv.metric, x) for x in mids]) ** -0.5
+        eta = expr.evaluate(iv.metric, xs)
+        p_mid = expr.evaluate(iv.metric, 0.5 * (xs[:-1] + xs[1:])) ** -0.5
         w = np.full(N + 1, h)
         w[0] = w[-1] = 0.5 * h
         p = pos[k]
         mass[p] = np.sqrt(eta) * w
-        pot[p] = np.array([expr.evaluate(iv.potential, x) for x in xs]) * mass[p]
+        pot[p] = expr.evaluate(iv.potential, xs) * mass[p]
         lo.append(np.minimum(p[:-1], p[1:]))
         hi.append(np.maximum(p[:-1], p[1:]))
         stiff.append(0.5 * p_mid / h)

@@ -106,9 +106,9 @@ def _traces(intervals, ends) -> tuple[np.ndarray, ...]:
     dpsi_a = np.stack([e.dpsi_a for e in ends], axis=-1)
     psi_b = np.stack([e.psi_b for e in ends], axis=-1)
     dpsi_b = np.stack([e.dpsi_b for e in ends], axis=-1)
-    eta_a = np.array([expr.evaluate(iv.metric, iv.a) for iv in intervals])
-    eta_b = np.array([expr.evaluate(iv.metric, iv.b) for iv in intervals])
-    return psi_a, psi_b, -dpsi_a / np.sqrt(eta_a), dpsi_b / np.sqrt(eta_b)
+    root_a, root_b = np.sqrt([expr.evaluate(iv.metric, np.array([iv.a, iv.b]))
+                              for iv in intervals]).T
+    return psi_a, psi_b, -dpsi_a / root_a, dpsi_b / root_b
 
 
 def _endpoint_traces(fps: list[FundamentalPair]):
@@ -256,7 +256,7 @@ def _quad_weights(domain: QuantumDomain, xs: np.ndarray) -> np.ndarray:
     """Simpson weights times sqrt(eta) per interval; shape (n, m)."""
     m = xs.shape[1]
     return np.array([_simpson_weights(m, (iv.b - iv.a) / (m - 1))
-                     * np.sqrt(expr.evaluate_on(iv.metric, x))
+                     * np.sqrt(expr.evaluate(iv.metric, x))
                      for iv, x in zip(domain.intervals, xs)])
 
 
@@ -323,6 +323,12 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         return _sigma_min(U, domain, lams, opts)
 
     grid = np.linspace(lo, hi, opts.grid)
+    # One more sample just inside each end.  A level within one grid step of
+    # an end then lies in a bracket like any other, as sigma_min falls from
+    # the end sample to the inner one; a slope that rises into the range
+    # brackets nothing.
+    inner = np.minimum(1e-7 * np.maximum(1.0, np.abs([lo, hi])), 0.5 * (grid[1] - grid[0]))
+    grid = np.concatenate([[lo, lo + inner[0]], grid[1:-1], [hi - inner[1], hi]])
     vals = sigma(grid)
 
     # Interior local minima only: a monotone slope toward a range edge is not
@@ -545,7 +551,7 @@ def _deficiency_gram(iv, s: float, opts: SolveOptions) -> np.ndarray:
                     t_eval=xs, rtol=1e-9, atol=1e-11)
     u1, u2 = sol.y[0], sol.y[2]
     w = _simpson_weights(len(xs), (iv.b - iv.a) / (len(xs) - 1))
-    eta = np.sqrt(np.array([expr.evaluate(iv.metric, x) for x in xs]))
+    eta = np.sqrt(expr.evaluate(iv.metric, xs))
     gram = np.empty((2, 2), dtype=complex)
     for i, fi in enumerate((u1, u2)):
         for j, fj in enumerate((u1, u2)):

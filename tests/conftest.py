@@ -1,11 +1,17 @@
 """Shared fixtures and helpers for the qwire test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qwire.domain import Interval, QuantumDomain
+
+# Subprocesses (the console script, the demos) import qwire from this checkout.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -158,6 +158,16 @@ def test_evolve_output(tmp_path, capsys):
     assert float(last[2]) == pytest.approx(float(body[0][2]), abs=1e-9)
 
 
+def test_evolve_initial_state_outside_its_domain(tmp_path, capsys):
+    # x = 0 is a sample of the eigenfunction grid, where 1/x divides by zero
+    path = tmp_path / "n.cfg"
+    path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"
+                    "[bc]\nkind = neumann\n"
+                    "[solve]\nlambda_min = -0.5\nlambda_max = 2.5\ngrid = 150\n")
+    assert run(["evolve", "--config", str(path), "--initial", "1/x", "--times", "0"]) == 3
+    assert "qwire:" in capsys.readouterr().err
+
+
 def test_maslov_command(tmp_path, capsys):
     def f(theta):
         return np.exp(1j * (theta + 0.3)) * np.eye(2)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,13 +83,41 @@ def test_syntax_error_carries_offset():
     ("(-2)^0.5", 0.0),
     ("x^x", -0.5),
     ("exp(x)", 1e9),     # overflow -> non-finite
+    ("exp(-exp(x))", 1000.0),   # an intermediate value overflows
+    ("1/(1/x)", 0.0),           # an intermediate division by zero
 ])
 def test_domain_errors(text, x):
+    # as a scalar, and as an array with a good element beside the bad one
     e = parse(text)
-    with pytest.raises(EvalDomainError):
-        evaluate(e, x)
-    with pytest.raises(EvalDomainError):
-        compile_fn(e)(x)
+    for arg in (x, np.array([1.0, x])):
+        with pytest.raises(EvalDomainError):
+            evaluate(e, arg)
+        with pytest.raises(EvalDomainError):
+            compile_fn(e)(arg)
+
+
+def test_underflow_is_not_an_error():
+    for text in ("exp(-1000)", "exp(x)"):
+        e = parse(text)
+        assert evaluate(e, -1000.0) == 0.0
+        assert np.array_equal(evaluate(e, np.array([-1000.0, -1000.0])), [0.0, 0.0])
+
+
+def test_array_evaluation_matches_scalar_bitwise():
+    xs = np.concatenate([XS, np.linspace(-1.7, 2.25, 37)])
+    for text, _ in CORPUS:
+        e = parse(text)
+        got = evaluate(e, xs)
+        assert got.shape == xs.shape
+        assert np.array_equal(got, [evaluate(e, x) for x in xs.tolist()]), text
+
+
+def test_constant_keeps_the_input_shape():
+    e = parse("3*4 - sin(1)")
+    value = evaluate(e, 0.0)
+    assert isinstance(value, float)
+    got = evaluate(e, np.zeros((2, 3)))
+    assert got.shape == (2, 3) and np.all(got == value)
 
 
 def test_is_constant():

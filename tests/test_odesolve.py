@@ -273,20 +273,16 @@ def test_coefficients_evaluated_once_per_level(monkeypatch):
     # Each halving evaluates the coefficients at the new midpoints only, and
     # later calls on the same interval evaluate nothing.
     points = []
-    compile_fn = expr.compile_fn
-
-    def counting(e):
-        fn = compile_fn(e)
-        points.append(0)
-
-        def call(x):
-            points[-1] += 1
-            return fn(x)
-        return call
-
-    monkeypatch.setattr(expr, "compile_fn", counting)
-    odesolve._mesh.cache_clear()
+    evaluate = expr.evaluate
     iv = Interval(0.0, 2.0 * math.pi, "1", "x^2/2 + 0.1*sin(3*x)")
+
+    def counting(e, x):
+        if e is iv.potential:
+            points.append(np.size(x))
+        return evaluate(e, x)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    odesolve._mesh.cache_clear()
     lams = np.linspace(-1.0, 6.0, 20)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)

@@ -158,6 +158,15 @@ def test_dirichlet_spectrum_and_spurious_root_guard():
         assert sig >= 1e3 * opts.sigma_tol
 
 
+def test_levels_within_one_grid_step_of_the_window_ends():
+    # Dirichlet on [0, pi] has the levels k^2/2; 0.5 and 4.5 lie 0.05 inside
+    # the window's ends, in its first and last grid steps of 0.456.
+    dom = QuantumDomain([Interval(0.0, math.pi)])
+    lams = find_eigenvalues(make_dirichlet(1), dom, (0.45, 4.55), SolveOptions(grid=10)).lams
+    assert len(lams) == 3
+    assert np.max(np.abs(lams - [0.5, 2.0, 4.5])) <= 1e-8
+
+
 def test_periodic_multiplicities():
     spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.2, 2.4),
                                 SolveOptions(grid=400))
