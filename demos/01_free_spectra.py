@@ -13,7 +13,7 @@ from qwire.domain import Interval, QuantumDomain
 
 L = 2.0 * math.pi
 dom = QuantumDomain([Interval(0.0, L)])
-opts = spectral.SolveOptions(grid=400)
+opts = spectral.SolveOptions()
 
 
 def show(name, boundary, lam_range, expected):

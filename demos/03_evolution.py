@@ -15,7 +15,7 @@ U = bc.make_quasiperiodic(0.0)
 
 # Eigenbasis through |k| <= 8 (lambda = k^2 / 2 <= 32).
 spec = spectral.find_eigenvalues(U, dom, (-0.5, 33.0),
-                                 spectral.SolveOptions(grid=2000))
+                                 spectral.SolveOptions())
 modes = sum(e.multiplicity for e in spec.eigs)
 print(f"eigenbasis: {modes} modes up to lambda = {spec.eigs[-1].lam:.1f}")
 

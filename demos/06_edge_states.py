@@ -16,7 +16,7 @@ dirichlet = bc.make_dirichlet(1)
 
 t_list = [1.0, 0.5, 0.2]
 scan = edge.edge_scan(dirichlet, dom, t_list,
-                      opts=spectral.SolveOptions(grid=800))
+                      opts=spectral.SolveOptions())
 
 print("t      lambda_min      collar mass   Robin oracle")
 for t, lam, mass in zip(scan.t_values, scan.lam_min, scan.collar_mass):

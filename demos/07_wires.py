@@ -23,7 +23,7 @@ print(f"wire verification: passed={report['passed']}, "
 
 two = QuantumDomain([Interval(0.0, math.pi), Interval(0.0, math.pi)])
 one = QuantumDomain([Interval(0.0, 2.0 * math.pi)])
-opts = spectral.SolveOptions(grid=500)
+opts = spectral.SolveOptions()
 
 ring = spectral.find_eigenvalues(U_ring, two, (-0.2, 4.8), opts)
 circle = spectral.find_eigenvalues(bc.make_quasiperiodic(0.0), one, (-0.2, 4.8), opts)

@@ -8,7 +8,8 @@ Config file (line oriented, ``key = value``, ``#`` comments): one or more
 strings); one ``[bc]`` section with key kind in {dirichlet, neumann, robin,
 unitary, wire, quasiperiodic, u2} plus kind-specific keys (file, theta,
 alpha_re, alpha_im, beta_re, beta_im, perm, phases); an optional ``[solve]``
-section with lambda_min, lambda_max, grid, sigma_tol, max_eigs.
+section with lambda_min, lambda_max, max_eigs (grid and sigma_tol are
+deprecated: still parsed and range-checked, they warn and have no effect).
 
 Matrix files: header line "n rows cols", then ``rows`` lines of whitespace-
 separated complex entries "re,im".  Curve files: header "m n", then m+1
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -234,24 +236,30 @@ def load_config(path: str) -> ProblemConfig:
             f"but the domain has {domain.n} interval(s)"
         )
 
+    def number(kind, key):
+        return kind(solve_section[key]) if key in solve_section else None
+
     try:
         lo = float(solve_section.get("lambda_min", -1.0))
         hi = float(solve_section.get("lambda_max", 10.0))
-        opts = spectral.SolveOptions(
-            grid=int(solve_section.get("grid", 300)),
-            sigma_tol=float(solve_section.get("sigma_tol", 1e-6)),
-            max_eigs=(int(solve_section["max_eigs"]) if "max_eigs" in solve_section else None),
-        )
+        grid, sigma_tol = number(int, "grid"), number(float, "sigma_tol")
+        max_eigs = number(int, "max_eigs")
     except ValueError as err:
         raise ConfigError(f"bad [solve] section: {err}") from err
     if not lo < hi:
         raise ConfigError(f"bad [solve] section: lambda_min {lo} must be below lambda_max {hi}")
-    if opts.grid < 3:
-        raise ConfigError(f"bad [solve] section: grid must be at least 3, got {opts.grid}")
-    if not opts.sigma_tol > 0.0:
-        raise ConfigError(f"bad [solve] section: sigma_tol must be positive, got {opts.sigma_tol}")
-    if opts.max_eigs is not None and opts.max_eigs < 1:
-        raise ConfigError(f"bad [solve] section: max_eigs must be at least 1, got {opts.max_eigs}")
+    if grid is not None and grid < 3:
+        raise ConfigError(f"bad [solve] section: grid must be at least 3, got {grid}")
+    if sigma_tol is not None and not sigma_tol > 0.0:
+        raise ConfigError(f"bad [solve] section: sigma_tol must be positive, got {sigma_tol}")
+    if max_eigs is not None and max_eigs < 1:
+        raise ConfigError(f"bad [solve] section: max_eigs must be at least 1, got {max_eigs}")
+    # grid and sigma_tol are deprecated: each one set warns on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        opts = spectral.SolveOptions(grid=grid, sigma_tol=sigma_tol, max_eigs=max_eigs)
+    for warning in caught:
+        print(f"qwire: warning: [solve] {warning.message}", file=sys.stderr)
     return ProblemConfig(domain, boundary, (lo, hi), opts)
 
 
@@ -500,9 +508,8 @@ def run(argv=None) -> int:
     except (OSError, ConfigError, expr.SyntaxErrorAt) as err:
         print(f"qwire: {err}", file=sys.stderr)
         return 4
-    except (spectral.UnresolvedCluster, curves.ResolutionError, OdeError,
-            bc.CayleySingular, expr.EvalDomainError, DomainError,
-            ValueError, RuntimeError) as err:
+    except (curves.ResolutionError, OdeError, bc.CayleySingular, expr.EvalDomainError,
+            DomainError, ValueError, RuntimeError) as err:
         print(f"qwire: {err}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .bc import UnitaryBC, cayley_degeneracy
 from .domain import QuantumDomain
-from .spectral import Eigenpair, SolveOptions, find_eigenvalues, _quad_weights
+from .spectral import (Eigenpair, SolveOptions, _quad_weights, count_eigenvalues,
+                       find_eigenvalues)
 
 __all__ = ["EdgeScan", "rotate_bc", "edge_scan"]
 
@@ -35,27 +36,6 @@ class EdgeScan:
 def rotate_bc(U: UnitaryBC, t: float) -> UnitaryBC:
     """Phase rotation exp(i t) U of a boundary condition."""
     return UnitaryBC(np.exp(1j * t) * U.matrix)
-
-
-def _refine_ground(Ut: UnitaryBC, domain: QuantumDomain, ground: Eigenpair,
-                   step: float, opts: SolveOptions) -> Eigenpair:
-    """Zoom around a found ground level to resolve near-degenerate twins.
-
-    Small-t edge problems carry symmetric/antisymmetric level pairs split by
-    an exponentially small tunnelling gap; a coarse scan can land on the upper
-    member.  Rescanning a shrinking window around the current candidate keeps
-    the lowest root until the window is below the target resolution.
-    """
-    zoom = SolveOptions(grid=500, sigma_tol=opts.sigma_tol,
-                        rel_tol=opts.rel_tol, samples=opts.samples)
-    while step > 2.5e-8 * max(1.0, abs(ground.lam)):
-        window = 2.5 * step
-        spectrum = find_eigenvalues(
-            Ut, domain, (ground.lam - window, ground.lam + window), zoom)
-        if spectrum.eigs:
-            ground = spectrum.eigs[0]
-        step = 2.0 * window / zoom.grid
-    return ground
 
 
 def collar_fraction(domain: QuantumDomain, pair: Eigenpair, collar: float = 0.1) -> float:
@@ -85,9 +65,10 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
     """Track the lowest eigenvalue of exp(i t) U along descending t.
 
     Requires the base U to touch the Cayley subspace C- (eigenvalue -1) and
-    all t in (0, pi/2).  For each t the eigenvalue search runs on
-    (search_floor, lam_cap); the default floor -10 * cot(t_min / 2)**2 sits
-    safely below the asymptotic ground level -cot(t/2)**2 / 2.
+    all t in (0, pi/2].  For each t the lowest level below ``lam_cap`` is
+    found above a floor with no level below it: ``search_floor`` if given
+    (it must have none, else ValueError), otherwise min(0, lam_cap) - 1
+    doubled downward until the count there is 0.
     """
     t_list = [float(t) for t in t_list]
     if cayley_degeneracy(U, -1) < 1:
@@ -99,21 +80,18 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
 
     lam_min, grounds, collar = [], [], []
     for t in t_list:
-        # default floor -10 cot(t/2)^2, an order of magnitude below the
-        # asymptotic ground level -cot(t/2)^2 / 2 of this t
-        floor = search_floor if search_floor is not None \
-            else -10.0 / math.tan(t / 2.0) ** 2
-        spectrum = find_eigenvalues(rotate_bc(U, t), domain, (floor, lam_cap), opts)
+        Ut = rotate_bc(U, t)
+        floor = min(0.0, lam_cap) - 1.0 if search_floor is None else search_floor
+        while count_eigenvalues(Ut, domain, floor, opts)[0] > 0:
+            if search_floor is not None:
+                raise ValueError(f"levels lie below search_floor={floor} at t={t}")
+            floor *= 2.0
+        spectrum = find_eigenvalues(Ut, domain, (floor, lam_cap), opts)
         if not spectrum.eigs:
             raise RuntimeError(f"no eigenvalue found in ({floor}, {lam_cap}) at t={t}")
-        ground = spectrum.eigs[0]
-        if ground.lam <= floor + 0.01 * (lam_cap - floor):
-            raise RuntimeError(f"ground level at t={t} sits at the search floor; lower it")
-        ground = _refine_ground(rotate_bc(U, t), domain, ground,
-                                (lam_cap - floor) / opts.grid, opts)
-        lam_min.append(ground.lam)
-        grounds.append(ground)
-        collar.append(collar_fraction(domain, ground))
+        lam_min.append(spectrum.eigs[0].lam)
+        grounds.append(spectrum.eigs[0])
+        collar.append(collar_fraction(domain, spectrum.eigs[0]))
 
     return EdgeScan(
         base=U, t_values=tuple(t_list), lam_min=tuple(lam_min),

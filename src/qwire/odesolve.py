@@ -36,6 +36,9 @@ growing and decaying modes cancel, and amplified rounding then exceeds
 
 Cells are multiplied pairwise into the sample cells, then by a parallel
 prefix product into the transfer matrices from a to every sample point.
+:func:`cell_dtn` instead turns the sample cells, for an array of lam, into
+Dirichlet-to-Neumann matrices, with the mesh halved per cell; the count and
+the roots of :mod:`qwire.spectral` are built on those.
 Every product is divided by its largest entry and the logarithm of the
 factor is carried alongside, so deep tunnelling (lam far below V) cannot
 overflow.  Samples whose magnitude would exceed 1e100 are stored with a
@@ -49,15 +52,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import expr
 from .domain import Interval
 
-__all__ = ["FundamentalPair", "EndpointTraces", "OdeError", "fundamental_solutions",
-           "endpoint_traces", "free_exponential_basis"]
+__all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "cell_dtn",
+           "free_exponential_basis"]
 
 # In a fully classically forbidden interval both left-launched solutions
 # converge onto the growing mode and the basis collapses at the level
@@ -140,6 +142,7 @@ class _Mesh:
         self.sqrt_eta_a, self.sqrt_eta_b = math.sqrt(self.eta[0]), math.sqrt(self.eta[-1])
         self.levels: dict = {}
         self.start: dict = {}                           # rel_tol -> last accepted level
+        self.cell_start: dict = {}                      # the same for cell_dtn
 
     def cells(self, level: int):
         if level not in self.levels:
@@ -186,8 +189,9 @@ def _mesh(interval: Interval, samples: int) -> _Mesh:
     return _Mesh(interval, samples)
 
 
-def _cell_matrices(coeffs, lam: float):
-    """exp(Omega) of every cell as rows (m00, m01, m10, m11), shape (4, N).
+def _cell_matrices(coeffs, lam):
+    """exp(Omega) of every cell as rows (m00, m01, m10, m11), shape (4, N), or
+    (4, G, N) for a column of G values of lam.
 
     Growing cells (q**2 > 0) are stored times exp(-q); q is returned as their
     log factor.
@@ -220,15 +224,18 @@ def _normalised(m: np.ndarray, logs: np.ndarray):
 
 
 def _pair_products(m: np.ndarray, logs: np.ndarray):
-    """Products of neighbouring cells (2i, then 2i+1); an odd last cell is carried."""
-    even = m.shape[1] & ~1
-    prod, pl = _mul(m[:, 1:even:2], m[:, 0:even:2]), logs[1:even:2] + logs[0:even:2]
-    if even < m.shape[1]:
-        prod, pl = np.concatenate([prod, m[:, -1:]], axis=1), np.append(pl, logs[-1])
+    """Products of neighbouring cells (2i, then 2i+1) along the last axis; an
+    odd last cell is carried."""
+    even = m.shape[-1] & ~1
+    prod = _mul(m[..., 1:even:2], m[..., 0:even:2])
+    pl = logs[..., 1:even:2] + logs[..., 0:even:2]
+    if even < m.shape[-1]:
+        prod = np.concatenate([prod, m[..., -1:]], axis=-1)
+        pl = np.concatenate([pl, logs[..., -1:]], axis=-1)
     return prod, pl
 
 
-def _sample_cells(mesh: _Mesh, level: int, lam: float):
+def _sample_cells(mesh: _Mesh, level: int, lam):
     """Transfer matrices of the sample cells, normalised, with their log factors.
 
     Within one sample cell the growth is carried by the cell logs, so the
@@ -348,108 +355,118 @@ def fundamental_solutions(
     )
 
 
-def _closed_form(interval: Interval, lams: np.ndarray, xs: np.ndarray):
-    """Canonical pair for constant eta and V at the points ``xs``, for every lam.
+def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
+    """Closed-form canonical pair for constant eta and V.
 
     With w = 2*eta*(V - lam) the equation u'' = w u has the canonical basis
     cosh(sqrt(w) z) and sinh(sqrt(w) z)/sqrt(w) (trigonometric for w < 0,
     linear for w = 0) in z = x - a.  Where the interval is forbidden at an
     action sqrt(w) (b - a) above ``_TWO_SIDED_ACTION``, u2 is cosh(sqrt(w)
     (b - x)) instead, launched from b.  Growing solutions are scaled
-    uniformly by exp(-max(0, sqrt(w) (b - a) - 300)) per launch, exactly like
-    the propagator's.  Returns values and plain derivatives, shape (G, 2, m)
-    each, and the scale exponent, shape (G,).
+    uniformly by exp(-max(0, sqrt(w) (b - a) - 300)) per launch.
     """
     a, b = interval.a, interval.b
     eta0 = expr.evaluate(interval.metric, 0.5 * (a + b))
     if eta0 <= 0.0:
         raise OdeError("metric not positive")
-    v0 = expr.evaluate(interval.potential, 0.5 * (a + b))
-    w = 2.0 * eta0 * (v0 - lams)
-    z, zr = xs - a, b - xs
-    values = np.empty((len(lams), 2, len(xs)))
-    derivs = np.empty_like(values)
-    scale = np.zeros(len(lams))
-
-    flat = np.abs(w) < 1e-30
-    values[flat] = np.stack([np.ones_like(z), z])
-    derivs[flat] = np.stack([np.zeros_like(z), np.ones_like(z)])
-
-    osc = ~flat & (w < 0.0)
-    k = np.sqrt(-w[osc])[:, np.newaxis]
-    c, s = np.cos(k * z), np.sin(k * z)
-    values[osc] = np.stack([c, s / k], axis=1)
-    derivs[osc] = np.stack([-k * s, c], axis=1)
-
-    forbidden = ~flat & (w > 0.0)
-    k = np.sqrt(w[forbidden])
-    kl = k * (b - a)
-    two_sided = kl > _TWO_SIDED_ACTION
-    sc = np.maximum(0.0, kl - 300.0)
-    k, sc = k[:, np.newaxis], sc[:, np.newaxis]
-    ep, em = np.exp(k * z - sc), np.exp(-k * z - sc)
-    epr, emr = np.exp(k * zr - sc), np.exp(-k * zr - sc)
-    cosh, sinh = 0.5 * (ep + em), 0.5 * (ep - em)
-    # one-sided: sinh(k z)/k; two-sided: cosh launched from b
-    ts = two_sided[:, np.newaxis]
-    u2 = np.where(ts, 0.5 * (epr + emr), sinh / k)
-    du2 = np.where(ts, -k * 0.5 * (epr - emr), cosh)
-    values[forbidden] = np.stack([cosh, u2], axis=1)
-    derivs[forbidden] = np.stack([k * sinh, du2], axis=1)
-    scale[forbidden] = np.where(two_sided, 2.0, 1.0) * sc[:, 0]
-    return values, derivs, scale
-
-
-def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
-    """Closed-form canonical pair for constant eta and V (see ``_closed_form``)."""
-    xs = np.linspace(interval.a, interval.b, samples)
-    values, derivs, scale = _closed_form(interval, np.array([lam]), xs)
-    values, derivs = values[0], derivs[0]
+    w = 2.0 * eta0 * (expr.evaluate(interval.potential, 0.5 * (a + b)) - lam)
+    xs = np.linspace(a, b, samples)
+    z, scale = xs - a, 0.0
+    if abs(w) < 1e-30:
+        values, derivs = (np.ones_like(z), z), (np.zeros_like(z), np.ones_like(z))
+    elif w < 0.0:
+        k = math.sqrt(-w)
+        c, s = np.cos(k * z), np.sin(k * z)
+        values, derivs = (c, s / k), (-k * s, c)
+    else:
+        k = math.sqrt(w)
+        scale = max(0.0, k * (b - a) - 300.0)
+        ep, em = np.exp(k * z - scale), np.exp(-k * z - scale)
+        cosh, sinh = 0.5 * (ep + em), 0.5 * (ep - em)
+        values, derivs = (cosh, sinh / k), (k * sinh, cosh)
+        if k * (b - a) > _TWO_SIDED_ACTION:      # u2 = cosh(k (b - x)), launched from b
+            epr, emr = np.exp(k * (b - xs) - scale), np.exp(-k * (b - xs) - scale)
+            values, derivs = (cosh, 0.5 * (epr + emr)), (k * sinh, -0.5 * k * (epr - emr))
+            scale *= 2.0
+    values, derivs = np.array(values), np.array(derivs)
     return FundamentalPair(
         lam=lam, interval=interval, xs=xs, values=values,
         psi_a=values[:, 0].copy(), dpsi_a=derivs[:, 0].copy(),
         psi_b=values[:, -1].copy(), dpsi_b=derivs[:, -1].copy(),
-        scale_exponent=float(scale[0]),
+        scale_exponent=float(scale),
     )
 
 
-class EndpointTraces(NamedTuple):
-    """Endpoint data of the canonical pair for an array of G eigenvalues.
+# lam values times leaf cells per batch of cell_dtn: 0.5 MB per (4, lam, leaf)
+_BATCH_LEAVES = 1 << 14
 
-    Each array has the meaning of the :class:`FundamentalPair` field of the
-    same name, with a leading axis over lam: shape (G, 2), and (G,) for
-    ``scale_exponent``.
+
+def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257):
+    """Dirichlet-to-Neumann matrices [[alpha, beta], [beta, gamma]] of the
+    ``samples - 1`` sample cells, each of alpha, beta, gamma shaped (G, cells).
+
+    A cell maps its end values to the outward derivatives: with T the cell's
+    transfer matrix of y = (u, eta**-0.5 u'), alpha = t00/t01, gamma = t11/t01
+    and beta = -1/t01, or -exp(-l)/t~01 for T = exp(l) T~ normalised, so no
+    entry overflows however deep the cell tunnels.  Constant coefficients
+    take the closed form.  Otherwise the mesh is halved until every cell's T
+    agrees between levels j and j + 1 to ``rel_tol`` of its own largest
+    entry, a test that a single cell passes near eigenvalues too.  A cell
+    must hold no Dirichlet level of its own (t01 > 0 and its elliptic leaves
+    turn by less than pi in all), else :class:`OdeError`.
     """
-
-    psi_a: np.ndarray
-    dpsi_a: np.ndarray
-    psi_b: np.ndarray
-    dpsi_b: np.ndarray
-    scale_exponent: np.ndarray
-
-
-def endpoint_traces(interval: Interval, lams, rel_tol: float = 1e-10,
-                    samples: int = 257) -> EndpointTraces:
-    """Endpoint data of the canonical pair for every lam of an array.
-
-    Constant coefficients take the closed form for all lam in one numpy pass
-    and build no dense samples.  Variable coefficients call
-    :func:`fundamental_solutions` once per lam with ``rel_tol`` and
-    ``samples``, which fix its mesh.
-    """
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(lams, dtype=float)[:, np.newaxis]
+    cells = samples - 1
     if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
-        values, derivs, scale = _closed_form(interval, lams,
-                                             np.array([interval.a, interval.b]))
-        return EndpointTraces(values[:, :, 0], derivs[:, :, 0],
-                              values[:, :, 1], derivs[:, :, 1], scale)
-    fps = [fundamental_solutions(interval, lam, rel_tol=rel_tol, samples=samples)
-           for lam in lams.tolist()]
-    return EndpointTraces(
-        np.array([fp.psi_a for fp in fps]), np.array([fp.dpsi_a for fp in fps]),
-        np.array([fp.psi_b for fp in fps]), np.array([fp.dpsi_b for fp in fps]),
-        np.array([fp.scale_exponent for fp in fps]),
-    )
+        eta, pot = (float(expr.evaluate(e, interval.a)) for e in (interval.metric,
+                                                                  interval.potential))
+        if eta <= 0.0:
+            raise OdeError("metric not positive")
+        h = interval.length / cells
+        w = 2.0 * eta * (pot - lams)
+        k = np.sqrt(np.abs(w))
+        x = k * h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(w < 0.0, k / np.tan(x), np.where(w > 0.0, k / np.tanh(x), 1.0 / h))
+            beta = np.where(w < 0.0, -k / np.sin(x), np.where(
+                w > 0.0, 2.0 * k * np.exp(-x) / np.expm1(-2.0 * x), -1.0 / h))
+        _require_cells(interval, lams, (w >= 0.0) | (x < math.pi))
+        alpha, beta = (np.broadcast_to(v / math.sqrt(eta), (len(lams), cells))
+                       for v in (alpha, beta))
+        return alpha, beta, alpha
+    mesh = _mesh(interval, samples)
+    parts = []
+    start = 0
+    while start < len(lams):
+        level = mesh.cell_start.get(rel_tol, 0)
+        block = lams[start:start + max(1, _BATCH_LEAVES // (cells << (level + 1)))]
+        start += len(block)
+        coarse, coarse_logs = _sample_cells(mesh, level, block)
+        while True:
+            fine, fine_logs = _sample_cells(mesh, level + 1, block)
+            error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
+            if error <= rel_tol:
+                break
+            level += 1
+            if level >= _MAX_LEVEL:
+                raise OdeError(f"mesh halving did not reach rel_tol={rel_tol:g} "
+                               f"(difference {error:.3g} at level {level})")
+            coarse, coarse_logs = fine, fine_logs
+        mesh.cell_start[rel_tol] = level
+        b, c, d0 = mesh.cells(level + 1)
+        turn = np.sqrt(np.maximum(-(c * c + b * (d0 - 2.0 * block * b)), 0.0))
+        t00, t01, _, t11 = fine
+        _require_cells(interval, block, (t01 > 0.0) & (
+            turn.reshape(len(block), cells, -1).sum(axis=-1) < math.pi))
+        parts.append((t00 / t01, -np.exp(-fine_logs) / t01, t11 / t01))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _require_cells(interval: Interval, lams: np.ndarray, ok: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.all(ok, axis=-1))
+    if bad.size:
+        raise OdeError(f"lam={lams[bad[0], 0]:.6g} puts a Dirichlet level inside a sample "
+                       f"cell of [{interval.a:g}, {interval.b:g}]; raise samples")
 
 
 def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -> FundamentalPair:

@@ -1,65 +1,74 @@
-"""Spectral function, eigenvalue search, eigenfunctions and unitary evolution.
+"""Spectral function, eigenvalue count and search, eigenfunctions and evolution.
 
-The boundary condition together with the per-interval fundamental solutions
-yields a 2n x 2n matrix M(U, lam) whose determinant (the spectral function)
-vanishes exactly at the eigenvalues of the self-adjoint realization H_U.  With
-the compact endpoint combinations psi_{l+-} = psi_l +- i dpsi_l (and likewise
-at the right endpoints) the matrix is assembled block-row-wise as
+The fundamental solutions give the 2n x 2n matrix M(U, lam) whose
+determinant, the spectral function, vanishes at the eigenvalues of H_U.  With
+psi_{l+-} = psi_l +- i dpsi_l (likewise at the right ends) its column sigma
+has the row blocks I o psi_{l-} - U11 o psi_{l+} - U12 o psi_{r+} and
+I o psi_{r-} - U21 o psi_{l+} - U22 o psi_{r+}, where ``o`` is the Hadamard
+column scaling (T o X)Y = T(X o Y).
 
-    row block 1, column sigma:  I_n o psi_{l-} - U11 o psi_{l+} - U12 o psi_{r+}
-    row block 2, column sigma:  I_n o psi_{r-} - U21 o psi_{l+} - U22 o psi_{r+}
-
-where ``o`` is the Hadamard column scaling (T o X)Y = T(X o Y).
-
-Root detection works on the smallest singular value of a row-equilibrated
-copy of M rather than on |det M|: the determinant's dynamic range is
-exponential in lam and n, and the overflow-guard rescaling of the fundamental
-solutions can leave whole rows uniformly tiny under block-diagonal U.  Row
-equilibration removes that artefact without touching the zero set (it
-multiplies the determinant by a positive constant and preserves the kernel).
+Eigenvalues are counted, found and reconstructed with one object, the glued
+matrix K(lam) - A.  Each sample cell contributes its 2x2 Dirichlet-to-Neumann
+(DtN) matrix (``odesolve.cell_dtn``); glued at the sample nodes, the cells
+give the quadratic form of H - lam on functions that solve the equation on
+every cell.  On the boundary nodes psi = Q c, with Q an orthonormal basis of
+V = ker(U + I)^perp (U's Dirichlet directions drop out), and the Cayley
+matrix A = -i (I + U_V)^-1 (I - U_V) of U_V = Q^H U Q is subtracted.  In the
+FD oracle's folded node order this is one banded Hermitian matrix.  While no
+cell holds a Dirichlet level of its own, its number of negative eigenvalues
+is N_U(lam), the number of levels below lam; its k-th smallest eigenvalue
+mu_k(lam) decreases through 0 exactly at the k-th level; and its null vector
+there holds the eigenfunction at the sample nodes (DtN bracketing:
+L. Friedlander, Arch. Rational Mech. Anal. 116 (1991)).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import expr
 from .bc import UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import FundamentalPair, endpoint_traces, fundamental_solutions
+from .odesolve import FundamentalPair, cell_dtn, fundamental_solutions
+from .oracle import _folded_positions
 
-__all__ = [
-    "SolveOptions",
-    "SpectralMatrix",
-    "Eigenpair",
-    "Spectrum",
-    "UnresolvedCluster",
-    "hadamard_vec",
-    "hadamard_mat",
-    "spectral_matrix",
-    "spectral_function",
-    "boundary_wronskian",
-    "find_eigenvalues",
-    "eigenfunctions",
-    "evolve",
-    "deficiency_indices",
-]
+__all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "hadamard_vec",
+           "hadamard_mat", "spectral_matrix", "spectral_function", "boundary_wronskian",
+           "count_eigenvalues", "find_eigenvalues", "eigenfunctions", "evolve",
+           "deficiency_indices"]
 
-
-class UnresolvedCluster(Exception):
-    """Two candidate roots inside one refinement bracket: the scan grid is too coarse."""
+# relative widths: brackets isolate levels to _ISOLATE, roots agreeing to
+# _MERGE form one level, and the secant refines to _REFINE, or stops where
+# mu_k is below _REFINE of the largest Ritz value beside it
+_ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
+# a pivot or boundary eigenvalue this small relative to the terms it came
+# from makes a count unsure
+_UNSURE = 1e6 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    grid: int = 300
-    sigma_tol: float = 1e-6
+    """``rel_tol`` is the per-cell mesh-halving tolerance, ``samples`` the
+    sample nodes per interval.  ``grid`` and ``sigma_tol`` belonged to the
+    sigma_min scan that exact counting replaced: a set value warns, once,
+    and has no effect."""
+
+    grid: int | None = None
+    sigma_tol: float | None = None
     max_eigs: int | None = None
     rel_tol: float = 1e-11
     samples: int = 257
+
+    def __post_init__(self):
+        for name in ("grid", "sigma_tol"):
+            if getattr(self, name) is not None:
+                warnings.warn(f"{name} has no effect: levels are counted exactly",
+                              DeprecationWarning, stacklevel=3)
 
 
 def hadamard_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -83,74 +92,24 @@ def hadamard_mat(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Assembled M(U, lam) plus its equilibrated singular data."""
+    """Assembled M(U, lam) and its singular values."""
 
     lam: float
     matrix: np.ndarray
-    svals: np.ndarray          # singular values of the equilibrated matrix
+    svals: np.ndarray
     sigma_min: float
     scale_exponent: float      # total log-rescaling inherited from the ODE solves
-    row_scale: np.ndarray
 
 
-def _traces(intervals, ends) -> tuple[np.ndarray, ...]:
-    """Boundary data psi_{l,r} and outward metric derivatives dpsi_{l,r}.
-
-    ``ends`` holds per interval the endpoint data of its canonical pair: a
-    :class:`FundamentalPair` (arrays of shape (2,)) or an
-    :class:`~qwire.odesolve.EndpointTraces` ((G, 2) over G values of lam).
-    The results stack them over the n intervals on a last axis: (2, n) or
-    (G, 2, n), sigma-major.
-    """
-    psi_a = np.stack([e.psi_a for e in ends], axis=-1)
-    dpsi_a = np.stack([e.dpsi_a for e in ends], axis=-1)
-    psi_b = np.stack([e.psi_b for e in ends], axis=-1)
-    dpsi_b = np.stack([e.dpsi_b for e in ends], axis=-1)
-    root_a, root_b = np.sqrt([expr.evaluate(iv.metric, np.array([iv.a, iv.b]))
-                              for iv in intervals]).T
+def _endpoint_traces(fps: list[FundamentalPair]) -> tuple[np.ndarray, ...]:
+    """Boundary data psi_{l,r} and outward metric derivatives dpsi_{l,r}, each
+    (2, n): row sigma holds basis solution sigma, column j interval j."""
+    psi_a, dpsi_a, psi_b, dpsi_b = (np.stack([getattr(fp, name) for fp in fps], axis=-1)
+                                    for name in ("psi_a", "dpsi_a", "psi_b", "dpsi_b"))
+    root_a, root_b = np.sqrt([expr.evaluate(fp.interval.metric,
+                                            np.array([fp.interval.a, fp.interval.b]))
+                              for fp in fps]).T
     return psi_a, psi_b, -dpsi_a / root_a, dpsi_b / root_b
-
-
-def _endpoint_traces(fps: list[FundamentalPair]):
-    """The boundary data of :func:`_traces` at one lam, shape (2, n) each."""
-    return _traces([fp.interval for fp in fps], fps)
-
-
-def _assemble(U: UnitaryBC, psi_l, psi_r, dpsi_l, dpsi_r):
-    """M(U, lam) and its row-equilibrated copy for a stack of G values of lam.
-
-    Takes the (G, 2, n) boundary data of :func:`_traces`; returns M and the
-    equilibrated matrices, shape (G, 2n, 2n), and the row scales, (G, 2n).
-    """
-    G, _, n = psi_l.shape
-    lp, lm = psi_l + 1j * dpsi_l, psi_l - 1j * dpsi_l
-    rp, rm = psi_r + 1j * dpsi_r, psi_r - 1j * dpsi_r
-
-    # Column sigma*n + j belongs to solution sigma on interval j: row block 1
-    # is I o psi_{l-} - U11 o psi_{l+} - U12 o psi_{r+}, row block 2 likewise.
-    def cols(t):
-        return t.reshape(G, 1, 2 * n)
-
-    def tile(u):
-        return np.tile(u, (1, 2))
-
-    eye = tile(np.eye(n))
-    M = np.concatenate([
-        eye * cols(lm) - tile(U.u11) * cols(lp) - tile(U.u12) * cols(rp),
-        eye * cols(rm) - tile(U.u21) * cols(lp) - tile(U.u22) * cols(rp)], axis=1)
-
-    # Equilibrate rows by the magnitude of their ingredients before any
-    # cancellation: the overflow-guard rescaling leaves whole rows uniformly
-    # tiny for block-diagonal U, while a row that is small relative to its
-    # ingredients is kernel signal and must stay small.
-    def size(u, t):      # |u| @ |t| for each sigma, shape (G, 2, n)
-        return (np.abs(u) * np.abs(t)[:, :, np.newaxis, :]).sum(axis=-1)
-
-    row_scale = np.concatenate([
-        np.max(np.abs(lm) + size(U.u11, lp) + size(U.u12, rp), axis=1),
-        np.max(np.abs(rm) + size(U.u21, lp) + size(U.u22, rp), axis=1)], axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    return M, M / row_scale[:, :, np.newaxis], row_scale
 
 
 def spectral_matrix(U: UnitaryBC, fps: list[FundamentalPair]) -> SpectralMatrix:
@@ -160,40 +119,26 @@ def spectral_matrix(U: UnitaryBC, fps: list[FundamentalPair]) -> SpectralMatrix:
     lam = fps[0].lam
     if any(abs(fp.lam - lam) > 1e-12 * max(1.0, abs(lam)) for fp in fps):
         raise ValueError("fundamental pairs disagree on lam")
-    traces = (t[np.newaxis] for t in _endpoint_traces(fps))
-    M, Me, row_scale = _assemble(U, *traces)
-    svals = np.linalg.svd(Me[0], compute_uv=False)
-    return SpectralMatrix(
-        lam=lam, matrix=M[0], svals=svals, sigma_min=float(svals[-1]),
-        scale_exponent=float(sum(fp.scale_exponent for fp in fps)),
-        row_scale=row_scale[0],
-    )
+    psi_l, psi_r, dpsi_l, dpsi_r = _endpoint_traces(fps)
+    n = U.n
+    lp, lm = psi_l + 1j * dpsi_l, psi_l - 1j * dpsi_l
+    rp, rm = psi_r + 1j * dpsi_r, psi_r - 1j * dpsi_r
 
+    # Column sigma*n + j belongs to solution sigma on interval j: row block 1
+    # is I o psi_{l-} - U11 o psi_{l+} - U12 o psi_{r+}, row block 2 likewise.
+    def cols(t):
+        return t.reshape(1, 2 * n)
 
-# lam values per batched sigma_min evaluation.  It bounds the arrays of a
-# long scan: a 12,000-point scan on three intervals raised peak RSS by 27 MB
-# in one block and by 3.7 MB in blocks of 1,024, at the same speed.
-_BLOCK = 1024
+    def tile(u):
+        return np.tile(u, (1, 2))
 
-
-def _sigma_min(U: UnitaryBC, domain: QuantumDomain, lams, opts: SolveOptions) -> np.ndarray:
-    """sigma_min of the equilibrated M(U, lam) for every lam of an array."""
-    lams = np.asarray(lams, dtype=float)
-    out = np.empty(len(lams))
-    for start in range(0, len(lams), _BLOCK):
-        block = lams[start:start + _BLOCK]
-        ends = [endpoint_traces(iv, block, opts.rel_tol, opts.samples)
-                for iv in domain.intervals]
-        _, Me, _ = _assemble(U, *_traces(domain.intervals, ends))
-        out[start:start + _BLOCK] = np.linalg.svd(Me, compute_uv=False)[:, -1]
-    return out
-
-
-def _solve_pairs(domain: QuantumDomain, lam: float, opts: SolveOptions) -> list[FundamentalPair]:
-    return [
-        fundamental_solutions(iv, lam, rel_tol=opts.rel_tol, samples=opts.samples)
-        for iv in domain.intervals
-    ]
+    eye = tile(np.eye(n))
+    M = np.concatenate([
+        eye * cols(lm) - tile(U.u11) * cols(lp) - tile(U.u12) * cols(rp),
+        eye * cols(rm) - tile(U.u21) * cols(lp) - tile(U.u22) * cols(rp)])
+    svals = np.linalg.svd(M, compute_uv=False)
+    return SpectralMatrix(lam=lam, matrix=M, svals=svals, sigma_min=float(svals[-1]),
+                          scale_exponent=float(sum(fp.scale_exponent for fp in fps)))
 
 
 def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
@@ -203,17 +148,20 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
     The value carries the positive factor exp(-2 * scale_exponent) from the
     overflow guard; its zeros are the eigenvalues of H_U.
     """
-    sm = spectral_matrix(U, _solve_pairs(domain, lam, opts))
-    return complex(np.linalg.det(sm.matrix))
+    fps = [fundamental_solutions(iv, lam, rel_tol=opts.rel_tol, samples=opts.samples)
+           for iv in domain.intervals]
+    return complex(np.linalg.det(spectral_matrix(U, fps).matrix))
 
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """One eigenvalue with its nullspace coefficients and sampled eigenfunctions.
+    """One eigenvalue with its boundary data and sampled eigenfunctions.
 
-    ``coeffs`` has shape (mult, n, 2); ``samples`` has shape (mult, n, m) and
-    holds L2(sqrt(eta) dx)-orthonormal eigenfunction values on the per-interval
-    grids ``xs`` (shape (n, m)).
+    ``coeffs`` (mult, n, 2) holds (u(a_j), u'(a_j)) per interval; ``samples``
+    (mult, n, m) holds L2(sqrt(eta) dx)-orthonormal eigenfunctions on the
+    per-interval grids ``xs`` (n, m).  ``residual`` is the largest relative
+    boundary-condition residual ||(psi - i dpsi) - U (psi + i dpsi)|| /
+    (||psi|| + ||dpsi||) of the members.
     """
 
     lam: float
@@ -269,173 +217,332 @@ def _inner(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.sum(w * np.conj(f) * g))
 
 
-def _golden_lockstep(f, a: np.ndarray, b: np.ndarray, xtol: np.ndarray):
-    """Golden-section minimisation on every bracket [a_i, b_i] at once.
+class _Glued:
+    """K(lam) - A for one boundary condition on one domain: the unknowns are c
+    (psi = Q c), then the interior sample nodes in the folded order of
+    :func:`qwire.oracle._folded_positions`, and ``rows`` <= ``cols`` list the
+    entries that :meth:`_values` fills at each lam."""
 
-    ``f`` maps an array of points to an array of values.  Each iteration
-    evaluates one new point in every bracket still wider than its
-    ``xtol_i``, in one call; each bracket visits the points that a scalar
-    golden-section search on it alone would.  Returns the best point of
-    each bracket and its value.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    active = np.flatnonzero((b - a) > xtol)
-    while active.size:
-        left = fc[active] < fd[active]
-        lo, hi = active[left], active[~left]
-        # left: the minimum lies in [a, d]; right: in [c, b]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
-        fx = f(np.concatenate([c[lo], d[hi]]))
-        fc[lo], fd[hi] = fx[:lo.size], fx[lo.size:]
-        active = active[(b[active] - a[active]) > xtol[active]]
-    best = fc < fd
-    return np.where(best, c, d), np.where(best, fc, fd)
+    def __init__(self, U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions):
+        if U.n != domain.n:
+            raise ValueError(f"a U({2 * U.n}) condition needs {U.n} intervals, got {domain.n}")
+        if opts.samples < 3 or not opts.rel_tol > 0.0:
+            raise ValueError("samples must be at least 3 and rel_tol positive")
+        n, N = domain.n, opts.samples - 1
+        self.U, self.domain, self.opts = U, domain, opts
+        # V: the right singular vectors of U + I whose singular value
+        # 2 |cos(phase / 2)| clears the Cayley tolerance
+        _, sv, vh = np.linalg.svd((U.matrix if U.matrix.imag.any() else U.matrix.real)
+                                  + np.eye(2 * n))
+        Q = np.eye(2 * n) if sv.min() > 1e-8 else vh[sv > 1e-8].conj().T
+        UV, eye = Q.conj().T @ U.matrix @ Q, np.eye(Q.shape[1])
+        A = -1j * np.linalg.solve(eye + UV, eye - UV)
+        A = 0.5 * (A + A.conj().T)
+        real = not Q.imag.any() and np.abs(A.imag).max(initial=0.0) <= 1e-14 * (
+            1.0 + np.abs(A).max(initial=0.0))
+        self.Q, self.A = (Q.real, A.real) if real else (Q.astype(complex), A)
+        self.dtype = float if real else complex
+        m = Q.shape[1]
+        self.pos = _folded_positions(n, N)[:, 1:N] - 2 * n + m        # interior nodes
+        self.dim = m + n * (N - 1)
+        self.iu = np.triu_indices(m)
+        bnd = np.repeat(np.arange(m), n)
+        chain = self.pos[:, :-1].ravel(), self.pos[:, 1:].ravel()
+        self.rows = np.concatenate([self.pos.ravel(), np.minimum(*chain), bnd, bnd, self.iu[0]])
+        self.cols = np.concatenate([self.pos.ravel(), np.maximum(*chain),
+                                    np.tile(self.pos[:, 0], m), np.tile(self.pos[:, -1], m),
+                                    self.iu[1]])
+        self.w = int(np.max(self.cols - self.rows))
+        self.off = self.rows != self.cols
+
+    def cells(self, lams):
+        """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, samples - 1)."""
+        parts = [cell_dtn(iv, lams, self.opts.rel_tol, self.opts.samples)
+                 for iv in self.domain.intervals]
+        return tuple(np.stack(p, axis=1) for p in zip(*parts))
+
+    def count(self, lams):
+        """N_U at every lam, and whether it is sure there; see :meth:`tree`."""
+        return self.tree(*self.cells(np.asarray(lams, dtype=float)))
+
+    def tree(self, alpha, beta, gamma):
+        """N_U from (G, n, N) cells, and whether no pivot or boundary eigenvalue
+        is within rounding of 0, per lam.
+
+        A pairwise tree eliminates the node shared by neighbouring cells with
+        the pivot d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
+        alpha_1 - beta_1**2/d, gamma_2 - beta_2**2/d, -beta_1 beta_2/d; the
+        inertia adds up over the pivots (Haynsworth).  Q^H Lambda Q - A, from
+        each interval's DtN matrix Lambda, adds its negative eigenvalues.
+        Lambda has a pole at a Dirichlet level of a whole interval, and near
+        one the count is good to about sqrt(eps) only.
+        """
+        # ma, mg: the sizes of the terms alpha and gamma were summed from
+        ma, mg = np.abs(alpha), np.abs(gamma)
+        pivots, scales = [], []
+        while alpha.shape[-1] > 1:
+            size = alpha.shape[-1]
+            even = size & ~1
+            a1, b1, g1, ma1, mg1 = (v[..., 0:even:2] for v in (alpha, beta, gamma, ma, mg))
+            a2, b2, g2, ma2, mg2 = (v[..., 1:even:2] for v in (alpha, beta, gamma, ma, mg))
+            scales.append(mg1 + ma2)
+            d = g1 + a2
+            d = np.where(d == 0.0, _UNSURE * scales[-1], d)
+            pivots.append(d)
+            s1, s2 = b1 * b1 / d, b2 * b2 / d
+            merged = a1 - s1, -b1 * b2 / d, g2 - s2, ma1 + np.abs(s1), mg2 + np.abs(s2)
+            if even < size:
+                merged = (np.concatenate([v, rest[..., even:]], axis=-1)
+                          for v, rest in zip(merged, (alpha, beta, gamma, ma, mg)))
+            alpha, beta, gamma, ma, mg = merged
+        pivots, scales = np.concatenate(pivots, axis=-1), np.concatenate(scales, axis=-1)
+        sure = ~np.any(np.abs(pivots) <= _UNSURE * scales, axis=(1, 2))
+        n, k = self.domain.n, np.arange(self.domain.n)
+        lam_mat = np.zeros((len(sure), 2 * n, 2 * n))
+        lam_mat[:, k, k], lam_mat[:, n + k, n + k] = alpha[..., 0], gamma[..., 0]
+        lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = beta[..., 0]
+        ev = np.linalg.eigvalsh(self.Q.conj().T @ lam_mat @ self.Q - self.A)
+        scale = (np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2))
+                 + np.max(np.abs(self.A), initial=0.0))
+        sure &= np.min(np.abs(ev), axis=-1, initial=np.inf) > _UNSURE * scale
+        return (np.count_nonzero(pivots < 0.0, axis=(1, 2))
+                + np.count_nonzero(ev < 0.0, axis=-1)), sure
+
+    def _values(self, alpha, beta, gamma):
+        """Entry values in the order of ``rows``, (G, entries), from (G, n, N) cells."""
+        Qh, n, G = self.Q.conj().T, self.domain.n, len(alpha)
+        ends = (Qh * np.concatenate([alpha[..., 0], gamma[..., -1]], axis=1)[:, np.newaxis]
+                @ self.Q - self.A)
+        return np.concatenate([(gamma[..., :-1] + alpha[..., 1:]).reshape(G, -1),
+                               beta[..., 1:-1].reshape(G, -1),
+                               (Qh[:, :n] * beta[:, np.newaxis, :, 0]).reshape(G, -1),
+                               (Qh[:, n:] * beta[:, np.newaxis, :, -1]).reshape(G, -1),
+                               ends[:, self.iu[0], self.iu[1]]], axis=1)
+
+    def ritz(self, alpha, beta, gamma, p: int):
+        """The p eigenvalues of K(lam) - A nearest 0 at G values of lam, from
+        (G, n, N) cells, ascending (G, p), and their vectors (G, dim, p): three
+        steps of block inverse iteration, then Rayleigh-Ritz.
+
+        The matrices of 16 lam at a time are stacked into one band for one LU,
+        each shifted by 1e-12 of its largest diagonal entry, so that a matrix
+        singular to the last bit still factors.
+        """
+        D, w, p = self.dim, self.w, min(p, self.dim)
+        start = np.random.default_rng(0).standard_normal((D, p)).astype(self.dtype)
+        theta, vecs = [], []
+        for i in range(0, len(alpha), 16):
+            v = self._values(alpha[i:i + 16], beta[i:i + 16], gamma[i:i + 16])
+            G, size = len(v), (3 * w + 1) * len(v) * D
+            # bincount adds up entries that coincide (at a single interior node)
+            flat = np.concatenate([(2 * w + self.rows - self.cols) * G * D + self.cols,
+                                   ((2 * w + self.cols - self.rows) * G * D + self.rows)[self.off]])
+            flat = (flat + D * np.arange(G)[:, np.newaxis]).ravel()
+            v = np.concatenate([v, v[:, self.off].conj()], axis=1).ravel()
+            ab = np.bincount(flat, v.real, size)
+            if self.dtype is complex:
+                ab = ab + 1j * np.bincount(flat, v.imag, size)
+            ab = ab.reshape(3 * w + 1, G * D)
+            gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+            gbmv = scipy.linalg.get_blas_funcs("gbmv", (ab,))
+            shifted = ab.copy()
+            shifted[2 * w] -= np.repeat(1e-12 * np.abs(ab[2 * w]).reshape(G, D).max(axis=1), D)
+            lu, piv, _ = gbtrf(shifted, w, w, overwrite_ab=True)
+            x = np.tile(start, (G, 1))
+            for _ in range(3):
+                x = np.linalg.qr(gbtrs(lu, w, w, x, piv)[0].reshape(G, D, p))[0].reshape(G * D, p)
+            kx = np.stack([gbmv(G * D, G * D, w, w, 1.0, ab[w:], v) for v in x.T], axis=1)
+            x = x.reshape(G, D, p)
+            th, y = np.linalg.eigh(x.conj().transpose(0, 2, 1) @ kx.reshape(G, D, p))
+            theta.append(th)
+            vecs.append(x @ y)
+        return np.concatenate(theta), np.concatenate(vecs)
+
+
+def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
+                      opts: SolveOptions = SolveOptions()) -> np.ndarray:
+    """N_U(lam), the number of eigenvalues below lam with multiplicity, for
+    each lam: exact unless a sample cell holds a Dirichlet level of its own
+    (:class:`~qwire.odesolve.OdeError`) or lam is within sqrt(eps) of a level."""
+    return _Glued(U, domain, opts).count(np.atleast_1d(np.asarray(lams, dtype=float)))[0]
 
 
 def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
                      lambda_range: tuple[float, float],
                      opts: SolveOptions = SolveOptions()) -> Spectrum:
-    """Scan sigma_min(M) on a uniform grid and refine its acceptable minima.
+    """All eigenvalues in the closed ``lambda_range``, or its lowest ``max_eigs``.
 
-    Local minima are refined by golden-section search to a width of
-    1e-10 * max(1, |lam|) and accepted as eigenvalues when the refined
-    sigma_min drops below ``opts.sigma_tol``.  Multiplicity is the count of
-    equilibrated singular values below sigma_tol * ||M||_2.  The scan, each
-    golden-section step over all brackets and the rebound probes of all
-    candidates are one batched sigma_min evaluation each.
+    The count at the ends gives the levels; multisection on the count
+    isolates them, one per bracket or to 1e-7 relative; level k is the root
+    of mu_k, refined to 1e-12 relative.  Roots that agree to 1e-9 relative
+    form one eigenvalue, and their number is its multiplicity.
     """
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("lambda_range must be increasing")
-    if opts.grid < 3:
-        raise ValueError("grid must be at least 3")
-    if U.n != domain.n:
-        raise ValueError(f"a U({2 * U.n}) condition needs {U.n} intervals, got {domain.n}")
-
-    def sigma(lams: np.ndarray) -> np.ndarray:
-        return _sigma_min(U, domain, lams, opts)
-
-    grid = np.linspace(lo, hi, opts.grid)
-    # One more sample just inside each end.  A level within one grid step of
-    # an end then lies in a bracket like any other, as sigma_min falls from
-    # the end sample to the inner one; a slope that rises into the range
-    # brackets nothing.
-    inner = np.minimum(1e-7 * np.maximum(1.0, np.abs([lo, hi])), 0.5 * (grid[1] - grid[0]))
-    grid = np.concatenate([[lo, lo + inner[0]], grid[1:-1], [hi - inner[1], hi]])
-    vals = sigma(grid)
-
-    # Interior local minima only: a monotone slope toward a range edge is not
-    # a bracket.  Deep in classically forbidden regions the one-sided basis
-    # collapses and sigma_min sits at a tiny ambient level exp(-S) even far
-    # from any eigenvalue, so acceptance additionally demands a genuine dip
-    # below the neighbouring grid values.
-    i = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
-    a, b = grid[i - 1], grid[i + 1]
-    ambient = np.maximum(vals[i - 1], vals[i + 1])
-    width = 1e-10 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    roots: list[tuple[float, float]] = []
-    if i.size:
-        lam_star, sig_star = _golden_lockstep(sigma, a, b, width)
-        keep = (sig_star <= opts.sigma_tol) & (sig_star <= 0.1 * ambient)
-        lam_star, sig_star, width = lam_star[keep], sig_star[keep], width[keep]
-        # Sharp-dip confirmation: around a true root sigma_min rebounds on
-        # both sides, whereas a noise-floor minimum (or a step in the
-        # landscape where the shooting basis switches launch strategy) stays
-        # flat on at least one side.  Two offsets per side keep a genuine
-        # near-degenerate twin root from masking the rebound.
-        delta = np.maximum(1e-7 * np.maximum(1.0, np.abs(lam_star)), 1e3 * width)
-        offsets = np.array([-1.0, -3.0, 1.0, 3.0])
-        probes = sigma((lam_star[:, np.newaxis] + offsets * delta[:, np.newaxis]).ravel())
-        rebound = probes.reshape(-1, 2, 2).max(axis=2)        # (roots, side)
-        sharp = np.all(rebound >= 10.0 * sig_star[:, np.newaxis], axis=1)
-        roots = list(zip(lam_star[sharp].tolist(), sig_star[sharp].tolist()))
-
-    roots.sort()
-    eigs: list[Eigenpair] = []
-    last = None
-    for lam_star, sig_star in roots:
-        if last is not None and abs(lam_star - last) <= 1e-9 * max(1.0, abs(lam_star)):
-            continue  # the same root reached from two adjacent brackets
-        pair = eigenfunctions(U, domain, lam_star, opts)
-        eigs.extend(pair)
-        last = lam_star
-        if opts.max_eigs is not None and sum(e.multiplicity for e in eigs) >= opts.max_eigs:
-            break
-
-    for e1, e2 in zip(eigs, eigs[1:]):
-        if abs(e2.lam - e1.lam) < 3e-10 * max(1.0, abs(e1.lam)):
-            raise UnresolvedCluster(
-                f"roots at {e1.lam!r} and {e2.lam!r} are closer than the refinement "
-                "width allows; increase the scan grid"
-            )
+    g = _Glued(U, domain, opts)
+    ends = np.array([lo, hi], dtype=float)
+    (n_lo, n_hi), sure = g.count(ends)
+    step = _ISOLATE * max(1.0, abs(lo), abs(hi))
+    while not sure.all():              # an end on a level moves out past it
+        ends += np.where(sure, 0.0, [-step, step])
+        (n_lo, n_hi), sure = g.count(ends)
+        step *= 2.0
+    top = n_hi if opts.max_eigs is None else min(n_hi, n_lo + opts.max_eigs)
+    roots = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
+    levels = np.split(roots, 1 + np.flatnonzero(
+        np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:]))))
+    eigs = _eigenpairs(g, [float(np.mean(v)) for v in levels],
+                       [len(v) for v in levels]) if roots.size else []
     return Spectrum(eigs=tuple(eigs), lambda_range=(lo, hi), options=opts)
+
+
+def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
+    """Brackets (a, b, N(a), N(b)) with N(a) < top, each holding one level or
+    1e-7 relative wide.  Each round counts at the quarter points of every
+    bracket in one call.  A point whose count is not sure does not split, so
+    every bracket end but the window's has a sure count."""
+    todo, done = [(lo, hi, n_lo, n_hi)], []
+    while todo:
+        split = [t for t in todo if t[3] - t[2] > 1
+                 and t[1] - t[0] > _ISOLATE * max(1.0, abs(t[0]), abs(t[1]))]
+        done += [t for t in todo if t not in split]
+        if not split:
+            break
+        a, b, na, nb = (np.array(v) for v in zip(*split))
+        c = a[:, np.newaxis] + (b - a)[:, np.newaxis] * np.array([0.25, 0.5, 0.75])
+        nc, sure = (v.reshape(c.shape) for v in g.count(c.ravel()))
+        todo = []
+        for i, t in enumerate(split):
+            if not sure[i].any():
+                done.append(t)
+                continue
+            ends = [a[i], *c[i][sure[i]], b[i]]
+            counts = np.clip(np.maximum.accumulate([na[i], *nc[i][sure[i]], nb[i]]), na[i], nb[i])
+            todo += [u for u in zip(ends[:-1], ends[1:], counts[:-1], counts[1:])
+                     if u[3] > u[2] and u[2] < top]
+    return sorted(done)
+
+
+def _mu(g: _Glued, lams, ks, k0s, ms):
+    """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1,
+    nan where the Ritz block misses it; the count at lam; and the largest
+    Ritz value in magnitude.
+
+    A sure count indexes the Ritz values: N eigenvalues are negative.  Where
+    the count is not sure, or a Ritz value is below 1e-6 of the largest, lam
+    is within rounding of a level of the bracket, whose m eigenvalues are the
+    ones nearest 0.
+    """
+    uniq, inv = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
+    cells = g.cells(uniq)
+    counts, sure = g.tree(*cells)
+    theta = g.ritz(*cells, int(np.max(ms)) + 2)[0]
+    out, scale = np.full(len(inv), np.nan), np.max(np.abs(theta), axis=1)[inv]
+    for i, (u, k, k0, m) in enumerate(zip(inv, ks, k0s, ms)):
+        th = theta[u]
+        if sure[u] and np.min(np.abs(th)) > 1e-6 * scale[i]:
+            j = k - counts[u] + np.count_nonzero(th < 0.0)
+        else:
+            th, j = np.sort(th[np.argsort(np.abs(th))[:m]]), k - k0
+        if 0 <= j < len(th):
+            out[i] = th[j]
+    return out, counts[inv], scale
+
+
+def _refine(g: _Glued, brackets) -> np.ndarray:
+    """The root of mu_k for every level k of every bracket, ascending in k, by
+    a safeguarded secant (Illinois) in lockstep.  mu_k decreases, so
+    mu_k(a) >= 0 > mu_k(b): an end value that is nan or of the wrong sign is
+    unknown, and a step without both end values bisects, as does one after
+    three steps that did not halve the bracket."""
+    items = [(a, b, k, na, nb - na) for a, b, na, nb in brackets for k in range(na, nb)]
+    if not items:
+        return np.empty(0)
+    a, b, k, k0, m = (np.array(v) for v in zip(*items))
+    a, b = a.astype(float), b.astype(float)
+    fa, fb = np.split(_mu(g, np.concatenate([a, b]), *(np.tile(v, 2) for v in (k, k0, m)))[0], 2)
+    fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan
+    side = np.zeros(len(a), dtype=int)               # end moved last: -1 a, +1 b
+    widths = [b - a] * 3
+    for _ in range(500):
+        xtol = _REFINE * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        act = np.flatnonzero(b - a > xtol)
+        if not act.size:
+            break
+        A, B, FA, FB = a[act], b[act], fa[act], fb[act]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = B - FB * (B - A) / (FB - FA)
+        bisect = ~np.isfinite(c) | (B - A > 0.5 * widths[-3][act])
+        c[bisect] = 0.5 * (A[bisect] + B[bisect])
+        c = np.clip(c, A + 0.25 * xtol[act], B - 0.25 * xtol[act])
+        fc, nc, scale = _mu(g, c, k[act], k0[act], m[act])
+        left = np.where(np.isnan(fc), nc > k[act], fc < 0.0)     # the root lies left of c
+        close = np.abs(fc) <= _REFINE * scale                     # c is the root
+        a[act[close]], b[act[close]] = c[close], c[close]
+        lo_i, hi_i = act[left], act[~left]
+        b[lo_i], fb[lo_i] = c[left], fc[left]
+        a[hi_i], fa[hi_i] = c[~left], fc[~left]
+        # Illinois: an end kept twice in a row has its value halved
+        fa[lo_i[side[lo_i] == 1]] *= 0.5
+        fb[hi_i[side[hi_i] == -1]] *= 0.5
+        side[lo_i], side[hi_i] = 1, -1
+        widths.append(b - a)
+    else:
+        raise RuntimeError("the secant refinement of a level did not converge")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = b - fb * (b - a) / (fb - fa)
+    root = np.where(np.isfinite(root) & (root >= a) & (root <= b), root, 0.5 * (a + b))
+    return root[np.argsort(k, kind="stable")]
 
 
 def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
                    opts: SolveOptions = SolveOptions()) -> list[Eigenpair]:
-    """Reconstruct the orthonormal eigenfunctions of H_U at an accepted lam.
+    """The orthonormal eigenfunctions of H_U at an eigenvalue lam: the levels
+    of :func:`find_eigenvalues` within 1e-7 relative of lam."""
+    delta = _ISOLATE * max(1.0, abs(lam))
+    eigs = find_eigenvalues(U, domain, (lam - delta, lam + delta), opts).eigs
+    if not eigs:
+        raise ValueError(f"no eigenvalue within {delta:.1e} of lam={lam!r}")
+    return list(eigs)
 
-    Nullspace coefficients come from the singular vectors of the equilibrated
-    M(U, lam); the sampled eigenfunctions are normalized in L2(sqrt(eta) dx)
-    by composite Simpson quadrature and Gram-Schmidt-orthonormalized inside a
-    multiplicity cluster.  The phase is fixed by making the largest-magnitude
-    sample real positive.
-    """
+
+def _eigenpairs(g: _Glued, lams, mults) -> list[Eigenpair]:
+    """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0,
+    which hold psi = Q c and the interior nodes: the eigenfunction at every
+    sample.  They are orthonormalised in L2(sqrt(eta) dx) by Simpson
+    quadrature, each with its largest sample real positive, and dpsi comes
+    from the end cells' DtN rows."""
+    domain, S, m = g.domain, g.opts.samples, g.Q.shape[1]
     n = domain.n
-    fps = _solve_pairs(domain, lam, opts)
-    psi_l, psi_r, dpsi_l, dpsi_r = traces = _endpoint_traces(fps)
-    _, Me, _ = _assemble(U, *(t[np.newaxis] for t in traces))
-    _, svals, vh = np.linalg.svd(Me[0])
-    thresh = opts.sigma_tol * svals[0]
-    mult = int(np.sum(svals <= max(thresh, opts.sigma_tol)))
-    if mult == 0:
-        raise ValueError(f"no nullspace at lam={lam!r}: sigma_min={svals[-1]:.3e}")
-
-    xs = np.array([fp.xs for fp in fps])
+    xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
     w = _quad_weights(domain, xs)
-
-    funcs, coeffs_list, psis, dpsis = [], [], [], []
-    for j in range(mult):
-        coef = vh[-1 - j].conj()
-        a1, a2 = coef[:n], coef[n:]
-        f = a1[:, np.newaxis] * fps_values(fps, 0) + a2[:, np.newaxis] * fps_values(fps, 1)
-        # project off the previously accepted cluster members
-        for g in funcs:
-            f = f - _inner(w, g, f) * g
-        norm = math.sqrt(_inner(w, f, f).real)
-        if norm < 1e-12:
-            continue
-        f = f / norm
-        a1, a2 = a1 / norm, a2 / norm
-        flat = f.ravel()
-        peak = flat[int(np.argmax(np.abs(flat)))]
-        phase = peak / abs(peak)
-        f, a1, a2 = f / phase, a1 / phase, a2 / phase
-        funcs.append(f)
-        coeffs_list.append(np.stack([a1, a2], axis=1))
-        psis.append(np.concatenate([a1 * psi_l[0] + a2 * psi_l[1],
-                                    a1 * psi_r[0] + a2 * psi_r[1]]))
-        dpsis.append(np.concatenate([a1 * dpsi_l[0] + a2 * dpsi_l[1],
-                                     a1 * dpsi_r[0] + a2 * dpsi_r[1]]))
-
-    pair = Eigenpair(
-        lam=lam, multiplicity=len(funcs), residual=float(svals[-1]),
-        coeffs=np.array(coeffs_list), xs=xs, samples=np.array(funcs),
-        psi=np.array(psis), dpsi=np.array(dpsis),
-    )
-    return [pair]
-
-
-def fps_values(fps: list[FundamentalPair], sigma: int) -> np.ndarray:
-    """Dense samples of basis solution ``sigma`` stacked over intervals, shape (n, m)."""
-    return np.array([fp.values[sigma] for fp in fps])
+    root_a = np.sqrt([expr.evaluate(iv.metric, iv.a) for iv in domain.intervals])
+    cells = g.cells(lams)
+    theta, vecs = g.ritz(*cells, max(mults) + 2)
+    pairs = []
+    for lam, mult, th, x, alpha, beta, gamma in zip(lams, mults, theta, vecs, *cells):
+        x = x[:, np.argsort(np.abs(th))[:mult]]
+        ends = g.Q @ x[:m]                                           # (2n, mult)
+        members = []
+        for f in np.concatenate([ends[np.newaxis, :n], x[g.pos].transpose(1, 0, 2),
+                                 ends[np.newaxis, n:]]).transpose(2, 1, 0):   # (n, S) each
+            for h in members:
+                f = f - _inner(w, h, f) * h
+            f = f / math.sqrt(_inner(w, f, f).real)
+            peak = f.flat[int(np.argmax(np.abs(f)))]
+            members.append(f * (abs(peak) / peak))
+        u = np.array(members)
+        psi = np.concatenate([u[:, :, 0], u[:, :, -1]], axis=1)
+        dpsi = np.concatenate([alpha[:, 0] * u[:, :, 0] + beta[:, 0] * u[:, :, 1],
+                               beta[:, -1] * u[:, :, -2] + gamma[:, -1] * u[:, :, -1]], axis=1)
+        residual = max(np.linalg.norm((p - 1j * d) - g.U.matrix @ (p + 1j * d))
+                       / (np.linalg.norm(p) + np.linalg.norm(d)) for p, d in zip(psi, dpsi))
+        pairs.append(Eigenpair(
+            lam=float(lam), multiplicity=int(mult), residual=float(residual),
+            coeffs=np.stack([u[:, :, 0], -root_a * dpsi[:, :n]], axis=-1),
+            xs=xs, samples=u, psi=psi, dpsi=dpsi))
+    return pairs
 
 
 def boundary_wronskian(fp: FundamentalPair, x: str, y: str, s1: str, s2: str) -> complex:
@@ -512,48 +619,11 @@ def evolve(U: UnitaryBC, domain: QuantumDomain, spectrum: Spectrum,
     }
 
 
-def deficiency_indices(domain: QuantumDomain, verify: bool = False,
-                       opts: SolveOptions = SolveOptions()) -> tuple[int, int]:
+def deficiency_indices(domain: QuantumDomain) -> tuple[int, int]:
     """Deficiency indices (n+, n-) of the minimal operator: (2n, 2n).
 
-    On a compact union of n intervals every solution of H* u = -+ i u is
-    square integrable and each interval contributes a two-dimensional solution
-    space.  With ``verify`` the complex eigenvalue ODE is integrated per
-    interval and the finiteness and independence of the two solutions is
-    checked numerically.
+    On a compact union of n intervals with a positive metric every solution
+    of H* u = -+ i u is square integrable, and each interval contributes a
+    two-dimensional solution space.
     """
-    n = domain.n
-    if verify:
-        for iv in domain.intervals:
-            for s in (+1.0, -1.0):
-                gram = _deficiency_gram(iv, s, opts)
-                if not np.all(np.isfinite(gram)) or np.linalg.matrix_rank(gram, tol=1e-10) != 2:
-                    raise RuntimeError("deficiency solutions are not independent")
-    return (2 * n, 2 * n)
-
-
-def _deficiency_gram(iv, s: float, opts: SolveOptions) -> np.ndarray:
-    """L2 Gram matrix of the two solutions of H u = s*i*u on one interval.
-
-    The solutions are integrated in the quasi-derivative variables
-    y = (u, eta**-0.5 u') of :mod:`qwire.odesolve`,
-    y' = sqrt(eta) [[0, 1], [2 (V - s i), 0]] y.
-    """
-    from scipy.integrate import solve_ivp
-
-    def rhs(x, y):
-        root = math.sqrt(expr.evaluate(iv.metric, x))
-        c = 2.0 * (expr.evaluate(iv.potential, x) - 1j * s)
-        return root * np.array([y[1], c * y[0], y[3], c * y[2]])
-
-    xs = np.linspace(iv.a, iv.b, 129)
-    sol = solve_ivp(rhs, (iv.a, iv.b), np.array([1, 0, 0, 1], dtype=complex),
-                    t_eval=xs, rtol=1e-9, atol=1e-11)
-    u1, u2 = sol.y[0], sol.y[2]
-    w = _simpson_weights(len(xs), (iv.b - iv.a) / (len(xs) - 1))
-    eta = np.sqrt(expr.evaluate(iv.metric, xs))
-    gram = np.empty((2, 2), dtype=complex)
-    for i, fi in enumerate((u1, u2)):
-        for j, fj in enumerate((u1, u2)):
-            gram[i, j] = np.sum(w * eta * np.conj(fi) * fj)
-    return gram
+    return (2 * domain.n, 2 * domain.n)

@@ -105,7 +105,7 @@ def test_02_closed_form_spectra():
     """Dirichlet, Neumann, periodic and quasi-periodic spectra on [0, 2*pi]
     reproduce the closed forms to absolute 1e-8 with correct multiplicities."""
     start = time.monotonic()
-    opts = SolveOptions(grid=400)
+    opts = SolveOptions()
 
     spectrum = find_eigenvalues(make_dirichlet(1), FREE_2PI, (0.01, 4.8), opts)
     want = [k * k / 8.0 for k in range(1, 7)]
@@ -153,7 +153,7 @@ def test_03_oracle_cross_validation():
         assert np.max(fd_est) <= 1e-3
         spectrum = find_eigenvalues(
             U, dom, (float(fd_lams[0]) - 0.5, float(fd_lams[4]) + 0.3),
-            SolveOptions(grid=300, max_eigs=5, rel_tol=1e-9))
+            SolveOptions(max_eigs=5, rel_tol=1e-9))
         flat = [lam for lam, _, _ in spectrum.flat()][:5]
         assert len(flat) == 5
         for lam_s, lam_f, est in zip(flat, fd_lams, fd_est):
@@ -176,7 +176,7 @@ def test_04_isotropy_suite():
 
         dom = QuantumDomain([Interval(0.0, L, "1", "0") for L in lengths[:n]])
         spectrum = find_eigenvalues(U, dom, (0.2, 14.0),
-                                    SolveOptions(grid=150, max_eigs=1))
+                                    SolveOptions(max_eigs=1))
         assert spectrum.eigs, f"no eigenvalue for case {case}"
         proj = basis @ basis.conj().T
         e = spectrum.eigs[0]
@@ -240,7 +240,7 @@ def test_07_edge_states():
     t_values = [1.0, 0.5, 0.2, 0.1]
     scan = edge_scan(make_dirichlet(1),
                      QuantumDomain([Interval(0.0, math.pi, "1", "0")]),
-                     t_values, opts=SolveOptions(grid=2000))
+                     t_values, opts=SolveOptions())
     assert scan.all_negative
     assert scan.monotone_decreasing
     for t, lam in zip(scan.t_values, scan.lam_min):
@@ -264,7 +264,7 @@ def test_08_evolution_unitarity():
     below 1e-10 and truncation residual below 1e-6 over 100 time points."""
     U = make_quasiperiodic(0.0)
     spectrum = find_eigenvalues(U, FREE_2PI, (-0.5, 530.0),
-                                SolveOptions(grid=12000))
+                                SolveOptions())
     assert sum(e.multiplicity for e in spectrum.eigs) >= 64
 
     xs = spectrum.eigs[0].xs
@@ -281,10 +281,10 @@ def test_09_quantum_wire_ring():
     ring_dom = QuantumDomain([Interval(0.0, math.pi, "1", "0"),
                               Interval(0.0, math.pi, "1", "0")])
     ring_bc = make_wire(WireSpec(sigma=(3, 2, 1, 0), beta=(0.0,) * 4))
-    ring = find_eigenvalues(ring_bc, ring_dom, (-0.2, 4.8), SolveOptions(grid=500))
+    ring = find_eigenvalues(ring_bc, ring_dom, (-0.2, 4.8), SolveOptions())
 
     periodic = find_eigenvalues(make_quasiperiodic(0.0), FREE_2PI, (-0.2, 4.8),
-                                SolveOptions(grid=500))
+                                SolveOptions())
 
     ring_flat = [lam for lam, _, _ in ring.flat()][:6]
     per_flat = [lam for lam, _, _ in periodic.flat()][:6]

@@ -268,6 +268,22 @@ def test_exit_code_solve_value_out_of_range(tmp_path, capsys, old, new):
     assert err.startswith("qwire:") and "[solve]" in err
 
 
+def test_deprecated_solve_keys_warn(tmp_path, capsys):
+    # grid and sigma_tol still parse but change nothing: one warning line each
+    path = tmp_path / "plain.cfg"
+    path.write_text(FREE_CFG.replace("grid = 250\n", ""))
+    assert run(["spectrum", "--config", str(path)]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == "" and plain.out.startswith("# qwire-spectra v1\n")
+    path.write_text(FREE_CFG + "sigma_tol = 1e-6\n")
+    assert run(["spectrum", "--config", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out == plain.out
+    assert out.err.splitlines() == [
+        "qwire: warning: [solve] grid has no effect: levels are counted exactly",
+        "qwire: warning: [solve] sigma_tol has no effect: levels are counted exactly"]
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"

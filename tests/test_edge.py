@@ -23,14 +23,14 @@ def test_rotate_bc_is_phase_multiplication():
 def test_rotation_by_pi_gives_neumann():
     Ut = rotate_bc(make_dirichlet(1), math.pi)
     assert np.allclose(Ut.matrix, make_neumann(1).matrix)
-    spectrum = find_eigenvalues(Ut, DOM, (-0.2, 0.3), SolveOptions(grid=150))
+    spectrum = find_eigenvalues(Ut, DOM, (-0.2, 0.3), SolveOptions())
     assert len(spectrum.eigs) == 1
     assert abs(spectrum.eigs[0].lam) <= 1e-8
 
 
 def test_edge_scan_matches_robin_oracle():
     scan = edge_scan(make_dirichlet(1), DOM, [0.8, 0.5],
-                     opts=SolveOptions(grid=600))
+                     opts=SolveOptions())
     assert scan.all_negative and scan.monotone_decreasing
     for t, lam in zip(scan.t_values, scan.lam_min):
         ref = robin_edge_groundstate(math.pi, 1.0 / math.tan(t / 2.0))
@@ -42,11 +42,22 @@ def test_edge_scan_matches_robin_oracle():
 def test_collar_fraction_of_interior_mode():
     # the Dirichlet ground state sin(x) on [0, pi] carries little mass in
     # the outer 10% collars: 2 * int_0^{pi/10} sin^2 / (pi/2) ~ 2.6%
-    spectrum = find_eigenvalues(make_dirichlet(1), DOM, (0.2, 0.8), SolveOptions(grid=150))
+    spectrum = find_eigenvalues(make_dirichlet(1), DOM, (0.2, 0.8), SolveOptions())
     frac = collar_fraction(DOM, spectrum.eigs[0])
     want = (2.0 / math.pi) * (math.pi / 10.0 - math.sin(2 * math.pi / 10.0) / 2.0)
     # the collar edge is snapped to the sample grid, so allow a one-cell slack
     assert frac == pytest.approx(want, rel=0.15)
+
+
+def test_edge_scan_floor():
+    # the default floor doubles down from -1 until no level lies below it;
+    # a given floor must have no level below it
+    scan = edge_scan(make_dirichlet(1), DOM, [0.1])
+    ref = robin_edge_groundstate(math.pi, 1.0 / math.tan(0.05))
+    assert abs(scan.lam_min[0] - ref) <= 1e-9 * abs(ref)
+    assert scan.ground_states[0].multiplicity == 2      # the tunnelling twins
+    with pytest.raises(ValueError):
+        edge_scan(make_dirichlet(1), DOM, [0.1], search_floor=-100.0)
 
 
 def test_edge_scan_input_validation():

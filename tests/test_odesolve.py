@@ -10,7 +10,7 @@ from qwire import expr, odesolve
 from qwire.domain import Interval
 from qwire.odesolve import (
     OdeError,
-    endpoint_traces,
+    cell_dtn,
     free_exponential_basis,
     fundamental_solutions,
 )
@@ -66,36 +66,64 @@ def test_wronskian_drift_beside_a_growing_solution():
     assert fp.wronskian_drift() <= 1e-8
 
 
-@pytest.mark.parametrize("iv, tol", [
-    (Interval(0.0, 1.3, "2", "3"), 1e-14),
-    # the mesh a variable-coefficient call starts from depends on the calls
-    # before it, so the two sweeps agree to the halving tolerance only
-    (Interval(-1.0, 1.0, "1 + 0.2*x", "x^2"), 1e-9),
-])
-def test_endpoint_traces_match_fundamental_solutions(iv, tol):
-    # lam above V, lam = V, then growing with action k L <= 25, two-sided with
-    # 25 < k L <= 300, and two-sided with the k L - 300 rescale.
-    lams = np.array([10.0, 3.0, -3.0, -300.0, -1e5])
-    names = ("psi_a", "dpsi_a", "psi_b", "dpsi_b")
-    got = endpoint_traces(iv, lams, rel_tol=1e-10)
-    for g, lam in enumerate(lams):
-        fp = fundamental_solutions(iv, float(lam), rel_tol=1e-10)
-        assert got.scale_exponent[g] == pytest.approx(fp.scale_exponent, rel=1e-14)
-        want = np.array([getattr(fp, name) for name in names])
-        have = np.array([getattr(got, name)[g] for name in names])
-        assert np.max(np.abs(have - want)) <= tol * np.max(np.abs(want))
-    if expr.is_constant(iv.potential):
-        k = np.sqrt(2.0 * 2.0 * (3.0 - lams[2:]))
-        assert k[0] * iv.length <= 25.0 < k[1] * iv.length <= 300.0 < k[2] * iv.length
-        assert got.scale_exponent[-1] > 0.0
-        # growing: cosh(k z) and sinh(k z) / k; two-sided: u2 = cosh(k (b - x))
-        ch, sh = np.cosh(k[:2] * iv.length), np.sinh(k[:2] * iv.length)
-        data = np.array([got.psi_a[2:4], got.dpsi_a[2:4], got.psi_b[2:4], got.dpsi_b[2:4]])
-        want = np.array([[[1.0, 0.0], [1.0, ch[1]]],
-                         [[0.0, 1.0], [0.0, -k[1] * sh[1]]],
-                         [[ch[0], sh[0] / k[0]], [ch[1], 1.0]],
-                         [[k[0] * sh[0], ch[0]], [k[1] * sh[1], 0.0]]])
-        assert np.allclose(data, want, rtol=1e-13, atol=0.0)
+def test_closed_form_branches():
+    # eta = 2, V = 3 on [0, 1.3]: u'' = w u with w = 4 (3 - lam).  lam above
+    # V, lam = V, then growing with action k L <= 25, two-sided (u2 launched
+    # from b) with 25 < k L <= 300, and two-sided with the k L - 300 rescale.
+    iv = Interval(0.0, 1.3, "2", "3")
+    L = iv.length
+    fps = [fundamental_solutions(iv, lam) for lam in (10.0, 3.0, -3.0, -300.0, -1e5)]
+    k = math.sqrt(28.0)
+    osc = fps[0]
+    assert np.allclose([osc.psi_b, osc.dpsi_b],
+                       [[math.cos(k * L), math.sin(k * L) / k],
+                        [-k * math.sin(k * L), math.cos(k * L)]], rtol=1e-13, atol=1e-15)
+    assert np.allclose([fps[1].psi_b, fps[1].dpsi_b], [[1.0, L], [0.0, 1.0]], rtol=1e-13)
+    k = np.sqrt(4.0 * (3.0 + np.array([3.0, 300.0, 1e5])))
+    assert k[0] * L <= 25.0 < k[1] * L <= 300.0 < k[2] * L
+    ch, sh = np.cosh(k[:2] * L), np.sinh(k[:2] * L)
+    data = np.array([[fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b] for fp in fps[2:4]])
+    want = np.array([[[1.0, 0.0], [0.0, 1.0], [ch[0], sh[0] / k[0]], [k[0] * sh[0], ch[0]]],
+                     [[1.0, ch[1]], [0.0, -k[1] * sh[1]], [ch[1], 1.0], [k[1] * sh[1], 0.0]]])
+    assert np.allclose(data, want, rtol=1e-13, atol=0.0)
+    deep = fps[4]
+    assert deep.scale_exponent == pytest.approx(2.0 * (k[2] * L - 300.0), rel=1e-14)
+    assert deep.psi_a[0] * math.exp(0.5 * deep.scale_exponent) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cell_dtn_closed_form_matches_magnus():
+    # '1 + 0*x' is not recognised as constant and takes the Magnus cells;
+    # forbidden, flat (lam = V) and oscillating cells.
+    lams = np.array([-40.0, -1.0, 2.0, 3.5, 30.0])
+    fast = cell_dtn(Interval(0.0, 3.0, "1", "2"), lams)
+    slow = cell_dtn(Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x"), lams, rel_tol=1e-12)
+    for f, g in zip(fast, slow):
+        assert f.shape == (5, 256)
+        assert np.max(np.abs(f - g)) <= 1e-9 * np.max(np.abs(f))
+
+
+def test_cell_dtn_is_the_inverse_transfer_entry():
+    # alpha = t00/t01, gamma = t11/t01 and beta = -1/t01 of each cell's
+    # transfer matrix, here from the canonical pair on one cell of 16
+    iv = Interval(-1.0, 3.0, "1 + 0.2*x", "x")
+    cell = Interval(-1.0, -0.75, "1 + 0.2*x", "x")
+    alpha, beta, gamma = cell_dtn(iv, [-0.5, 1.2], rel_tol=1e-12, samples=17)
+    for g, lam in enumerate((-0.5, 1.2)):
+        fp = fundamental_solutions(cell, lam, rel_tol=1e-12, samples=3)
+        root_a, root_b = math.sqrt(0.8), math.sqrt(0.85)
+        t = np.array([fp.psi_b, fp.dpsi_b / root_b]) * np.array([1.0, root_a])
+        want = [t[0, 0] / t[0, 1], -1.0 / t[0, 1], t[1, 1] / t[0, 1]]
+        assert np.allclose([alpha[g, 0], beta[g, 0], gamma[g, 0]], want, rtol=1e-9)
+
+
+def test_cell_dtn_refuses_a_cell_with_its_own_level():
+    # 256 cells on [0, 2 pi] turn by k h = pi at lam = 8192
+    iv = Interval(0.0, 2.0 * math.pi)
+    assert np.all(cell_dtn(iv, [8000.0])[1] < 0.0)
+    with pytest.raises(OdeError):
+        cell_dtn(iv, [8300.0])
+    with pytest.raises(OdeError):
+        cell_dtn(Interval(0.0, 2.0 * math.pi, "1", "0.01*x"), [8300.0])
 
 
 def test_exponential_basis_change():

@@ -90,7 +90,7 @@ def test_robin_boundary_against_spectral_solver():
     U = random_unitary(2, rng)
     lams, est = fd_spectrum(U, FREE, N=600, k=3)
     spectrum = find_eigenvalues(U, FREE, (float(lams[0]) - 0.4, float(lams[2]) + 0.3),
-                                SolveOptions(grid=250, max_eigs=3))
+                                SolveOptions(max_eigs=3))
     flat = [lam for lam, _, _ in spectrum.flat()][:3]
     for lam_s, lam_f, e in zip(flat, lams, est):
         assert abs(lam_s - lam_f) <= e
@@ -101,7 +101,7 @@ def test_variable_metric_and_potential():
     lams, est = fd_spectrum(make_dirichlet(1), dom, N=600, k=3)
     spectrum = find_eigenvalues(make_dirichlet(1), dom,
                                 (float(lams[0]) - 0.4, float(lams[2]) + 0.3),
-                                SolveOptions(grid=250, max_eigs=3))
+                                SolveOptions(max_eigs=3))
     flat = [lam for lam, _, _ in spectrum.flat()][:3]
     for lam_s, lam_f, e in zip(flat, lams, est):
         assert abs(lam_s - lam_f) <= e
@@ -111,7 +111,7 @@ def test_three_interval_robin_against_spectral_solver():
     U = _unitary_with_phases(np.random.default_rng(12))
     lams, est = fd_spectrum(U, THREE, N=400, k=5)
     spectrum = find_eigenvalues(U, THREE, (float(lams[0]) - 0.5, float(lams[4]) + 0.3),
-                                SolveOptions(grid=300, max_eigs=5))
+                                SolveOptions(max_eigs=5))
     flat = [lam for lam, _, _ in spectrum.flat()][:5]
     assert len(flat) == 5
     for lam_s, lam_f, e in zip(flat, lams, est):

@@ -6,22 +6,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qwire import expr, spectral
 from qwire.bc import (
+    WireSpec,
     admissible_subspace,
+    cayley_degeneracy,
     make_dirichlet,
     make_neumann,
     make_quasiperiodic,
     make_u2,
+    make_wire,
     random_unitary,
 )
 from qwire.domain import Interval, QuantumDomain, lagrange_form
 from qwire.odesolve import free_exponential_basis, fundamental_solutions
+from qwire.oracle import fd_spectrum
 from qwire.spectral import (
     SolveOptions,
     boundary_wronskian,
+    count_eigenvalues,
     deficiency_indices,
     eigenfunctions,
     evolve,
@@ -162,14 +167,14 @@ def test_levels_within_one_grid_step_of_the_window_ends():
     # Dirichlet on [0, pi] has the levels k^2/2; 0.5 and 4.5 lie 0.05 inside
     # the window's ends, in its first and last grid steps of 0.456.
     dom = QuantumDomain([Interval(0.0, math.pi)])
-    lams = find_eigenvalues(make_dirichlet(1), dom, (0.45, 4.55), SolveOptions(grid=10)).lams
+    lams = find_eigenvalues(make_dirichlet(1), dom, (0.45, 4.55), SolveOptions()).lams
     assert len(lams) == 3
     assert np.max(np.abs(lams - [0.5, 2.0, 4.5])) <= 1e-8
 
 
 def test_periodic_multiplicities():
     spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.2, 2.4),
-                                SolveOptions(grid=400))
+                                SolveOptions())
     mults = [(e.lam, e.multiplicity) for e in spectrum.eigs]
     assert len(mults) == 3
     assert mults[0][1] == 1 and abs(mults[0][0]) <= 1e-8
@@ -188,7 +193,7 @@ def test_eigenfunction_traces_are_admissible():
     rng = np.random.default_rng(31)
     for _ in range(3):
         U = random_unitary(2, rng)
-        spectrum = find_eigenvalues(U, FREE, (0.05, 1.5), SolveOptions(grid=200))
+        spectrum = find_eigenvalues(U, FREE, (0.05, 1.5), SolveOptions())
         assert spectrum.eigs, "expected at least one eigenvalue"
         basis = admissible_subspace(U)
         proj = basis @ basis.conj().T
@@ -204,7 +209,7 @@ def test_eigenfunction_traces_are_admissible():
 
 def test_eigenfunctions_are_orthonormal():
     spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (0.3, 0.7),
-                                SolveOptions(grid=200))
+                                SolveOptions())
     assert len(spectrum.eigs) == 1 and spectrum.eigs[0].multiplicity == 2
     e = spectrum.eigs[0]
     from qwire.spectral import _inner, _quad_weights
@@ -216,7 +221,7 @@ def test_eigenfunctions_are_orthonormal():
 
 
 def test_neumann_ground_state_at_zero():
-    spectrum = find_eigenvalues(make_neumann(1), FREE, (-0.3, 0.3), SolveOptions(grid=200))
+    spectrum = find_eigenvalues(make_neumann(1), FREE, (-0.3, 0.3), SolveOptions())
     assert len(spectrum.eigs) == 2  # 0 and 1/8
     assert abs(spectrum.eigs[0].lam) <= 1e-8
     assert abs(spectrum.eigs[1].lam - 0.125) <= 1e-8
@@ -227,7 +232,7 @@ def test_neumann_ground_state_at_zero():
 
 def test_evolve_single_mode_phase():
     dom = QuantumDomain([Interval(0.0, math.pi, "1", "0")])
-    spectrum = find_eigenvalues(make_dirichlet(1), dom, (0.1, 3.0), SolveOptions(grid=200))
+    spectrum = find_eigenvalues(make_dirichlet(1), dom, (0.1, 3.0), SolveOptions())
     e = spectrum.eigs[0]
     initial = e.samples[0].astype(complex)
     times = [0.0, 0.7, 1.9]
@@ -240,7 +245,7 @@ def test_evolve_single_mode_phase():
 
 
 def test_evolve_input_validation(free_2pi):
-    spectrum = find_eigenvalues(make_dirichlet(1), free_2pi, (0.05, 0.3), SolveOptions(grid=100))
+    spectrum = find_eigenvalues(make_dirichlet(1), free_2pi, (0.05, 0.3), SolveOptions())
     with pytest.raises(ValueError):
         evolve(make_dirichlet(1), free_2pi, spectrum, np.zeros((2, 7)), [0.0])
 
@@ -249,14 +254,13 @@ def test_deficiency_indices():
     dom = QuantumDomain([Interval(0.0, 1.0, "1", "0"),
                          Interval(0.0, 2.0, "1 + 0.1*x", "x")])
     assert deficiency_indices(dom) == (4, 4)
-    assert deficiency_indices(dom, verify=True) == (4, 4)
 
 
 def test_find_eigenvalues_validation(free_2pi):
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(1), free_2pi, (2.0, 1.0))
     with pytest.raises(ValueError):
-        find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(grid=2))
+        find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(samples=2))
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(2), free_2pi, (0.0, 1.0))
 
@@ -269,7 +273,7 @@ def test_spectral_matrix_interval_count_mismatch(free_2pi):
 
 def test_max_eigs_truncates(free_2pi):
     spectrum = find_eigenvalues(make_dirichlet(1), free_2pi, (0.05, 4.8),
-                                SolveOptions(grid=300, max_eigs=3))
+                                SolveOptions(max_eigs=3))
     assert sum(e.multiplicity for e in spectrum.eigs) == 3
 
 
@@ -279,159 +283,56 @@ def _branch_domain(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_batched_sigma_min_matches_spectral_matrix(n):
-    # lam above V, lam = V, growing with k L <= 25, two-sided with
-    # 25 < k L <= 300, and with the k L - 300 rescale, on every interval.
+def test_batched_count_matches_single_counts(n):
+    # lam above V, lam = V, growing, deep, and very deep on every interval:
+    # the count of an array of lam equals the counts one lam at a time and
+    # the FD oracle's, away from its levels.
     rng = np.random.default_rng(40 + n)
     dom = _branch_domain(n)
     U = random_unitary(2 * n, rng)
-    opts = SolveOptions()
     lams = np.array([10.0, 3.0, -3.0, -300.0, -1e5, *rng.uniform(-2.0, 20.0, 5)])
-    got = spectral._sigma_min(U, dom, lams, opts)
-    for lam, sig in zip(lams, got):
-        want = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts)).sigma_min
-        assert want > 0.0
-        assert abs(sig - want) <= 1e-12 * want, lam
+    got = count_eigenvalues(U, dom, lams)
+    assert [count_eigenvalues(U, dom, lam)[0] for lam in lams] == got.tolist()
+    fd, est = fd_spectrum(U, dom, N=400, k=12)
+    for lam, count in zip(lams, got):
+        if lam < fd[-1] and np.all(np.abs(fd - lam) > 10.0 * est):
+            assert count == np.count_nonzero(fd < lam), lam
 
 
-def test_batched_sigma_min_variable_coefficients():
+def test_batched_count_variable_coefficients():
     dom = QuantumDomain([Interval(0.0, 1.0, "2", "3"),
                          Interval(0.0, 2.0 * math.pi, "1 + 0.1*x", "x^2/2")])
     U = random_unitary(4, np.random.default_rng(44))
-    opts = SolveOptions(rel_tol=1e-11)
     lams = np.array([-2.0, 0.3, 1.5, 4.2])
-    got = spectral._sigma_min(U, dom, lams, opts)
-    for lam, sig in zip(lams, got):
-        want = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts)).sigma_min
-        assert abs(sig - want) <= 1e-12 * want, lam
+    got = count_eigenvalues(U, dom, lams)
+    assert [count_eigenvalues(U, dom, lam)[0] for lam in lams] == got.tolist()
+    fd, est = fd_spectrum(U, dom, N=400, k=12)
+    assert np.all([np.min(np.abs(fd - lam)) > 10.0 * np.max(est) for lam in lams])
+    assert got.tolist() == [np.count_nonzero(fd < lam) for lam in lams]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_assembly_matches_blockwise_formula(n):
-    # M and its row scales against the block-by-block construction written
-    # out with Hadamard column scalings, at one lam and as a stack.
+    # M against the block-by-block construction written out with Hadamard
+    # column scalings.
     rng = np.random.default_rng(60 + n)
     dom = QuantumDomain([Interval(0.0, L, "1 + 0.5*x", "x") for L in (1.0, 1.3, 0.7)[:n]])
     U = random_unitary(2 * n, rng)
     lams = np.array([-2.0, 0.7, 5.5])
-    opts = SolveOptions()
     eye = np.eye(n)
     for lam in lams:
-        fps = spectral._solve_pairs(dom, float(lam), opts)
+        fps = [fundamental_solutions(iv, float(lam), rel_tol=1e-11) for iv in dom.intervals]
         sm = spectral_matrix(U, fps)
         psi_l, psi_r, dpsi_l, dpsi_r = spectral._endpoint_traces(fps)
         M = np.empty((2 * n, 2 * n), dtype=complex)
-        row_scale = np.zeros(2 * n)
         for sigma in (0, 1):
             lp, lm = psi_l[sigma] + 1j * dpsi_l[sigma], psi_l[sigma] - 1j * dpsi_l[sigma]
             rp, rm = psi_r[sigma] + 1j * dpsi_r[sigma], psi_r[sigma] - 1j * dpsi_r[sigma]
             cols = slice(sigma * n, (sigma + 1) * n)
             M[:n, cols] = hadamard_mat(eye, lm) - hadamard_mat(U.u11, lp) - hadamard_mat(U.u12, rp)
             M[n:, cols] = hadamard_mat(eye, rm) - hadamard_mat(U.u21, lp) - hadamard_mat(U.u22, rp)
-            row_scale[:n] = np.maximum(row_scale[:n], np.abs(lm) + np.abs(U.u11) @ np.abs(lp)
-                                       + np.abs(U.u12) @ np.abs(rp))
-            row_scale[n:] = np.maximum(row_scale[n:], np.abs(rm) + np.abs(U.u21) @ np.abs(lp)
-                                       + np.abs(U.u22) @ np.abs(rp))
         assert np.array_equal(sm.matrix, M)
-        np.testing.assert_allclose(sm.row_scale, row_scale, rtol=1e-15, atol=0.0)
-        svals = np.linalg.svd(M / row_scale[:, np.newaxis], compute_uv=False)
-        assert sm.sigma_min == pytest.approx(svals[-1], rel=1e-12)
-    # the stack of all three lam gives the same matrices
-    ends = [spectral.endpoint_traces(iv, lams, opts.rel_tol) for iv in dom.intervals]
-    M, Me, row_scale = spectral._assemble(U, *spectral._traces(dom.intervals, ends))
-    for g, lam in enumerate(lams):
-        sm = spectral_matrix(U, spectral._solve_pairs(dom, float(lam), opts))
-        np.testing.assert_allclose(M[g], sm.matrix, rtol=1e-12, atol=1e-12 * np.abs(sm.matrix).max())
-        np.testing.assert_allclose(row_scale[g], sm.row_scale, rtol=1e-12)
-
-
-def _golden_scalar(f, a, b, xtol):
-    """Golden-section minimisation of a scalar function, one point at a time."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def test_lockstep_golden_visits_the_scalar_points():
-    # Each bracket must see exactly the points of a scalar search on it alone.
-    # brackets of different widths and tolerances finish after different
-    # numbers of steps; the last one is flat, so every comparison ties.
-    a = np.array([-3.0, 0.0, 1.0, 10.0, 20.0])
-    b = np.array([-0.5, 1.0, 1.5, 10.1, 21.0])
-    xtol = np.array([1e-3, 1e-10, 1e-6, 1e-9, 1e-4])
-    centres = np.array([-2.2, 0.3, 1.49, 10.05, 20.5])
-
-    def g(x):       # one landscape per (disjoint) bracket
-        bump = np.abs(np.sin(3.0 * (x - centres[np.searchsorted(a, x, "right") - 1])))
-        return np.where(x < 20.0, bump + 0.1 * x, 1.0)
-
-    seen: list[np.ndarray] = []
-
-    def batched(x):
-        seen.append(np.array(x))
-        return g(np.asarray(x))
-
-    lam, val = spectral._golden_lockstep(batched, a, b, xtol)
-    visited = np.concatenate(seen)
-    for i in range(len(a)):
-        points = []
-
-        def scalar(x):
-            points.append(x)
-            return float(g(np.array([x]))[0])
-        want = _golden_scalar(scalar, a[i], b[i], xtol[i])
-        mine = visited[(visited >= a[i]) & (visited <= b[i])]
-        assert sorted(points) == sorted(mine.tolist())
-        assert (lam[i], val[i]) == want
-
-
-def test_scan_is_batched(monkeypatch):
-    calls = []
-    traces = spectral.endpoint_traces
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return traces(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "endpoint_traces", counting)
-    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0),
-                                SolveOptions(grid=12000))
-    assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
-    assert len(calls) <= 100
-    assert max(calls) <= spectral._BLOCK and sum(calls) >= 12000
-
-
-def test_lockstep_roots_match_scalar_golden_section():
-    rng = np.random.default_rng(17)
-    U = random_unitary(2, rng)
-    opts = SolveOptions(grid=150)
-    spectrum = find_eigenvalues(U, FREE, (0.05, 6.0), opts)
-    assert len(spectrum.eigs) >= 5
-
-    def sigma(lam):
-        return float(spectral._sigma_min(U, FREE, np.array([lam]), opts)[0])
-
-    grid = np.linspace(0.05, 6.0, opts.grid)
-    vals = [sigma(l) for l in grid]
-    refined = []
-    for i in range(1, len(grid) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            a, b = grid[i - 1], grid[i + 1]
-            width = 1e-10 * max(1.0, max(abs(a), abs(b)))
-            refined.append(_golden_scalar(sigma, a, b, width)[0])
-    for e in spectrum.eigs:
-        assert min(abs(r - e.lam) for r in refined) <= 1e-12 * max(1.0, abs(e.lam))
+        assert sm.sigma_min == pytest.approx(np.linalg.svd(M, compute_uv=False)[-1], rel=1e-12)
 
 
 def test_evolve_matches_per_interval_loops():
@@ -439,7 +340,7 @@ def test_evolve_matches_per_interval_loops():
     # and one interval at a time, on two intervals with a metric.
     dom = QuantumDomain([Interval(0.0, 1.0, "(1+0.3*x)^2", "0"), Interval(0.0, 1.3, "2", "1")])
     U = random_unitary(4, np.random.default_rng(23))
-    spectrum = find_eigenvalues(U, dom, (-1.0, 30.0), SolveOptions(grid=200))
+    spectrum = find_eigenvalues(U, dom, (-1.0, 30.0), SolveOptions())
     xs = spectrum.eigs[0].xs
     initial = np.exp(-4.0 * (xs - 0.5) ** 2) * (1.0 + 0.3j * xs)
     times = np.linspace(0.0, 5.0, 7)
@@ -475,3 +376,129 @@ def test_evolve_matches_per_interval_loops():
         math.sqrt(inner(resid, resid).real), abs=1e-12)
     assert report["projected_norm"] == pytest.approx(norm0, abs=1e-12)
     assert report["norm_drift"] == pytest.approx(drift, abs=1e-12)
+
+
+def test_count_is_batched(monkeypatch):
+    # The periodic circle over (-0.5, 530): the count at every multisection
+    # point of a round, over all brackets, is one call per interval.
+    calls = []
+    cell_dtn = spectral.cell_dtn
+
+    def counting(iv, lams, *args):
+        calls.append(len(lams))
+        return cell_dtn(iv, lams, *args)
+
+    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0))
+    assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
+    assert len(calls) <= 40
+    assert max(calls) >= 64
+
+
+# Silent misses of the sigma_min scan that the count must not repeat.
+
+HO = QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")])
+
+
+def test_oscillator_levels_in_a_deep_well():
+    # forbidden at both ends of [-6, 6]: the scan found nothing on any grid
+    spectrum = find_eigenvalues(make_dirichlet(1), HO, (0.1, 4.8))
+    assert [e.multiplicity for e in spectrum.eigs] == [1] * 5
+    assert np.max(np.abs(spectrum.lams - (np.arange(5) + 0.5))) <= 1e-7
+
+
+def test_oscillator_ground_state():
+    e = find_eigenvalues(make_dirichlet(1), HO, (0.1, 1.0)).eigs[0]
+    want = math.pi ** -0.25 * np.exp(-0.5 * e.xs[0] ** 2)
+    assert np.max(np.abs(e.samples[0][0] - want)) <= 1e-6
+    assert e.residual <= 1e-12
+
+
+def test_periodic_circle_to_530_with_its_zero_level():
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0))
+    assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
+    want = np.array([k * k / 2.0 for k in range(33)])
+    assert np.max(np.abs(spectrum.lams - want)) <= 1e-8 * np.maximum(1.0, want).max()
+
+
+def test_dirichlet_unit_interval_on_any_grid():
+    # grid 5 made the scan drop pi^2/2; grid no longer does anything
+    with pytest.warns(DeprecationWarning):
+        opts = SolveOptions(grid=5)
+    dom = QuantumDomain([Interval(0.0, 1.0)])
+    lams = find_eigenvalues(make_dirichlet(1), dom, (-1.0, 40.0), opts).lams
+    assert np.max(np.abs(lams - [math.pi ** 2 / 2.0, 2.0 * math.pi ** 2])) <= 1e-9
+
+
+def test_empty_window_counts_only_its_ends(monkeypatch):
+    # x^2/2 under Dirichlet on [0, 2 pi] has no level in (-0.6, 0.4); the
+    # launch switch of the old basis put a spurious sigma_min minimum there
+    calls = []
+    cell_dtn = spectral.cell_dtn
+
+    def counting(iv, lams, *args):
+        calls.append(list(lams))
+        return cell_dtn(iv, lams, *args)
+
+    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    dom = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
+    assert find_eigenvalues(make_dirichlet(1), dom, (-0.6, 0.4)).eigs == ()
+    assert calls == [[-0.6, 0.4]]
+
+
+def test_deprecated_options_warn_once_each():
+    with pytest.warns(DeprecationWarning) as record:
+        opts = SolveOptions(grid=300, sigma_tol=1e-6)
+    assert len(record) == 2
+    plain = find_eigenvalues(make_dirichlet(1), FREE, (0.05, 1.2))
+    assert np.array_equal(find_eigenvalues(make_dirichlet(1), FREE, (0.05, 1.2), opts).lams,
+                          plain.lams)
+
+
+def test_eigenfunctions_at_a_level():
+    pairs = eigenfunctions(make_quasiperiodic(0.0), FREE, 2.0)
+    assert len(pairs) == 1 and pairs[0].multiplicity == 2
+    with pytest.raises(ValueError):
+        eigenfunctions(make_quasiperiodic(0.0), FREE, 1.0)
+
+
+LENGTHS = (1.0, 1.3, 0.7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), variable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       where=st.floats(0.0, 1.0))
+def test_count_matches_fd_oracle(n, variable, seed, where):
+    # Haar U(2n) on free intervals, the last one variable if drawn; lam is
+    # kept 10 estimates (plus 1e-6 relative) away from every FD level.
+    U = random_unitary(2 * n, np.random.default_rng(seed))
+    ivs = [Interval(0.0, L) for L in LENGTHS[:n]]
+    if variable:
+        ivs[-1] = Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")
+    dom = QuantumDomain(ivs)
+    lams, est = fd_spectrum(U, dom, N=400, k=8)
+    lam = lams[0] - 5.0 + where * (lams[-1] - lams[0] + 5.0)
+    assume(np.all(np.abs(lams - lam) > 10.0 * est + 1e-6 * abs(lam)))
+    assert count_eigenvalues(U, dom, lam)[0] == np.count_nonzero(lams < lam)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lengths=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
+       theta=st.floats(-3.0, 3.0), lam=st.floats(-2.0, 60.0))
+def test_count_on_wire_rings_matches_closed_form(lengths, theta, lam):
+    # Intervals glued end to start in a ring, with a twist theta at one
+    # junction: U has eigenvalue -1, and the ring is the quasi-periodic
+    # circle of the total length L, with levels (2 pi k + theta)^2 / (2 L^2).
+    n = len(lengths)
+    sigma = [0] * (2 * n)
+    for j in range(n):
+        sigma[n + j], sigma[(j + 1) % n] = (j + 1) % n, n + j
+    beta = [0.0] * (2 * n)
+    beta[2 * n - 1], beta[0] = theta, -theta
+    U = make_wire(WireSpec(sigma=tuple(sigma), beta=tuple(beta)))
+    assert cayley_degeneracy(U, -1) >= 1
+    L = sum(lengths)
+    levels = np.array([(2.0 * math.pi * k + theta) ** 2 / (2.0 * L * L) for k in range(-40, 41)])
+    assume(np.all(np.abs(levels - lam) > 1e-6 * max(1.0, abs(lam))))
+    dom = QuantumDomain([Interval(0.0, x) for x in lengths])
+    assert count_eigenvalues(U, dom, lam)[0] == np.count_nonzero(levels < lam)
