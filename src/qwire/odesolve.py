@@ -25,20 +25,18 @@ interval's coefficients are evaluated once per node and cached (for the 16
 intervals used last, process-wide); all cells of a level are formed in one
 numpy pass.
 
-Error control halves the mesh: level j is accepted when the endpoint
-transfer matrices of levels j and j + 1 agree to ``rel_tol`` relative to
-their largest entry, and the finer one is returned with that difference as
-``error_estimate``.  The next call on the same interval starts at the level
-last accepted.  Halving also stops when the difference no longer falls:
-near an eigenvalue of an interval with forbidden regions at both ends the
-growing and decaying modes cancel, and amplified rounding then exceeds
-``rel_tol`` on every mesh (the estimate says so).
-
-Cells are multiplied pairwise into the sample cells, then by a parallel
-prefix product into the transfer matrices from a to every sample point.
-:func:`cell_dtn` instead turns the sample cells, for an array of lam, into
-Dirichlet-to-Neumann matrices, with the mesh halved per cell; the count and
-the roots of :mod:`qwire.spectral` are built on those.
+Error control halves the mesh per sample cell: level j is accepted when
+every sample cell's transfer matrix agrees between levels j and j + 1 to a
+per-cell tolerance relative to its own largest entry, a test that a single
+cell passes near eigenvalues too.  The next call with the same tolerance on
+the same interval starts at the level last accepted.  :func:`cell_dtn` turns
+the finer sample cells, for an array of lam, into Dirichlet-to-Neumann
+matrices; the count and the roots of :mod:`qwire.spectral` are built on
+those.  :func:`fundamental_solutions` takes the per-cell tolerance
+rel_tol / (samples - 1) and multiplies the finer cells by a parallel prefix
+product into the transfer matrices from a to every sample point; it raises
+:class:`OdeError` where the two levels' endpoint products still differ by
+more than rel_tol, which happens only where the product is ill-conditioned.
 Every product is divided by its largest entry and the logarithm of the
 factor is carried alongside, so deep tunnelling (lam far below V) cannot
 overflow.  Samples whose magnitude would exceed 1e100 are stored with a
@@ -138,11 +136,9 @@ class _Mesh:
         self.finest = 0
         self.eta, self.pot = _coefficients_at(
             interval, np.linspace(interval.a, interval.b, 2 * self.cells0 + 1))
-        self.eta0, self.pot0 = self.eta, self.pot     # for the forbidden test
         self.sqrt_eta_a, self.sqrt_eta_b = math.sqrt(self.eta[0]), math.sqrt(self.eta[-1])
         self.levels: dict = {}
-        self.start: dict = {}                           # rel_tol -> last accepted level
-        self.cell_start: dict = {}                      # the same for cell_dtn
+        self.cell_start: dict = {}                      # per-cell tolerance -> last level
 
     def cells(self, level: int):
         if level not in self.levels:
@@ -247,11 +243,26 @@ def _sample_cells(mesh: _Mesh, level: int, lam):
     return _normalised(m, logs)
 
 
-def _total(m: np.ndarray, logs: np.ndarray):
-    """Product of all cells by a pairwise tree, as (matrix (4,), log factor)."""
-    while m.shape[1] > 1:
-        m, logs = _normalised(*_pair_products(m, logs))
-    return m[:, 0], float(logs[0])
+def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
+    """Sample cells of levels j and j + 1, halving the mesh from the level last
+    accepted at ``cell_tol`` until every cell agrees between the two levels to
+    ``cell_tol`` of its own largest entry.
+
+    Returns (j, coarse, coarse logs, fine, fine logs).
+    """
+    level = mesh.cell_start.get(cell_tol, 0)
+    coarse, coarse_logs = _sample_cells(mesh, level, lam)
+    while True:
+        fine, fine_logs = _sample_cells(mesh, level + 1, lam)
+        error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
+        if error <= cell_tol:
+            mesh.cell_start[cell_tol] = level
+            return level, coarse, coarse_logs, fine, fine_logs
+        level += 1
+        if level >= _MAX_LEVEL:
+            raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
+                           f"(difference {error:.3g} at level {level})")
+        coarse, coarse_logs = fine, fine_logs
 
 
 def _prefix(m: np.ndarray, logs: np.ndarray):
@@ -283,9 +294,15 @@ def fundamental_solutions(
 ) -> FundamentalPair:
     """Propagate the canonical solution pair and sample it densely.
 
-    ``samples`` is the number of uniform grid points (including endpoints);
-    ``rel_tol`` bounds the mesh-halving difference of the endpoint transfer
-    matrix relative to its largest entry.
+    ``samples`` is the number of uniform grid points (including endpoints).
+    The mesh is halved until every sample cell agrees between two levels to
+    ``rel_tol / (samples - 1)``, so the cell errors sum to at most
+    ``rel_tol``; ``error_estimate`` is the difference of the two levels'
+    endpoint transfer matrices relative to the finer one's largest entry.
+    Where growth and decay cancel in the product (near an eigenvalue of an
+    interval with forbidden regions at both ends) the product is
+    ill-conditioned and that difference exceeds ``rel_tol`` on every mesh:
+    then :class:`OdeError` is raised.
     """
     if samples < 3:
         raise ValueError("samples must be at least 3")
@@ -294,32 +311,20 @@ def fundamental_solutions(
     if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
         return _constant_coefficient_pair(interval, lam, samples)
     mesh = _mesh(interval, samples)
-    level = mesh.start.get(rel_tol, 0)
-    coarse, coarse_log = _total(*_sample_cells(mesh, level, lam))
-    last_change = math.inf
-    while True:
-        cells, cell_logs = _sample_cells(mesh, level + 1, lam)
-        p, pl = _prefix(cells, cell_logs)
-        fine, fine_log = p[:, -1], float(pl[-1])
-        error = _distance(coarse, coarse_log, fine, fine_log)
-        if error <= rel_tol:
-            mesh.start[rel_tol] = level
-            break
-        # Where growth and decay cancel in the product (an eigenvalue between
-        # two forbidden regions), amplified rounding can exceed rel_tol on
-        # every mesh: halving stops once the difference no longer falls.
-        change = math.log(error) + fine_log
-        if change > last_change - math.log(2.0):
-            break
-        level += 1
-        if level >= _MAX_LEVEL:
-            raise OdeError(f"mesh halving did not reach rel_tol={rel_tol:g} "
-                           f"(difference {error:.3g} at level {level})")
-        coarse, coarse_log, last_change = fine, fine_log, change
+    _, coarse, coarse_logs, cells, cell_logs = _converged_cells(mesh, lam,
+                                                                rel_tol / (samples - 1))
+    p, pl = _prefix(cells, cell_logs)
+    c, cl = _prefix(coarse, coarse_logs)
+    error = _distance(c[:, -1], float(cl[-1]), p[:, -1], float(pl[-1]))
+    if error > rel_tol:
+        raise OdeError(f"lam={lam:.6g}: the endpoint transfer matrix of [{interval.a:g}, "
+                       f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
+                       f"{error:.3g} > rel_tol={rel_tol:g})")
 
     xs = np.linspace(interval.a, interval.b, samples)
     sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
-    w = 2.0 * mesh.eta0 * (mesh.pot0 - lam)
+    stride = 1 << mesh.finest                  # the level-0 nodes
+    w = 2.0 * mesh.eta[::stride] * (mesh.pot[::stride] - lam)
     kappa = math.sqrt(max(float(w.max()), 0.0))
     if w.min() > 0.0 and kappa * (interval.b - interval.a) > _TWO_SIDED_ACTION:
         # u1 as usual; u2 launched from b with u = 1, u' = 0.  With Q the
@@ -441,18 +446,7 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         level = mesh.cell_start.get(rel_tol, 0)
         block = lams[start:start + max(1, _BATCH_LEAVES // (cells << (level + 1)))]
         start += len(block)
-        coarse, coarse_logs = _sample_cells(mesh, level, block)
-        while True:
-            fine, fine_logs = _sample_cells(mesh, level + 1, block)
-            error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
-            if error <= rel_tol:
-                break
-            level += 1
-            if level >= _MAX_LEVEL:
-                raise OdeError(f"mesh halving did not reach rel_tol={rel_tol:g} "
-                               f"(difference {error:.3g} at level {level})")
-            coarse, coarse_logs = fine, fine_logs
-        mesh.cell_start[rel_tol] = level
+        level, _, _, fine, fine_logs = _converged_cells(mesh, block, rel_tol)
         b, c, d0 = mesh.cells(level + 1)
         turn = np.sqrt(np.maximum(-(c * c + b * (d0 - 2.0 * block * b)), 0.0))
         t00, t01, _, t11 = fine

@@ -228,6 +228,8 @@ class _Glued:
             raise ValueError(f"a U({2 * U.n}) condition needs {U.n} intervals, got {domain.n}")
         if opts.samples < 3 or not opts.rel_tol > 0.0:
             raise ValueError("samples must be at least 3 and rel_tol positive")
+        if opts.samples % 2 == 0:
+            raise ValueError("samples must be odd (composite Simpson weights)")
         n, N = domain.n, opts.samples - 1
         self.U, self.domain, self.opts = U, domain, opts
         # V: the right singular vectors of U + I whose singular value

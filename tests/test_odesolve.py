@@ -282,6 +282,17 @@ def test_error_estimate_bounds_true_error():
     assert fundamental_solutions(Interval(0.0, 1.0, "1", "2"), 0.5).error_estimate == 0.0
 
 
+def test_ill_conditioned_product_raises():
+    # At the oscillator's levels 0.5 and 2.5 on [-6, 6] growth and decay
+    # cancel in the endpoint transfer matrix, and the two mesh levels differ
+    # far above rel_tol however fine the cells; between levels they agree.
+    iv = Interval(-6.0, 6.0, "1", "x^2/2")
+    for lam in (0.5, 2.5):
+        with pytest.raises(OdeError):
+            fundamental_solutions(iv, lam, rel_tol=1e-11)
+    assert fundamental_solutions(iv, 1.0, rel_tol=1e-11).error_estimate <= 1e-11
+
+
 def test_fourth_order_convergence():
     # Halving the Magnus mesh divides the endpoint error by about 2^4.
     iv = Interval(-1.0, 3.0, "1", "x")
@@ -291,8 +302,8 @@ def test_fourth_order_convergence():
     mesh = odesolve._Mesh(iv, 17)
     errors = []
     for level in range(4):
-        t, log = odesolve._total(*odesolve._sample_cells(mesh, level, lam))
-        errors.append(np.max(np.abs(t * math.exp(log) - exact)))
+        p, logs = odesolve._prefix(*odesolve._sample_cells(mesh, level, lam))
+        errors.append(np.max(np.abs(p[:, -1] * math.exp(logs[-1]) - exact)))
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse >= 10.0 * fine
 

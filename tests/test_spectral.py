@@ -261,6 +261,9 @@ def test_find_eigenvalues_validation(free_2pi):
         find_eigenvalues(make_dirichlet(1), free_2pi, (2.0, 1.0))
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(samples=2))
+    for solve in (find_eigenvalues, count_eigenvalues):
+        with pytest.raises(ValueError):
+            solve(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(samples=256))
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(2), free_2pi, (0.0, 1.0))
 
