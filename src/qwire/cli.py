@@ -10,6 +10,7 @@ unitary, wire, quasiperiodic, u2} plus kind-specific keys (file, theta,
 alpha_re, alpha_im, beta_re, beta_im, perm, phases); an optional ``[solve]``
 section with lambda_min, lambda_max, max_eigs (grid and sigma_tol are
 deprecated: still parsed and range-checked, they warn and have no effect).
+Any other key, and a second [bc] or [solve] section, is a parse error.
 
 Matrix files: header line "n rows cols", then ``rows`` lines of whitespace-
 separated complex entries "re,im".  Curve files: header "m n", then m+1
@@ -148,6 +149,15 @@ def write_curve(path: str, curve: curves.UnitaryCurve) -> None:
 # ---------------------------------------------------------------------------
 # config parsing
 
+# the keys each known section may hold
+_SECTION_KEYS = {
+    "interval": {"a", "b", "metric", "potential"},
+    "bc": {"kind", "file", "theta", "alpha_re", "alpha_im", "beta_re", "beta_im", "perm",
+           "phases"},
+    "solve": {"lambda_min", "lambda_max", "max_eigs", "grid", "sigma_tol"},
+}
+
+
 def _parse_sections(path: str) -> list[tuple[str, dict]]:
     sections: list[tuple[str, dict]] = []
     with open(path, encoding="utf-8") as fh:
@@ -165,6 +175,9 @@ def _parse_sections(path: str) -> list[tuple[str, dict]]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ConfigError(f"{path}:{lineno}: empty key or value")
+            name = sections[-1][0]
+            if name in _SECTION_KEYS and key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{name}]")
             if key in sections[-1][1]:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             sections[-1][1][key] = value
@@ -199,7 +212,7 @@ def load_config(path: str) -> ProblemConfig:
     sections = _parse_sections(path)
     intervals: list[Interval] = []
     bc_section: dict | None = None
-    solve_section: dict = {}
+    solve_section: dict | None = None
     for name, body in sections:
         if name == "interval":
             try:
@@ -216,6 +229,8 @@ def load_config(path: str) -> ProblemConfig:
                 raise ConfigError("more than one [bc] section")
             bc_section = body
         elif name == "solve":
+            if solve_section is not None:
+                raise ConfigError("more than one [solve] section")
             solve_section = body
         else:
             raise ConfigError(f"unknown section [{name}]")
@@ -223,6 +238,7 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError("config defines no [interval] section")
     if bc_section is None:
         raise ConfigError("config defines no [bc] section")
+    solve_section = solve_section or {}
 
     domain = QuantumDomain(intervals)
     try:
@@ -350,14 +366,16 @@ def _cmd_eigenfunctions(args) -> int:
     return 0
 
 
-def _parse_times(text: str) -> np.ndarray:
+def _float_list(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated flag value; ConfigError (exit 4) if
+    one does not parse or there is none."""
     try:
-        times = np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        values = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as err:
-        raise ConfigError(f"bad --times list: {err}") from err
-    if times.size == 0:
-        raise ConfigError("--times is empty")
-    return times
+        raise ConfigError(f"bad {flag} list: {err}") from err
+    if not values:
+        raise ConfigError(f"{flag} is empty")
+    return values
 
 
 def _cmd_evolve(args) -> int:
@@ -369,7 +387,7 @@ def _cmd_evolve(args) -> int:
     re = expr.parse(args.initial)
     im = expr.parse(args.initial_imag) if args.initial_imag else None
     initial = expr.evaluate(re, xs) + 1j * (expr.evaluate(im, xs) if im else 0.0)
-    times = _parse_times(args.times)
+    times = _float_list(args.times, "--times")
     report = spectral.evolve(cfg.boundary, cfg.domain, spectrum, initial, times)
     lines = ["# qwire-evolve v1",
              f"# truncation_residual {_fmt(report['truncation_residual'])}",
@@ -398,10 +416,7 @@ def _cmd_maslov(args) -> int:
 
 def _cmd_edge_scan(args) -> int:
     cfg = load_config(args.config)
-    t_list = [float(t) for t in args.t_list.split(",") if t.strip() != ""]
-    if not t_list:
-        raise ConfigError("--t-list is empty")
-    scan = edge.edge_scan(cfg.boundary, cfg.domain, t_list,
+    scan = edge.edge_scan(cfg.boundary, cfg.domain, _float_list(args.t_list, "--t-list"),
                           search_floor=args.search_floor, opts=cfg.options)
     lines = ["# qwire-edge v1", "# t lambda_min collar_mass"]
     for t, lam, mass in zip(scan.t_values, scan.lam_min, scan.collar_mass):
@@ -454,6 +469,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _int_in(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high]; outside it is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {high}]")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwire", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -495,8 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle-compare", _cmd_oracle_compare, help="cross-check against finite differences")
     p.add_argument("--config", required=True)
-    p.add_argument("--fd-n", type=int, default=600)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--fd-n", type=_int_in(200, 4000), default=600)
+    p.add_argument("--count", type=_int_in(1), default=5)
     return parser
 
 

@@ -11,19 +11,22 @@ u1(a) = 1, u1'(a) = 0 and u2(a) = 0, u2'(a) = 1 (plain derivatives).  The
 modified Wronskian p(x) (u1 u2' - u1' u2) with p = eta**-0.5 is an invariant
 of the flow and is used as a sanity check.
 
-Constant coefficients have a closed form.  Otherwise the interval is cut into
-a uniform mesh of (samples - 1) * 2**j cells aligned with the sample grid,
-and each cell of width h contributes the fourth-order Magnus transfer matrix
+The interval is cut into a uniform mesh of (samples - 1) * 2**j cells
+aligned with the sample grid, and each cell of width h contributes the
+fourth-order Magnus transfer matrix
 
     Omega = h/6 (A0 + 4 Am + A1) + h**2/12 [A1, A0]
 
 from the coefficient matrix A at the cell's ends and midpoint.  Omega is a
 traceless 2x2 matrix, Omega**2 = q**2 I, so exp(Omega) = cosh(q) I +
-sinh(q)/q Omega (cos and sin when q**2 < 0).  The coefficients do not depend
-on lam and the nodes of a level include those of every coarser one, so each
-interval's coefficients are evaluated once per node and cached (for the 16
-intervals used last, process-wide); all cells of a level are formed in one
-numpy pass.
+sinh(q)/q Omega (cos and sin when q**2 < 0).  With constant eta and V the
+commutator vanishes and exp(Omega) is the exact transfer matrix of a sample
+cell, the same for all of them: such an interval is one cell at level 0,
+needs no halving, and is broadcast to its samples - 1 cells.  The
+coefficients do not depend on lam and the nodes of a level include those of
+every coarser one, so each interval's coefficients are evaluated once per
+node and cached (for the 16 intervals used last, process-wide); all cells of
+a level are formed in one numpy pass.
 
 Error control halves the mesh per sample cell: level j is accepted when
 every sample cell's transfer matrix agrees between levels j and j + 1 to a
@@ -83,7 +86,8 @@ class FundamentalPair:
     derivatives; the metric trace factors are applied downstream.  All stored
     numbers carry a factor exp(-scale_exponent) relative to the exact
     canonical solutions.  ``error_estimate`` is the mesh-halving estimate of
-    the relative error of the endpoint data, 0.0 for the closed form.
+    the relative error of the endpoint data, 0.0 on a constant interval,
+    whose cells are exact.
     """
 
     lam: float
@@ -121,21 +125,24 @@ class FundamentalPair:
 
 
 class _Mesh:
-    """Lam-independent data of one variable-coefficient interval.
+    """Lam-independent data of one interval.
 
     eta and V are held at the ends and midpoints of the cells of the finest
     level evaluated so far, which include the nodes of every coarser level,
     so a halving evaluates only the new midpoints.  Per level j the cells
     hold b, c and d0 with Omega = [[c, b], [d0 - 2 lam b, -c]] at eigenvalue
-    lam.
+    lam.  With constant eta and V every sample cell is the same and its
+    level-0 Magnus cell is exact, so the mesh holds that one cell.
     """
 
     def __init__(self, interval: Interval, samples: int):
         self.interval = interval
-        self.cells0 = samples - 1
+        self.constant = all(expr.is_constant(e) for e in (interval.metric, interval.potential))
+        self.cells0 = 1 if self.constant else samples - 1
+        self.length = interval.length / (samples - 1) if self.constant else interval.length
         self.finest = 0
         self.eta, self.pot = _coefficients_at(
-            interval, np.linspace(interval.a, interval.b, 2 * self.cells0 + 1))
+            interval, np.linspace(interval.a, interval.a + self.length, 2 * self.cells0 + 1))
         self.sqrt_eta_a, self.sqrt_eta_b = math.sqrt(self.eta[0]), math.sqrt(self.eta[-1])
         self.levels: dict = {}
         self.cell_start: dict = {}                      # per-cell tolerance -> last level
@@ -145,13 +152,13 @@ class _Mesh:
             while self.finest < level:
                 self._halve()
             stride = 1 << (self.finest - level)
-            h = self.interval.length / (self.cells0 << level)
+            h = self.length / (self.cells0 << level)
             self.levels[level] = _magnus_coefficients(self.eta[::stride], self.pot[::stride], h)
         return self.levels[level]
 
     def _halve(self):
         iv, n = self.interval, len(self.eta) - 1
-        eta, pot = _coefficients_at(iv, iv.a + iv.length * (np.arange(n) + 0.5) / n)
+        eta, pot = _coefficients_at(iv, iv.a + self.length * (np.arange(n) + 0.5) / n)
         self.eta = np.insert(self.eta, np.arange(1, n + 1), eta)
         self.pot = np.insert(self.pot, np.arange(1, n + 1), pot)
         self.finest += 1
@@ -203,7 +210,7 @@ def _cell_matrices(coeffs, lam):
         sh = np.where(grow, -0.5 * em, np.sin(r)) / r
     sh[r == 0.0] = 1.0
     shc = sh * c
-    return np.stack([ch + shc, sh * b, sh * d, ch - shc]), np.where(grow, r, 0.0)
+    return np.array([ch + shc, sh * b, sh * d, ch - shc]), np.where(grow, r, 0.0)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,12 +251,16 @@ def _sample_cells(mesh: _Mesh, level: int, lam):
 
 
 def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
-    """Sample cells of levels j and j + 1, halving the mesh from the level last
+    """Sample cells of levels j - 1 and j, halving the mesh from the level last
     accepted at ``cell_tol`` until every cell agrees between the two levels to
-    ``cell_tol`` of its own largest entry.
+    ``cell_tol`` of its own largest entry.  A constant mesh's one cell is
+    exact and serves as both levels.
 
     Returns (j, coarse, coarse logs, fine, fine logs).
     """
+    if mesh.constant:
+        cell, logs = _cell_matrices(mesh.cells(0), lam)
+        return 0, cell, logs, cell, logs
     level = mesh.cell_start.get(cell_tol, 0)
     coarse, coarse_logs = _sample_cells(mesh, level, lam)
     while True:
@@ -257,7 +268,7 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
         error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
         if error <= cell_tol:
             mesh.cell_start[cell_tol] = level
-            return level, coarse, coarse_logs, fine, fine_logs
+            return level + 1, coarse, coarse_logs, fine, fine_logs
         level += 1
         if level >= _MAX_LEVEL:
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
@@ -308,14 +319,16 @@ def fundamental_solutions(
         raise ValueError("samples must be at least 3")
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
-    if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
-        return _constant_coefficient_pair(interval, lam, samples)
     mesh = _mesh(interval, samples)
     _, coarse, coarse_logs, cells, cell_logs = _converged_cells(mesh, lam,
                                                                 rel_tol / (samples - 1))
+    cells = np.broadcast_to(cells, (4, samples - 1))
+    cell_logs = np.broadcast_to(cell_logs, samples - 1)
     p, pl = _prefix(cells, cell_logs)
-    c, cl = _prefix(coarse, coarse_logs)
-    error = _distance(c[:, -1], float(cl[-1]), p[:, -1], float(pl[-1]))
+    error = 0.0
+    if not mesh.constant:
+        c, cl = _prefix(coarse, coarse_logs)
+        error = _distance(c[:, -1], float(cl[-1]), p[:, -1], float(pl[-1]))
     if error > rel_tol:
         raise OdeError(f"lam={lam:.6g}: the endpoint transfer matrix of [{interval.a:g}, "
                        f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
@@ -360,107 +373,46 @@ def fundamental_solutions(
     )
 
 
-def _constant_coefficient_pair(interval: Interval, lam: float, samples: int) -> FundamentalPair:
-    """Closed-form canonical pair for constant eta and V.
-
-    With w = 2*eta*(V - lam) the equation u'' = w u has the canonical basis
-    cosh(sqrt(w) z) and sinh(sqrt(w) z)/sqrt(w) (trigonometric for w < 0,
-    linear for w = 0) in z = x - a.  Where the interval is forbidden at an
-    action sqrt(w) (b - a) above ``_TWO_SIDED_ACTION``, u2 is cosh(sqrt(w)
-    (b - x)) instead, launched from b.  Growing solutions are scaled
-    uniformly by exp(-max(0, sqrt(w) (b - a) - 300)) per launch.
-    """
-    a, b = interval.a, interval.b
-    eta0 = expr.evaluate(interval.metric, 0.5 * (a + b))
-    if eta0 <= 0.0:
-        raise OdeError("metric not positive")
-    w = 2.0 * eta0 * (expr.evaluate(interval.potential, 0.5 * (a + b)) - lam)
-    xs = np.linspace(a, b, samples)
-    z, scale = xs - a, 0.0
-    if abs(w) < 1e-30:
-        values, derivs = (np.ones_like(z), z), (np.zeros_like(z), np.ones_like(z))
-    elif w < 0.0:
-        k = math.sqrt(-w)
-        c, s = np.cos(k * z), np.sin(k * z)
-        values, derivs = (c, s / k), (-k * s, c)
-    else:
-        k = math.sqrt(w)
-        scale = max(0.0, k * (b - a) - 300.0)
-        ep, em = np.exp(k * z - scale), np.exp(-k * z - scale)
-        cosh, sinh = 0.5 * (ep + em), 0.5 * (ep - em)
-        values, derivs = (cosh, sinh / k), (k * sinh, cosh)
-        if k * (b - a) > _TWO_SIDED_ACTION:      # u2 = cosh(k (b - x)), launched from b
-            epr, emr = np.exp(k * (b - xs) - scale), np.exp(-k * (b - xs) - scale)
-            values, derivs = (cosh, 0.5 * (epr + emr)), (k * sinh, -0.5 * k * (epr - emr))
-            scale *= 2.0
-    values, derivs = np.array(values), np.array(derivs)
-    return FundamentalPair(
-        lam=lam, interval=interval, xs=xs, values=values,
-        psi_a=values[:, 0].copy(), dpsi_a=derivs[:, 0].copy(),
-        psi_b=values[:, -1].copy(), dpsi_b=derivs[:, -1].copy(),
-        scale_exponent=float(scale),
-    )
-
-
 # lam values times leaf cells per batch of cell_dtn: 0.5 MB per (4, lam, leaf)
 _BATCH_LEAVES = 1 << 14
 
 
 def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257):
     """Dirichlet-to-Neumann matrices [[alpha, beta], [beta, gamma]] of the
-    ``samples - 1`` sample cells, each of alpha, beta, gamma shaped (G, cells).
+    ``samples - 1`` sample cells, each of alpha, beta, gamma a read-only
+    (G, cells) array.
 
     A cell maps its end values to the outward derivatives: with T the cell's
     transfer matrix of y = (u, eta**-0.5 u'), alpha = t00/t01, gamma = t11/t01
     and beta = -1/t01, or -exp(-l)/t~01 for T = exp(l) T~ normalised, so no
-    entry overflows however deep the cell tunnels.  Constant coefficients
-    take the closed form.  Otherwise the mesh is halved until every cell's T
-    agrees between levels j and j + 1 to ``rel_tol`` of its own largest
-    entry, a test that a single cell passes near eigenvalues too.  A cell
-    must hold no Dirichlet level of its own (t01 > 0 and its elliptic leaves
-    turn by less than pi in all), else :class:`OdeError`.
+    entry overflows however deep the cell tunnels.  The mesh is halved until
+    every cell's T agrees between levels j and j + 1 to ``rel_tol`` of its
+    own largest entry, a test that a single cell passes near eigenvalues
+    too; a constant interval's one exact cell is broadcast to every sample
+    cell.  A cell must hold no Dirichlet level of its own (t01 > 0 and its
+    elliptic leaves turn by less than pi in all), else :class:`OdeError`.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
-    cells = samples - 1
-    if expr.is_constant(interval.metric) and expr.is_constant(interval.potential):
-        eta, pot = (float(expr.evaluate(e, interval.a)) for e in (interval.metric,
-                                                                  interval.potential))
-        if eta <= 0.0:
-            raise OdeError("metric not positive")
-        h = interval.length / cells
-        w = 2.0 * eta * (pot - lams)
-        k = np.sqrt(np.abs(w))
-        x = k * h
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(w < 0.0, k / np.tan(x), np.where(w > 0.0, k / np.tanh(x), 1.0 / h))
-            beta = np.where(w < 0.0, -k / np.sin(x), np.where(
-                w > 0.0, 2.0 * k * np.exp(-x) / np.expm1(-2.0 * x), -1.0 / h))
-        _require_cells(interval, lams, (w >= 0.0) | (x < math.pi))
-        alpha, beta = (np.broadcast_to(v / math.sqrt(eta), (len(lams), cells))
-                       for v in (alpha, beta))
-        return alpha, beta, alpha
     mesh = _mesh(interval, samples)
     parts = []
     start = 0
     while start < len(lams):
         level = mesh.cell_start.get(rel_tol, 0)
-        block = lams[start:start + max(1, _BATCH_LEAVES // (cells << (level + 1)))]
+        block = lams[start:start + max(1, _BATCH_LEAVES // (mesh.cells0 << (level + 1)))]
         start += len(block)
         level, _, _, fine, fine_logs = _converged_cells(mesh, block, rel_tol)
-        b, c, d0 = mesh.cells(level + 1)
-        turn = np.sqrt(np.maximum(-(c * c + b * (d0 - 2.0 * block * b)), 0.0))
+        b, c, d0 = mesh.cells(level)
+        turn = np.sqrt(np.maximum(b * (2.0 * block * b - d0) - c * c, 0.0))
         t00, t01, _, t11 = fine
-        _require_cells(interval, block, (t01 > 0.0) & (
-            turn.reshape(len(block), cells, -1).sum(axis=-1) < math.pi))
-        parts.append((t00 / t01, -np.exp(-fine_logs) / t01, t11 / t01))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _require_cells(interval: Interval, lams: np.ndarray, ok: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.all(ok, axis=-1))
-    if bad.size:
-        raise OdeError(f"lam={lams[bad[0], 0]:.6g} puts a Dirichlet level inside a sample "
-                       f"cell of [{interval.a:g}, {interval.b:g}]; raise samples")
+        ok = (t01 > 0.0) & (turn.reshape(len(block), mesh.cells0, -1).sum(axis=-1) < math.pi)
+        if not ok.all():
+            raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
+                           f"inside a sample cell of [{interval.a:g}, {interval.b:g}]; "
+                           "raise samples")
+        parts.append(np.array([t00, -np.exp(-fine_logs), t11]) / t01)
+    alpha, beta, gamma = np.broadcast_to(np.concatenate(parts, axis=1),
+                                         (3, len(lams), samples - 1))
+    return alpha, beta, gamma
 
 
 def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -> FundamentalPair:

@@ -37,8 +37,8 @@ from .domain import QuantumDomain
 from .odesolve import FundamentalPair, cell_dtn, fundamental_solutions
 from .oracle import _folded_positions
 
-__all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "hadamard_vec",
-           "hadamard_mat", "spectral_matrix", "spectral_function", "boundary_wronskian",
+__all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "hadamard_mat",
+           "spectral_matrix", "spectral_function", "boundary_wronskian",
            "count_eigenvalues", "find_eigenvalues", "eigenfunctions", "evolve",
            "deficiency_indices"]
 
@@ -69,14 +69,6 @@ class SolveOptions:
             if getattr(self, name) is not None:
                 warnings.warn(f"{name} has no effect: levels are counted exactly",
                               DeprecationWarning, stacklevel=3)
-
-
-def hadamard_vec(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Componentwise product of two equal-length vectors."""
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("hadamard_vec needs two vectors of equal length")
-    return x * y
 
 
 def hadamard_mat(t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -284,6 +284,43 @@ def test_deprecated_solve_keys_warn(tmp_path, capsys):
         "qwire: warning: [solve] sigma_tol has no effect: levels are counted exactly"]
 
 
+@pytest.mark.parametrize("old,new", [
+    ("potential = 0", "potental = 100"),
+    ("kind = dirichlet", "kind = dirichlet\nthetta = 1"),
+    ("grid = 250", "grid = 250\nlambda_mx = 5"),
+    ("grid = 250", "grid = 250\n[solve]\nlambda_max = 5"),
+])
+def test_exit_code_unknown_key_or_repeated_solve(tmp_path, capsys, old, new):
+    # a misspelt key or a second [solve] section used to be ignored silently
+    path = tmp_path / "bad.cfg"
+    path.write_text(FREE_CFG.replace(old, new))
+    assert run(["spectrum", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("qwire:") and err.count("\n") == 1
+
+
+def test_exit_code_bad_flag_list(tmp_path, capsys):
+    # both comma-separated flags are parse errors (exit 4), not numeric failures
+    path = tmp_path / "d.cfg"
+    path.write_text("[interval]\na = 0\nb = 3.141592653589793\n[bc]\nkind = dirichlet\n"
+                    "[solve]\nlambda_min = -0.5\nlambda_max = 2.5\n")
+    assert run(["edge-scan", "--config", str(path), "--t-list", "1,abc"]) == 4
+    assert run(["evolve", "--config", str(path), "--initial", "sin(x)",
+                "--times", "1,abc"]) == 4
+    assert run(["edge-scan", "--config", str(path), "--t-list", ","]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[1] for line in err] == ["bad", "bad", "--t-list"]
+
+
+@pytest.mark.parametrize("flags", [["--count", "0"], ["--fd-n", "100"], ["--fd-n", "5000"],
+                                   ["--count", "x"]])
+def test_oracle_compare_flags_out_of_range_are_usage_errors(free_cfg, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle-compare", "--config", free_cfg] + flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"

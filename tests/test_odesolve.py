@@ -39,8 +39,8 @@ def test_lambda_zero_gives_linear_pair():
 
 
 def test_constant_fast_path_matches_integrator():
-    # '1 + 0*x' is not recognized as constant, so it takes the Magnus
-    # propagator path; the values must match the closed-form branch.
+    # '1 + 0*x' is not recognized as constant, so it takes the halved Magnus
+    # mesh; the values must match the single exact cell of a constant interval.
     lam = 0.8
     iv_fast = Interval(0.0, 3.0, "1", "2")
     iv_slow = Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x")
@@ -69,7 +69,7 @@ def test_wronskian_drift_beside_a_growing_solution():
 def test_closed_form_branches():
     # eta = 2, V = 3 on [0, 1.3]: u'' = w u with w = 4 (3 - lam).  lam above
     # V, lam = V, then growing with action k L <= 25, two-sided (u2 launched
-    # from b) with 25 < k L <= 300, and two-sided with the k L - 300 rescale.
+    # from b) with 25 < k L <= 300, and two-sided with a storage scale.
     iv = Interval(0.0, 1.3, "2", "3")
     L = iv.length
     fps = [fundamental_solutions(iv, lam) for lam in (10.0, 3.0, -3.0, -300.0, -1e5)]
@@ -87,19 +87,51 @@ def test_closed_form_branches():
                      [[1.0, ch[1]], [0.0, -k[1] * sh[1]], [ch[1], 1.0], [k[1] * sh[1], 0.0]]])
     assert np.allclose(data, want, rtol=1e-13, atol=0.0)
     deep = fps[4]
-    assert deep.scale_exponent == pytest.approx(2.0 * (k[2] * L - 300.0), rel=1e-14)
-    assert deep.psi_a[0] * math.exp(0.5 * deep.scale_exponent) == pytest.approx(1.0, rel=1e-12)
+    assert _total_growth(deep) == pytest.approx(2.0 * (k[2] * L - math.log(2.0)), rel=1e-12)
+    assert all(np.all(np.isfinite(v)) for v in (deep.values, deep.dpsi_a, deep.dpsi_b))
 
 
 def test_cell_dtn_closed_form_matches_magnus():
-    # '1 + 0*x' is not recognised as constant and takes the Magnus cells;
-    # forbidden, flat (lam = V) and oscillating cells.
+    # '1 + 0*x' is not recognised as constant and takes the halved Magnus
+    # mesh; forbidden, flat (lam = V) and oscillating cells.
     lams = np.array([-40.0, -1.0, 2.0, 3.5, 30.0])
     fast = cell_dtn(Interval(0.0, 3.0, "1", "2"), lams)
     slow = cell_dtn(Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x"), lams, rel_tol=1e-12)
     for f, g in zip(fast, slow):
         assert f.shape == (5, 256)
         assert np.max(np.abs(f - g)) <= 1e-9 * np.max(np.abs(f))
+
+
+def _constant_cell_dtn(eta, pot, h, lam):
+    # alpha = gamma and beta of a cell of width h with constant eta and V:
+    # u'' = w u with w = 2 eta (V - lam), and the outward quasi-derivatives
+    # carry eta**-0.5
+    w = 2.0 * eta * (pot - lam)
+    if w == 0.0:
+        alpha, beta = 1.0 / h, -1.0 / h
+    elif w < 0.0:
+        k = math.sqrt(-w)
+        alpha, beta = k / math.tan(k * h), -k / math.sin(k * h)
+    else:
+        k = math.sqrt(w)
+        alpha, beta = k / math.tanh(k * h), 2.0 * k * math.exp(-k * h) / math.expm1(-2.0 * k * h)
+    return alpha / math.sqrt(eta), beta / math.sqrt(eta)
+
+
+def test_cell_dtn_constant_interval_against_closed_form():
+    # eta = 2, V = 3 on [0, 1.3], 256 cells of width h: forbidden (k h from
+    # 0.025 to 102; beta ~ exp(-k h) has condition number k h), flat
+    # (lam = V) and oscillating cells
+    iv = Interval(0.0, 1.3, "2", "3")
+    h = iv.length / 256
+    lams = np.array([-1e8, -1e7, -1e5, -3.0, 2.999, 3.0, 3.001, 10.0, 500.0, 3e4])
+    alpha, beta, gamma = cell_dtn(iv, lams)
+    assert alpha.shape == beta.shape == gamma.shape == (len(lams), 256)
+    assert np.array_equal(alpha, gamma)
+    for g, lam in enumerate(lams):
+        want = _constant_cell_dtn(2.0, 3.0, h, lam)
+        assert np.allclose(alpha[g], want[0], rtol=1e-13, atol=0.0)
+        assert np.allclose(beta[g], want[1], rtol=1e-13, atol=0.0)
 
 
 def test_cell_dtn_is_the_inverse_transfer_entry():
