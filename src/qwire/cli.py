@@ -444,7 +444,13 @@ def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config)
     fd_lams, fd_est = oracle.fd_spectrum(cfg.boundary, cfg.domain, N=args.fd_n, k=args.count)
     lo = min(cfg.lambda_range[0], float(fd_lams[0]) - 1.0)
-    hi = float(fd_lams[args.count - 1]) + 0.5
+    margin = 0.5
+    while True:                   # until the exact count holds every level
+        hi = float(fd_lams[-1]) + margin
+        n_lo, n_hi = spectral.count_eigenvalues(cfg.boundary, cfg.domain, [lo, hi], cfg.options)
+        if n_hi - n_lo >= args.count:
+            break
+        margin *= 2.0
     spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, (lo, hi), cfg.options)
     flat = [lam for lam, _, _ in spectrum.flat()][:args.count]
     if len(flat) < args.count:

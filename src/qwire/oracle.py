@@ -19,17 +19,21 @@ of an even N once).  The first 2n positions are then the boundary nodes in
 (left endpoints; right endpoints) order, so the Robin block -A/2 sits in the
 top-left corner and Dirichlet conditions eliminate the first 2n rows and
 columns.  Neighbouring nodes of an interval lie at most 2n positions apart,
-so Hs is a band matrix of half-bandwidth 2n.  It is assembled straight into
-LAPACK lower band storage (real unless A is complex), and
-``scipy.linalg.eig_banded`` (``?sbevx``/``?hbevx``) selects its k lowest
-eigenvalues by index.  Its reduction to tridiagonal form leaves errors of up
-to tens of eps ||Hs||, so each eigenvalue is then polished: two steps of
-inverse iteration by banded LU at the computed eigenvalues give vectors
-spanning the k lowest eigenspaces, and the Rayleigh-Ritz values of the
-quadratic form, summed over edge differences so that the O(1/h**2) entries
-never cancel, are the eigenvalues returned.  No dense matrix is formed:
-memory is O(n**2 N) per resolution, and the band reduction, which dominates
-the time, costs O(n**3 N**2).
+so Hs is a band matrix of half-bandwidth 2n, assembled straight into LAPACK
+lower band storage (real unless A is complex).
+
+The k lowest eigenvalues are found by counting.  The number of eigenvalues
+below lam is the number of negative eigenvalues of H - lam M, which a
+pairwise tree of 2x2 Schur complements on each interval's chain of nodes
+plus the 2n x 2n block of its end nodes gives in O(n N) per lam (Haynsworth
+inertia additivity, the discrete form of the count of the spectral solver).
+Multisection on the count isolates the levels, and each is then polished:
+two steps of inverse iteration by banded LU at the bracket midpoints give
+vectors spanning the k lowest eigenspaces, and the Rayleigh-Ritz values of
+the quadratic form, summed over edge differences so that the O(1/h**2)
+entries never cancel, are the eigenvalues returned.  No dense matrix is
+formed: memory is O(n**2 N) per resolution, and time O(n N) per count and
+O(n**2 N) per polished level.
 
 Eigenvalues are Richardson-extrapolated from resolutions N and 2N.  The
 error estimate is the extrapolation step |lam_N - lam_2N| / 3 plus
@@ -52,6 +56,10 @@ from .bc import CayleySingular, UnitaryBC, cayley_degeneracy, unitary_to_cayley
 from .domain import QuantumDomain
 
 __all__ = ["fd_spectrum", "robin_edge_groundstate"]
+
+# multisection narrows a bracket to _SEPARATE of its distance to the next one,
+# or to _FLOOR relative width; counts take at most _BATCH cells at a time
+_SEPARATE, _FLOOR, _BATCH = 1e-4, 1e-14, 1 << 16
 
 
 def _folded_positions(n: int, N: int) -> np.ndarray:
@@ -106,13 +114,122 @@ def _band(disc, A: np.ndarray | None, kd: int) -> np.ndarray:
     return band * d * d_below
 
 
+def _abs_sums(band: np.ndarray) -> np.ndarray:
+    """Row sums of |Hs| (equal to its column sums), from lower band storage."""
+    a = np.abs(band)
+    sums = a.sum(axis=0)
+    for i in range(1, a.shape[0]):
+        sums[i:] += a[i, :-i]
+    return sums
+
+
 def _norm1(band: np.ndarray) -> float:
     """1-norm of the Hermitian matrix held in lower band storage."""
-    a = np.abs(band)
-    cols = a.sum(axis=0)
-    for i in range(1, a.shape[0]):
-        cols[i:] += a[i, :-i]
-    return float(cols.max())
+    return float(_abs_sums(band).max())
+
+
+def _count(disc, A: np.ndarray | None, lams) -> np.ndarray:
+    """The number of eigenvalues of Hs below each of ``lams``: the number of
+    negative eigenvalues of H - lam M (Sylvester), with no Dirichlet nodes
+    when A is None.
+
+    Each interval's nodes, read back in their natural order, form a chain.
+    Its edge e gives the 2x2 cell [[alpha, beta], [beta, gamma]] with
+    beta = -stiff and alpha, gamma the shares of the node diagonals
+    pot + stiffness - lam mass (halved where a node has two edges).  A pairwise
+    tree eliminates the node shared by neighbouring cells with the pivot
+    d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
+    alpha_1 - beta_1**2/d, gamma_2 - beta_2**2/d, -beta_1 beta_2/d (Haynsworth).
+    The last cell of every interval couples its two end nodes; the 2n x 2n
+    end matrix they make, minus A/2, adds its negative eigenvalues.
+    """
+    lo, hi, stiff, pot, mass = disc
+    n = mass.size - stiff.size
+    N = stiff.size // n
+    pos = _folded_positions(n, N)
+    diag = (pot + np.bincount(lo, stiff, mass.size) + np.bincount(hi, stiff, mass.size))[pos]
+    m, beta0 = mass[pos], -stiff.reshape(n, N)
+    if A is None:                      # the chains of the interior nodes
+        diag, m, beta0 = diag[:, 1:-1], m[:, 1:-1], beta0[:, 1:-1]
+    # a pivot smaller than eps ||H||, within its own rounding, is set to it
+    tiny = np.finfo(float).eps * np.max(np.abs(diag))
+    share = np.full(diag.shape[1], 0.5)
+    share[[0, -1]] = 1.0
+    diag, m = diag * share, m * share
+    lams = np.asarray(lams, dtype=float)
+    counts = np.empty(lams.size, dtype=int)
+    step = max(1, _BATCH // diag.size)
+    for start in range(0, lams.size, step):
+        lam = lams[start:start + step, np.newaxis, np.newaxis]
+        shares = diag - lam * m
+        alpha, gamma = shares[..., :-1], shares[..., 1:]
+        beta = np.broadcast_to(beta0, alpha.shape)
+        neg = np.zeros(len(lam), dtype=int)
+        while alpha.shape[-1] > 1:
+            size = alpha.shape[-1]
+            even = size & ~1
+            a1, b1, g1 = (v[..., 0:even:2] for v in (alpha, beta, gamma))
+            a2, b2, g2 = (v[..., 1:even:2] for v in (alpha, beta, gamma))
+            d = g1 + a2
+            d[np.abs(d) < tiny] = tiny
+            neg += np.count_nonzero(d < 0.0, axis=(1, 2))
+            merged = a1 - b1 * b1 / d, -b1 * b2 / d, g2 - b2 * b2 / d
+            if even < size:
+                merged = (np.concatenate([v, rest[..., even:]], axis=-1)
+                          for v, rest in zip(merged, (alpha, beta, gamma)))
+            alpha, beta, gamma = merged
+        k = np.arange(n)
+        ends = np.zeros((len(lam), 2 * n, 2 * n))
+        ends[:, k, k], ends[:, n + k, n + k] = alpha[..., 0], gamma[..., 0]
+        ends[:, k, n + k] = ends[:, n + k, k] = beta[..., 0]
+        if A is not None:
+            ends = ends - 0.5 * A
+        counts[start:start + step] = neg + np.count_nonzero(
+            np.linalg.eigvalsh(ends) < 0.0, axis=-1)
+    return counts
+
+
+def _lowest(band: np.ndarray, disc, A: np.ndarray | None, k: int) -> np.ndarray:
+    """Shifts for inverse iteration towards the k lowest eigenvalues of Hs:
+    the midpoint of every bracket that holds one of them, once per eigenvalue
+    it holds.
+
+    The search starts from the lower end of the Gershgorin interval and
+    doubles an upper end until it holds k + 1 eigenvalues, so that brackets
+    also isolate eigenvalue k, the first one left out.  Each round counts at
+    the quarter points of every bracket in one call.  A bracket is split
+    until it is narrower than _SEPARATE times its distance to the next
+    bracket, which bounds what inverse iteration at its midpoint draws from
+    any eigenvalue outside it; one that holds eigenvalues k - 1 and k, whose
+    next eigenvalue is not tracked, is split down to _FLOOR.
+    """
+    sums = _abs_sums(band)
+    lo = float(np.min(band[0].real + np.abs(band[0]) - sums))
+    lo -= np.sqrt(np.finfo(float).eps) * sums.max()   # far past a count's rounding
+    top = min(k + 1, band.shape[1])
+    step = max(1.0, abs(lo))
+    while (n_hi := _count(disc, A, [lo + step])[0]) < top:
+        step *= 2.0
+    keep, split = np.empty((0, 4)), np.array([[lo, lo + step, 0, n_hi]])
+    while len(split):
+        a, b, na, nb = split.T
+        c = a[:, np.newaxis] + (b - a)[:, np.newaxis] * np.array([0.25, 0.5, 0.75])
+        ends = np.column_stack([a, c, b])
+        counts = np.column_stack([na, _count(disc, A, c.ravel()).reshape(c.shape), nb])
+        counts = np.clip(np.maximum.accumulate(counts, axis=1), na[:, np.newaxis],
+                         nb[:, np.newaxis])
+        parts = np.stack([ends[:, :-1], ends[:, 1:], counts[:, :-1], counts[:, 1:]],
+                         axis=-1).reshape(-1, 4)
+        parts = parts[(parts[:, 3] > parts[:, 2]) & (parts[:, 2] < top)]
+        brackets = np.concatenate([keep, parts])
+        brackets = brackets[np.argsort(brackets[:, 0])]
+        a, b, na, nb = brackets.T
+        gaps = np.concatenate([[np.inf], a[1:] - b[:-1], [np.inf]])
+        wide = (b - a > _SEPARATE * np.minimum(gaps[:-1], gaps[1:])) | ((na < k) & (nb > k))
+        wide &= b - a > _FLOOR * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        keep, split = brackets[~wide], brackets[wide]
+    a, b, na, nb = keep[keep[:, 2] < k].T
+    return np.repeat(0.5 * (a + b), (nb - na).astype(int))
 
 
 def _ritz(band: np.ndarray, lams: np.ndarray, disc, A: np.ndarray | None) -> np.ndarray:
@@ -155,8 +272,8 @@ def fd_spectrum(U: UnitaryBC, domain: QuantumDomain, N: int = 600, k: int = 8,
     resolutions N and 2N plus per-eigenvalue error estimates.  With
     ``extrapolate=False`` the raw resolution-N eigenvalues are returned with
     ``estimates=None`` (useful for convergence-order studies).  Requires
-    200 <= N <= 4000 and either a pure Dirichlet U or one with no
-    eigenvalue -1.
+    200 <= N <= 4000, 1 <= k <= the dimension of the resolution-N matrix, and
+    either a pure Dirichlet U or one with no eigenvalue -1.
     """
     if not 200 <= N <= 4000:
         raise ValueError("N must lie in [200, 4000]")
@@ -175,15 +292,17 @@ def fd_spectrum(U: UnitaryBC, domain: QuantumDomain, N: int = 600, k: int = 8,
         A = unitary_to_cayley(U).matrix
         if not A.imag.any():
             A = A.real
+    dim = domain.n * (N - 1 if dirichlet else N + 1)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k = {k} must lie in [1, {dim}], the dimension of the "
+                         f"N = {N} matrix")
 
     def solve(res: int):
         disc = _discretize(domain, res)
         band = _band(disc, A, 2 * domain.n)
         if dirichlet:
             band = band[:, 2 * domain.n:]
-        vals = scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
-                                       select="i", select_range=(0, k - 1))
-        return _ritz(band, vals, disc, A), _norm1(band)
+        return _ritz(band, _lowest(band, disc, A, k), disc, A)[:k], _norm1(band)
 
     if not extrapolate:
         return solve(N)[0], None

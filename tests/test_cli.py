@@ -125,7 +125,8 @@ def test_spectrum_output_deterministic(free_cfg, tmp_path):
     p1, p2 = str(tmp_path / "a.out"), str(tmp_path / "b.out")
     assert run(["spectrum", "--config", free_cfg, "--output", p1]) == 0
     assert run(["spectrum", "--config", free_cfg, "--output", p2]) == 0
-    assert open(p1).read() == open(p2).read()
+    with open(p1) as f1, open(p2) as f2:
+        assert f1.read() == f2.read()
 
 
 def test_eigenfunctions_output(free_cfg, capsys):
@@ -310,6 +311,20 @@ def test_exit_code_bad_flag_list(tmp_path, capsys):
     assert run(["edge-scan", "--config", str(path), "--t-list", ","]) == 4
     err = capsys.readouterr().err.splitlines()
     assert [line.split()[1] for line in err] == ["bad", "bad", "--t-list"]
+
+
+def test_oracle_compare_window_holds_every_level(tmp_path, capsys):
+    # the FD levels near the top of N = 200 lie far below the exact ones, so
+    # the exact count, not a fixed margin, sets the end of the window
+    path = tmp_path / "d.cfg"
+    path.write_text("[interval]\na = 0\nb = 1\n[bc]\nkind = dirichlet\n")
+    assert run(["oracle-compare", "--config", str(path), "--fd-n", "200",
+                "--count", "150"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 152
+    # more levels than the FD matrix has is a numeric failure naming both
+    assert run(["oracle-compare", "--config", str(path), "--fd-n", "200",
+                "--count", "500"]) == 3
+    assert "k = 500 must lie in [1, 199]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--count", "0"], ["--fd-n", "100"], ["--fd-n", "5000"],

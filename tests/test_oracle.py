@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from qwire import oracle
 from qwire.bc import (
     CayleySingular,
     UnitaryBC,
@@ -13,6 +14,7 @@ from qwire.bc import (
     make_neumann,
     make_quasiperiodic,
     random_unitary,
+    unitary_to_cayley,
 )
 from qwire.domain import Interval, QuantumDomain
 from qwire.oracle import fd_spectrum, robin_edge_groundstate
@@ -154,6 +156,63 @@ def test_grid_bounds():
         fd_spectrum(make_dirichlet(1), FREE, N=100, k=1)
     with pytest.raises(ValueError):
         fd_spectrum(make_dirichlet(1), FREE, N=5000, k=1)
+
+
+def test_k_must_fit_the_matrix():
+    # N = 200 has 199 interior Dirichlet nodes and 201 nodes under Neumann
+    d01 = QuantumDomain([Interval(0.0, 1.0, "1", "0")])
+    with pytest.raises(ValueError, match=r"k = 200 must lie in \[1, 199\]"):
+        fd_spectrum(make_dirichlet(1), d01, N=200, k=200)
+    with pytest.raises(ValueError, match=r"k = 0 must lie in \[1, 199\]"):
+        fd_spectrum(make_dirichlet(1), d01, N=200, k=0)
+    with pytest.raises(ValueError, match=r"k = 202 must lie in \[1, 201\]"):
+        fd_spectrum(make_neumann(1), d01, N=200, k=202)
+    lams, _ = fd_spectrum(make_dirichlet(1), d01, N=200, k=199, extrapolate=False)
+    assert len(lams) == 199
+
+
+def _dense_hs(U, domain, N):
+    """The dense Hs of fd_spectrum at resolution N, its (disc, A), from _band."""
+    n = domain.n
+    dirichlet = np.allclose(U.matrix, -np.eye(2 * n))
+    A = None if dirichlet else unitary_to_cayley(U).matrix
+    disc = oracle._discretize(domain, N)
+    band = oracle._band(disc, A, 2 * n)
+    if dirichlet:
+        band = band[:, 2 * n:]
+    dim = band.shape[1]
+    H = np.zeros((dim, dim), band.dtype)
+    for i in range(band.shape[0]):
+        H[np.arange(i, dim), np.arange(dim - i)] = band[i, :dim - i]
+    return np.tril(H) + np.tril(H, -1).conj().T, disc, A
+
+
+PAIR = QuantumDomain([Interval(0.0, math.pi, "1", "0"),
+                      Interval(0.0, math.pi * (1.0 + 1e-7), "1", "0")])
+
+
+@pytest.mark.parametrize("U, domain, N, k", [
+    (make_dirichlet(1), FREE, 300, 6),
+    (make_neumann(1), FREE, 300, 6),
+    (make_dirichlet(1), QuantumDomain([Interval(0.0, 2.0, "1", "x^2/2 - x")]), 250, 5),
+    (random_unitary(2, np.random.default_rng(1)),
+     QuantumDomain([Interval(0.0, 2.0, "1", "x")]), 300, 5),
+    (random_unitary(4, np.random.default_rng(2)),
+     QuantumDomain([Interval(0.0, 1.0, "1", "0"), Interval(0.0, 1.7, "1", "x")]), 200, 6),
+    (random_unitary(6, np.random.default_rng(3)), THREE, 200, 6),
+    # a pair 1e-7 apart: k = 1 and k = 3 split each pair between kept and left out
+    (make_dirichlet(2), PAIR, 300, 1),
+    (make_dirichlet(2), PAIR, 300, 3),
+])
+def test_lowest_levels_match_dense_eigensolver(U, domain, N, k):
+    H, disc, A = _dense_hs(U, domain, N)
+    want = np.linalg.eigvalsh(H)
+    lams, est = fd_spectrum(U, domain, N=N, k=k, extrapolate=False)
+    assert est is None
+    assert np.all(np.abs(lams - want[:k]) <= 1e-10 * np.maximum(1.0, np.abs(want[:k])))
+    # the count is the number of dense eigenvalues below each lam
+    lams = np.random.default_rng(k).uniform(want[0] - 1.0, want[20] + 1.0, 40)
+    assert np.array_equal(oracle._count(disc, A, lams), np.searchsorted(want, lams))
 
 
 def test_robin_edge_groundstate_defining_equation():
