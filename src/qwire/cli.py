@@ -8,9 +8,10 @@ Config file (line oriented, ``key = value``, ``#`` comments): one or more
 strings); one ``[bc]`` section with key kind in {dirichlet, neumann, robin,
 unitary, wire, quasiperiodic, u2} plus kind-specific keys (file, theta,
 alpha_re, alpha_im, beta_re, beta_im, perm, phases); an optional ``[solve]``
-section with lambda_min, lambda_max, max_eigs (grid and sigma_tol are
-deprecated: still parsed and range-checked, they warn and have no effect).
-Any other key, and a second [bc] or [solve] section, is a parse error.
+section with lambda_min (default -inf), lambda_max (default 10; inf needs
+max_eigs) and max_eigs (grid and sigma_tol are deprecated: still parsed and
+range-checked, they warn and have no effect).  Any other key, and a second
+[bc] or [solve] section, is a parse error.
 
 Matrix files: header line "n rows cols", then ``rows`` lines of whitespace-
 separated complex entries "re,im".  Curve files: header "m n", then m+1
@@ -256,7 +257,7 @@ def load_config(path: str) -> ProblemConfig:
         return kind(solve_section[key]) if key in solve_section else None
 
     try:
-        lo = float(solve_section.get("lambda_min", -1.0))
+        lo = float(solve_section.get("lambda_min", -math.inf))
         hi = float(solve_section.get("lambda_max", 10.0))
         grid, sigma_tol = number(int, "grid"), number(float, "sigma_tol")
         max_eigs = number(int, "max_eigs")
@@ -270,6 +271,8 @@ def load_config(path: str) -> ProblemConfig:
         raise ConfigError(f"bad [solve] section: sigma_tol must be positive, got {sigma_tol}")
     if max_eigs is not None and max_eigs < 1:
         raise ConfigError(f"bad [solve] section: max_eigs must be at least 1, got {max_eigs}")
+    if hi == math.inf and max_eigs is None:
+        raise ConfigError("bad [solve] section: lambda_max = inf needs max_eigs")
     # grid and sigma_tol are deprecated: each one set warns on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeprecationWarning)
@@ -417,7 +420,7 @@ def _cmd_maslov(args) -> int:
 def _cmd_edge_scan(args) -> int:
     cfg = load_config(args.config)
     scan = edge.edge_scan(cfg.boundary, cfg.domain, _float_list(args.t_list, "--t-list"),
-                          search_floor=args.search_floor, opts=cfg.options)
+                          opts=cfg.options)
     lines = ["# qwire-edge v1", "# t lambda_min collar_mass"]
     for t, lam, mass in zip(scan.t_values, scan.lam_min, scan.collar_mass):
         lines.append(f"{_fmt(t)} {_fmt(lam)} {_fmt(mass)}")
@@ -443,23 +446,11 @@ def _cmd_wire_check(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     cfg = load_config(args.config)
     fd_lams, fd_est = oracle.fd_spectrum(cfg.boundary, cfg.domain, N=args.fd_n, k=args.count)
-    lo = min(cfg.lambda_range[0], float(fd_lams[0]) - 1.0)
-    margin = 0.5
-    while True:                   # until the exact count holds every level
-        hi = float(fd_lams[-1]) + margin
-        n_lo, n_hi = spectral.count_eigenvalues(cfg.boundary, cfg.domain, [lo, hi], cfg.options)
-        if n_hi - n_lo >= args.count:
-            break
-        margin *= 2.0
-    spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, (lo, hi), cfg.options)
-    flat = [lam for lam, _, _ in spectrum.flat()][:args.count]
-    if len(flat) < args.count:
-        raise OdeError(
-            f"spectral solver found only {len(flat)} of {args.count} requested eigenvalues"
-        )
+    spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, (-math.inf, math.inf),
+                                         spectral.SolveOptions(max_eigs=args.count))
     lines = ["# qwire-oracle v1", "# lambda_spectral lambda_fd estimate agree"]
     all_ok = True
-    for lam_s, lam_f, est in zip(flat, fd_lams, fd_est):
+    for (lam_s, _, _), lam_f, est in zip(spectrum.flat(), fd_lams, fd_est):
         ok = abs(lam_s - lam_f) <= est
         all_ok = all_ok and ok
         lines.append(f"{_fmt(lam_s)} {_fmt(lam_f)} {_fmt(est)} {int(ok)}")
@@ -516,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("edge-scan", _cmd_edge_scan, help="lowest eigenvalue of exp(it)U along t")
     p.add_argument("--config", required=True)
     p.add_argument("--t-list", required=True, help="comma-separated descending t values")
-    p.add_argument("--search-floor", type=float, default=None)
 
     p = add("wire-check", _cmd_wire_check, help="verify endpoint identifications")
     p.add_argument("--bc", required=True, help="unitary matrix file")

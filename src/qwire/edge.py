@@ -16,8 +16,7 @@ import numpy as np
 
 from .bc import UnitaryBC, cayley_degeneracy
 from .domain import QuantumDomain
-from .spectral import (Eigenpair, SolveOptions, _quad_weights, count_eigenvalues,
-                       find_eigenvalues)
+from .spectral import Eigenpair, SolveOptions, _quad_weights, find_eigenvalues
 
 __all__ = ["EdgeScan", "rotate_bc", "edge_scan"]
 
@@ -59,16 +58,12 @@ def collar_fraction(domain: QuantumDomain, pair: Eigenpair, collar: float = 0.1)
 
 
 def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
-              search_floor: float | None = None,
-              opts: SolveOptions = SolveOptions(),
-              lam_cap: float = 0.5) -> EdgeScan:
+              opts: SolveOptions = SolveOptions()) -> EdgeScan:
     """Track the lowest eigenvalue of exp(i t) U along descending t.
 
     Requires the base U to touch the Cayley subspace C- (eigenvalue -1) and
-    all t in (0, pi/2].  For each t the lowest level below ``lam_cap`` is
-    found above a floor with no level below it: ``search_floor`` if given
-    (it must have none, else ValueError), otherwise min(0, lam_cap) - 1
-    doubled downward until the count there is 0.
+    all t in (0, pi/2].  For each t the lowest level is the first one found
+    in (-inf, 0.5), from the bottom of the spectrum; RuntimeError if none.
     """
     t_list = [float(t) for t in t_list]
     if cayley_degeneracy(U, -1) < 1:
@@ -80,15 +75,9 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
 
     lam_min, grounds, collar = [], [], []
     for t in t_list:
-        Ut = rotate_bc(U, t)
-        floor = min(0.0, lam_cap) - 1.0 if search_floor is None else search_floor
-        while count_eigenvalues(Ut, domain, floor, opts)[0] > 0:
-            if search_floor is not None:
-                raise ValueError(f"levels lie below search_floor={floor} at t={t}")
-            floor *= 2.0
-        spectrum = find_eigenvalues(Ut, domain, (floor, lam_cap), opts)
+        spectrum = find_eigenvalues(rotate_bc(U, t), domain, (-math.inf, 0.5), opts)
         if not spectrum.eigs:
-            raise RuntimeError(f"no eigenvalue found in ({floor}, {lam_cap}) at t={t}")
+            raise RuntimeError(f"no eigenvalue below 0.5 at t={t}")
         lam_min.append(spectrum.eigs[0].lam)
         grounds.append(spectrum.eigs[0])
         collar.append(collar_fraction(domain, spectrum.eigs[0]))

@@ -239,18 +239,22 @@ def _ritz(band: np.ndarray, lams: np.ndarray, disc, A: np.ndarray | None) -> np.
     lo, hi, stiff, pot, mass = disc
     kd = band.shape[0] - 1
     dim = band.shape[1]
-    ab = np.zeros((2 * kd + 1, dim), band.dtype)
-    ab[kd:] = band
+    ab = np.zeros((3 * kd + 1, dim), band.dtype)      # gbtrf storage: kd rows of fill-in
+    ab[2 * kd:] = band
     for i in range(1, kd + 1):
-        ab[kd - i, i:] = band[i, :dim - i].conj()
+        ab[2 * kd - i, i:] = band[i, :dim - i].conj()
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     rng = np.random.default_rng(0)
     X = np.empty((dim, len(lams)), band.dtype)
     for j, lam in enumerate(lams):
         shifted = ab.copy()
-        shifted[kd] -= lam
+        shifted[2 * kd] -= lam
+        lu, piv, info = gbtrf(shifted, kd, kd, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular shifted matrix at lam={lam}")
         x = rng.standard_normal(dim)
         for _ in range(2):
-            x = scipy.linalg.solve_banded((kd, kd), shifted, x)
+            x = gbtrs(lu, kd, kd, x, piv)[0]
             x /= np.linalg.norm(x)
         X[:, j] = x
     X = np.linalg.qr(X)[0]

@@ -34,7 +34,7 @@ import scipy.linalg
 from . import expr
 from .bc import UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import FundamentalPair, cell_dtn, fundamental_solutions
+from .odesolve import FundamentalPair, OdeError, cell_dtn, fundamental_solutions
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "hadamard_mat",
@@ -366,6 +366,10 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
                      opts: SolveOptions = SolveOptions()) -> Spectrum:
     """All eigenvalues in the closed ``lambda_range``, or its lowest ``max_eigs``.
 
+    An open end lo = -inf is the bottom of the spectrum, a floor doubled down
+    from min(0, hi) - 1 until no level lies below it; hi = inf needs
+    ``max_eigs``, a ceiling stepped up until that many levels lie above lo,
+    its step halved where a sample cell would hold a Dirichlet level.
     The count at the ends gives the levels; multisection on the count
     isolates them, one per bracket or to 1e-7 relative; level k is the root
     of mu_k, refined to 1e-12 relative.  Roots that agree to 1e-9 relative
@@ -374,7 +378,25 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("lambda_range must be increasing")
+    if hi == math.inf and opts.max_eigs is None:
+        raise ValueError("an open upper end needs max_eigs")
     g = _Glued(U, domain, opts)
+    if lo == -math.inf:
+        lo = min(0.0, hi) - 1.0
+        while g.count([lo])[0][0] > 0:
+            lo *= 2.0
+    if hi == math.inf:               # hi: fewer than max_eigs levels above lo
+        n_lo, hi, step = g.count([lo])[0][0], lo, max(1.0, abs(lo))
+        while True:
+            try:
+                if g.count([hi + step])[0][0] - n_lo >= opts.max_eigs:
+                    break
+                hi, step = hi + step, 2.0 * step
+            except OdeError:
+                if step <= _ISOLATE * max(1.0, abs(hi)):
+                    raise
+                step *= 0.5
+        hi += step
     ends = np.array([lo, hi], dtype=float)
     (n_lo, n_hi), sure = g.count(ends)
     step = _ISOLATE * max(1.0, abs(lo), abs(hi))
@@ -388,7 +410,7 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:]))))
     eigs = _eigenpairs(g, [float(np.mean(v)) for v in levels],
                        [len(v) for v in levels]) if roots.size else []
-    return Spectrum(eigs=tuple(eigs), lambda_range=(lo, hi), options=opts)
+    return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
 
 
 def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):

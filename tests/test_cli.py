@@ -194,6 +194,24 @@ def test_wire_check_fail(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL max_residual=")
 
 
+def test_spectrum_default_window_starts_at_the_bottom(tmp_path, capsys):
+    # Robin A = 3 I on [0, pi] with no [solve] section: both edge levels near
+    # -4.5 are printed, not only the three above a guessed lower end
+    mat = tmp_path / "robin.mat"
+    mat.write_text("1 2 2\n3,0 0,0\n0,0 3,0\n")
+    path = tmp_path / "robin.cfg"
+    text = f"[interval]\na = 0\nb = 3.141592653589793\n[bc]\nkind = robin\nfile = {mat}\n"
+    path.write_text(text)
+    assert run(["spectrum", "--config", str(path)]) == 0
+    lams = [float(ln.split()[0]) for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert len(lams) == 5
+    assert lams[:2] == pytest.approx([-4.5014506, -4.4985454], abs=1e-6)
+    path.write_text(text + "[solve]\nlambda_max = inf\nmax_eigs = 2\n")
+    assert run(["spectrum", "--config", str(path)]) == 0
+    assert [float(ln.split()[0]) for ln in
+            capsys.readouterr().out.splitlines()[1:]] == pytest.approx(lams[:2], rel=1e-10)
+
+
 def test_edge_scan_command(tmp_path, capsys):
     path = tmp_path / "edge.cfg"
     path.write_text("[interval]\na = 0\nb = 3.141592653589793\n"
@@ -260,6 +278,7 @@ def test_exit_code_bad_solve_number(tmp_path, capsys, old, new):
     ("grid = 250", "grid = 250\nsigma_tol = 0"),
     ("grid = 250", "grid = 250\nsigma_tol = -1e-6"),
     ("grid = 250", "grid = 250\nmax_eigs = 0"),
+    ("lambda_max = 3", "lambda_max = inf"),
 ])
 def test_exit_code_solve_value_out_of_range(tmp_path, capsys, old, new):
     path = tmp_path / "bad.cfg"

@@ -50,14 +50,11 @@ def test_collar_fraction_of_interior_mode():
 
 
 def test_edge_scan_floor():
-    # the default floor doubles down from -1 until no level lies below it;
-    # a given floor must have no level below it
+    # the open lower end of the search reaches the deep edge level
     scan = edge_scan(make_dirichlet(1), DOM, [0.1])
     ref = robin_edge_groundstate(math.pi, 1.0 / math.tan(0.05))
     assert abs(scan.lam_min[0] - ref) <= 1e-9 * abs(ref)
     assert scan.ground_states[0].multiplicity == 2      # the tunnelling twins
-    with pytest.raises(ValueError):
-        edge_scan(make_dirichlet(1), DOM, [0.1], search_floor=-100.0)
 
 
 def test_edge_scan_input_validation():

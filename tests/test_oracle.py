@@ -151,6 +151,12 @@ def test_degenerate_boundary_rejected():
         fd_spectrum(make_quasiperiodic(0.3), FREE, N=300, k=2)
 
 
+def test_ritz_shift_on_an_eigenvalue_raises():
+    # a shift exactly on an eigenvalue of a diagonal Hs leaves a zero pivot
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        oracle._ritz(np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), (None,) * 5, None)
+
+
 def test_grid_bounds():
     with pytest.raises(ValueError):
         fd_spectrum(make_dirichlet(1), FREE, N=100, k=1)

@@ -13,6 +13,7 @@ from qwire.bc import (
     WireSpec,
     admissible_subspace,
     cayley_degeneracy,
+    cayley_to_unitary,
     make_dirichlet,
     make_neumann,
     make_quasiperiodic,
@@ -21,7 +22,7 @@ from qwire.bc import (
     random_unitary,
 )
 from qwire.domain import Interval, QuantumDomain, lagrange_form
-from qwire.odesolve import free_exponential_basis, fundamental_solutions
+from qwire.odesolve import OdeError, free_exponential_basis, fundamental_solutions
 from qwire.oracle import fd_spectrum
 from qwire.spectral import (
     SolveOptions,
@@ -270,6 +271,39 @@ def test_max_eigs_truncates(free_2pi):
     spectrum = find_eigenvalues(make_dirichlet(1), free_2pi, (0.05, 4.8),
                                 SolveOptions(max_eigs=3))
     assert sum(e.multiplicity for e in spectrum.eigs) == 3
+
+
+def test_open_lower_end_is_the_bottom_of_the_spectrum():
+    # Robin A = 3 I on [0, pi]: two edge levels near -4.5 lie far below -1
+    dom = QuantumDomain([Interval(0.0, math.pi, "1", "0")])
+    U = cayley_to_unitary(3.0 * np.eye(2))
+    got = find_eigenvalues(U, dom, (-math.inf, 10.0))
+    want = find_eigenvalues(U, dom, (-10.0, 10.0))
+    assert len(got.eigs) == len(want.eigs) == 5
+    assert got.lams == pytest.approx(want.lams, rel=1e-10, abs=0.0)
+    assert got.lambda_range == (-math.inf, 10.0)
+
+
+def test_open_upper_end_needs_max_eigs(free_2pi):
+    # the periodic circle: 0 once, then k**2 / 2 twice
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), free_2pi, (-math.inf, math.inf),
+                                SolveOptions(max_eigs=3))
+    assert [e.multiplicity for e in spectrum.eigs] == [1, 2]
+    assert spectrum.lams == pytest.approx([0.0, 0.5], abs=1e-10)
+    with pytest.raises(ValueError, match="max_eigs"):
+        find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, math.inf))
+
+
+def test_open_upper_end_steps_back_within_the_sample_cells():
+    # 257 samples on [0, 1] reach levels up to about (256 pi)**2 / 2; a
+    # doubled ceiling past that reach steps back instead of raising
+    dom = QuantumDomain([Interval(0.0, 1.0, "1", "0")])
+    spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
+                                SolveOptions(max_eigs=240))
+    assert len(spectrum.eigs) == 240
+    assert spectrum.eigs[-1].lam == pytest.approx((240 * math.pi) ** 2 / 2, rel=1e-10)
+    with pytest.raises(OdeError, match="raise samples"):
+        find_eigenvalues(make_dirichlet(1), dom, (0.0, math.inf), SolveOptions(max_eigs=300))
 
 
 def _branch_domain(n):
