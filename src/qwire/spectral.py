@@ -248,6 +248,9 @@ class _Glued:
                                     self.iu[1]])
         self.w = int(np.max(self.cols - self.rows))
         self.off = self.rows != self.cols
+        self._scatter, self._cold = {}, np.empty((self.dim, 0))
+        self._gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(
+            ("gbtrf", "gbtrs"), (np.empty(0, self.dtype),))
 
     def cells(self, lams):
         """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, samples - 1)."""
@@ -313,52 +316,90 @@ class _Glued:
                                (Qh[:, n:] * beta[:, np.newaxis, :, -1]).reshape(G, -1),
                                ends[:, self.iu[0], self.iu[1]]], axis=1)
 
-    def ritz(self, alpha, beta, gamma, p: int):
-        """The p eigenvalues of K(lam) - A nearest 0 at G values of lam, from
-        (G, n, N) cells, ascending (G, p), and their vectors (G, dim, p): three
-        steps of block inverse iteration, then Rayleigh-Ritz.
-
-        The matrices of 16 lam at a time are stacked into one band for one LU,
-        each shifted by 1e-12 of its largest diagonal entry, so that a matrix
-        singular to the last bit still factors.
-        """
-        D, w, p = self.dim, self.w, min(p, self.dim)
-        start = np.random.default_rng(0).standard_normal((D, p)).astype(self.dtype)
-        theta, vecs = [], []
-        for i in range(0, len(alpha), 16):
-            v = self._values(alpha[i:i + 16], beta[i:i + 16], gamma[i:i + 16])
-            G, size = len(v), (3 * w + 1) * len(v) * D
-            # bincount adds up entries that coincide (at a single interior node)
+    def band(self, alpha, beta, gamma):
+        """K(lam) - A at G values of lam, from (G, n, N) cells, stacked into one
+        (3w + 1, G dim) band in LAPACK's ``gbtrf`` layout."""
+        v = self._values(alpha, beta, gamma)
+        G, D, w = len(v), self.dim, self.w
+        parts, size = (2 if self.dtype is complex else 1), (3 * w + 1) * G * D
+        if G not in self._scatter:       # positions of the float parts of the entries
             flat = np.concatenate([(2 * w + self.rows - self.cols) * G * D + self.cols,
                                    ((2 * w + self.cols - self.rows) * G * D + self.rows)[self.off]])
             flat = (flat + D * np.arange(G)[:, np.newaxis]).ravel()
-            v = np.concatenate([v, v[:, self.off].conj()], axis=1).ravel()
-            ab = np.bincount(flat, v.real, size)
-            if self.dtype is complex:
-                ab = ab + 1j * np.bincount(flat, v.imag, size)
-            ab = ab.reshape(3 * w + 1, G * D)
-            gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-            gbmv = scipy.linalg.get_blas_funcs("gbmv", (ab,))
-            shifted = ab.copy()
-            shifted[2 * w] -= np.repeat(1e-12 * np.abs(ab[2 * w]).reshape(G, D).max(axis=1), D)
-            lu, piv, _ = gbtrf(shifted, w, w, overwrite_ab=True)
-            x = np.tile(start, (G, 1))
+            self._scatter[G] = (parts * flat[:, np.newaxis] + np.arange(parts)).ravel()
+        # bincount adds up entries that coincide (at a single interior node)
+        v = np.concatenate([v, v[:, self.off].conj()], axis=1).ravel()
+        ab = np.bincount(self._scatter[G], v.view(float), parts * size).view(self.dtype)
+        return ab.reshape(3 * w + 1, G * D)
+
+    def cold(self, p: int) -> np.ndarray:
+        """A fixed random orthonormal (dim, p) start block."""
+        if self._cold.shape[1] < p:
+            rng = np.random.default_rng(0)
+            self._cold = np.linalg.qr(rng.standard_normal((p, self.dim)).T.astype(self.dtype))[0]
+        return self._cold[:, :p]
+
+    def ritz(self, alpha, beta, gamma, p: int, start, read):
+        """The p eigenvalues of K(lam) - A nearest 0 at G values of lam, from
+        (G, n, N) cells: ascending (G, p), their vectors (G, dim, p), and the
+        residual norms ||(K - A - theta) v|| (G, p).
+
+        Block inverse iteration steps from the orthonormal ``start`` (G, dim,
+        p), or from a fixed random block where it is None, until every value
+        that ``read(rows, theta)`` marks, (G, p) for the lam ``rows``, is
+        certified, at most three steps.  After a step (K - s) Y = X with
+        Y = QR, so K Q = X R^-1 + s Q: Rayleigh-Ritz on
+        Q^H K Q = (Q^H X) R^-1 + s needs no product with K.  A Ritz pair
+        (theta, Q y) has the residual r = X R^-1 y - (theta - s) Q y,
+        orthogonal to Q, so ||r||^2 = ||R^-1 y||^2 - (theta - s)^2.  Some
+        eigenvalue lies within ||r|| of theta (Parlett, The Symmetric
+        Eigenvalue Problem), which :func:`_certified` reads.
+
+        The matrices of 16 lam at a time are stacked into one band for one LU,
+        each shifted by s = 1e-12 of its largest diagonal entry, so that a
+        matrix singular to the last bit still factors.
+        """
+        D, w, p = self.dim, self.w, min(p, self.dim)
+        theta, vecs, resid = [], [], []
+        for i in range(0, len(alpha), 16):
+            ab = self.band(alpha[i:i + 16], beta[i:i + 16], gamma[i:i + 16])
+            G = ab.shape[1] // D
+            rows = slice(i, i + G)
+            s = 1e-12 * np.abs(ab[2 * w]).reshape(G, D).max(axis=1)
+            ab[2 * w] -= np.repeat(s, D)
+            lu, piv, _ = self._gbtrf(ab, w, w, overwrite_ab=True)
+            x = np.broadcast_to(self.cold(p), (G, D, p)) if start is None else start[rows]
             for _ in range(3):
-                x = np.linalg.qr(gbtrs(lu, w, w, x, piv)[0].reshape(G, D, p))[0].reshape(G * D, p)
-            kx = np.stack([gbmv(G * D, G * D, w, w, 1.0, ab[w:], v) for v in x.T], axis=1)
-            x = x.reshape(G, D, p)
-            th, y = np.linalg.eigh(x.conj().transpose(0, 2, 1) @ kx.reshape(G, D, p))
+                q, r = np.linalg.qr(self._gbtrs(lu, w, w, x.reshape(G * D, p), piv)[0]
+                                    .reshape(G, D, p))
+                rinv = np.linalg.inv(r)
+                h = q.conj().transpose(0, 2, 1) @ x @ rinv
+                th, y = np.linalg.eigh(0.5 * (h + h.conj().transpose(0, 2, 1)))
+                res = np.sqrt(np.maximum(np.sum(np.abs(rinv @ y) ** 2, axis=1) - th * th, 0.0))
+                x, th = q @ y, th + s[:, np.newaxis]
+                ok = _certified(th, res)
+                if ok.all() or (ok | ~read(rows, th)).all():
+                    break
             theta.append(th)
-            vecs.append(x @ y)
-        return np.concatenate(theta), np.concatenate(vecs)
+            vecs.append(x)
+            resid.append(res)
+        return np.concatenate(theta), np.concatenate(vecs), np.concatenate(resid)
 
 
 def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
                       opts: SolveOptions = SolveOptions()) -> np.ndarray:
     """N_U(lam), the number of eigenvalues below lam with multiplicity, for
     each lam: exact unless a sample cell holds a Dirichlet level of its own
-    (:class:`~qwire.odesolve.OdeError`) or lam is within sqrt(eps) of a level."""
-    return _Glued(U, domain, opts).count(np.atleast_1d(np.asarray(lams, dtype=float)))[0]
+    (:class:`~qwire.odesolve.OdeError`) or lam is within sqrt(eps) of a level.
+    N_U(-inf) is 0; lam = +inf or nan is a ``ValueError``."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(lams < math.inf):
+        raise ValueError("count_eigenvalues needs lam below +inf and not nan")
+    g, counts = _Glued(U, domain, opts), np.zeros(lams.shape, dtype=int)
+    finite = lams > -math.inf
+    if finite.any():
+        counts[finite] = g.count(lams[finite])[0]
+    return counts
 
 
 def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
@@ -405,11 +446,11 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         (n_lo, n_hi), sure = g.count(ends)
         step *= 2.0
     top = n_hi if opts.max_eigs is None else min(n_hi, n_lo + opts.max_eigs)
-    roots = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
-    levels = np.split(roots, 1 + np.flatnonzero(
-        np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:]))))
-    eigs = _eigenpairs(g, [float(np.mean(v)) for v in levels],
-                       [len(v) for v in levels]) if roots.size else []
+    roots, vecs = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
+    cut = 1 + np.flatnonzero(np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:])))
+    levels = np.split(roots, cut)
+    eigs = _eigenpairs(g, [float(np.mean(v)) for v in levels], [len(v) for v in levels],
+                       vecs[np.concatenate([[0], cut])]) if roots.size else []
     return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
 
 
@@ -440,47 +481,85 @@ def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
     return sorted(done)
 
 
-def _mu(g: _Glued, lams, ks, k0s, ms):
-    """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1,
-    nan where the Ritz block misses it; the count at lam; and the largest
-    Ritz value in magnitude.
+def _certified(theta, resid):
+    """Whether each Ritz pair of a row is certified: its residual is below
+    |theta|, so the nearest eigenvalue has the sign of theta, or below 1e-12
+    of the row's largest |theta|."""
+    mag = np.abs(theta)
+    return (resid < mag) | (resid <= _REFINE * mag.max(axis=1, keepdims=True))
+
+
+def _column(theta, count, sure, k, k0, m):
+    """The column of mu_k in each row of ascending Ritz values, -1 where the
+    block misses it, for level k of a bracket of levels k0 .. k0+m-1.
 
     A sure count indexes the Ritz values: N eigenvalues are negative.  Where
     the count is not sure, or a Ritz value is below 1e-6 of the largest, lam
     is within rounding of a level of the bracket, whose m eigenvalues are the
     ones nearest 0.
     """
-    uniq, inv = np.unique(np.asarray(lams, dtype=float), return_inverse=True)
+    mag = np.abs(theta)
+    by_count = sure & (mag.min(axis=1) > 1e-6 * mag.max(axis=1))
+    nearest = np.minimum.accumulate(np.argsort(mag, axis=1), axis=1)[
+        np.arange(len(m)), np.minimum(m, theta.shape[1]) - 1]
+    j = np.where(by_count, k - count + np.count_nonzero(theta < 0.0, axis=1), nearest + k - k0)
+    return np.where((j >= 0) & (j < theta.shape[1]), j, -1)
+
+
+def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None):
+    """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1
+    (see :func:`_column`), nan where the Ritz block misses it; whether it is
+    certified; the count at lam and whether it is sure; the largest Ritz value
+    in magnitude; and the p Ritz vectors at lam (len(lams), dim, p).
+
+    ``start`` (len(lams), dim, p) holds a warm start per probe; the Ritz
+    steps at lam end once the value of every k probed there is certified.
+    """
+    uniq, first, inv = np.unique(np.asarray(lams, dtype=float), return_index=True,
+                                 return_inverse=True)
     cells = g.cells(uniq)
     counts, sure = g.tree(*cells)
-    theta = g.ritz(*cells, int(np.max(ms)) + 2)[0]
-    out, scale = np.full(len(inv), np.nan), np.max(np.abs(theta), axis=1)[inv]
-    for i, (u, k, k0, m) in enumerate(zip(inv, ks, k0s, ms)):
-        th = theta[u]
-        if sure[u] and np.min(np.abs(th)) > 1e-6 * scale[i]:
-            j = k - counts[u] + np.count_nonzero(th < 0.0)
-        else:
-            th, j = np.sort(th[np.argsort(np.abs(th))[:m]]), k - k0
-        if 0 <= j < len(th):
-            out[i] = th[j]
-    return out, counts[inv], scale
+
+    def read(rows, theta):
+        at = np.flatnonzero((inv >= rows.start) & (inv < rows.stop))
+        u = inv[at] - rows.start
+        j = _column(theta[u], counts[inv[at]], sure[inv[at]], ks[at], k0s[at], ms[at])
+        mask = np.zeros(theta.shape, dtype=bool)
+        mask[u[j >= 0], j[j >= 0]] = True
+        return mask
+
+    theta, vecs, resid = g.ritz(*cells, p, None if start is None else start[first], read)
+    theta, cert = theta[inv], _certified(theta, resid)[inv]
+    j = _column(theta, counts[inv], sure[inv], ks, k0s, ms)
+    rows, hit = np.arange(len(inv)), j >= 0
+    out = np.where(hit, theta[rows, j], np.nan)
+    return (out, hit & cert[rows, j], counts[inv], sure[inv],
+            np.max(np.abs(theta), axis=1), vecs[inv])
 
 
-def _refine(g: _Glued, brackets) -> np.ndarray:
-    """The root of mu_k for every level k of every bracket, ascending in k, by
-    a safeguarded secant (Illinois) in lockstep.  mu_k decreases, so
-    mu_k(a) >= 0 > mu_k(b): an end value that is nan or of the wrong sign is
-    unknown, and a step without both end values bisects, as does one after
-    three steps that did not halve the bracket."""
+def _refine(g: _Glued, brackets):
+    """The root of mu_k for every level k of every bracket, ascending in k,
+    and the Ritz vectors of its last probe, by a safeguarded secant (Illinois)
+    in lockstep.  mu_k decreases, so mu_k(a) >= 0 > mu_k(b): an end value
+    that is nan or of the wrong sign is unknown.  The first step is a secant
+    step from the values at the bracket's ends; a step without both end
+    values bisects, as does one from the fourth on where the two steps
+    before it did not halve the bracket.  The side of a probe comes from the
+    sign of mu_k where its value is certified, and from the count where it is
+    not; each probe of a level starts from the Ritz vectors of the level's
+    last probe."""
     items = [(a, b, k, na, nb - na) for a, b, na, nb in brackets for k in range(na, nb)]
     if not items:
-        return np.empty(0)
+        return np.empty(0), np.empty((0, g.dim, 0))
     a, b, k, k0, m = (np.array(v) for v in zip(*items))
     a, b = a.astype(float), b.astype(float)
-    fa, fb = np.split(_mu(g, np.concatenate([a, b]), *(np.tile(v, 2) for v in (k, k0, m)))[0], 2)
+    p = int(np.max(m)) + 2
+    f, _, _, _, _, vecs = _mu(g, np.concatenate([a, b]), *(np.tile(v, 2) for v in (k, k0, m)), p)
+    fa, fb = np.split(f, 2)
+    vecs = vecs[len(a):]                            # the blocks at the b ends
     fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan
     side = np.zeros(len(a), dtype=int)               # end moved last: -1 a, +1 b
-    widths = [b - a] * 3
+    widths = [2.0 * (b - a)] * 3                  # no bisection before step 4
     for _ in range(500):
         xtol = _REFINE * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         act = np.flatnonzero(b - a > xtol)
@@ -492,9 +571,12 @@ def _refine(g: _Glued, brackets) -> np.ndarray:
         bisect = ~np.isfinite(c) | (B - A > 0.5 * widths[-3][act])
         c[bisect] = 0.5 * (A[bisect] + B[bisect])
         c = np.clip(c, A + 0.25 * xtol[act], B - 0.25 * xtol[act])
-        fc, nc, scale = _mu(g, c, k[act], k0[act], m[act])
-        left = np.where(np.isnan(fc), nc > k[act], fc < 0.0)     # the root lies left of c
-        close = np.abs(fc) <= _REFINE * scale                     # c is the root
+        fc, cert, nc, sure, scale, vecs[act] = _mu(g, c, k[act], k0[act], m[act], p, vecs[act])
+        # the root lies left of c: by the sign of a certified mu_k, else by a
+        # sure count, else by the sign of mu_k where it has one
+        by_sign = cert | (~sure & ~np.isnan(fc))
+        left = np.where(by_sign, fc < 0.0, nc > k[act])
+        close = cert & (np.abs(fc) <= _REFINE * scale)            # c is the root
         a[act[close]], b[act[close]] = c[close], c[close]
         lo_i, hi_i = act[left], act[~left]
         b[lo_i], fb[lo_i] = c[left], fc[left]
@@ -503,13 +585,15 @@ def _refine(g: _Glued, brackets) -> np.ndarray:
         fa[lo_i[side[lo_i] == 1]] *= 0.5
         fb[hi_i[side[hi_i] == -1]] *= 0.5
         side[lo_i], side[hi_i] = 1, -1
+        fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan    # a side from the count
         widths.append(b - a)
     else:
         raise RuntimeError("the secant refinement of a level did not converge")
     with np.errstate(invalid="ignore", divide="ignore"):
         root = b - fb * (b - a) / (fb - fa)
     root = np.where(np.isfinite(root) & (root >= a) & (root <= b), root, 0.5 * (a + b))
-    return root[np.argsort(k, kind="stable")]
+    order = np.argsort(k, kind="stable")
+    return root[order], vecs[order]
 
 
 def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
@@ -523,19 +607,27 @@ def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
     return list(eigs)
 
 
-def _eigenpairs(g: _Glued, lams, mults) -> list[Eigenpair]:
+def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
     """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0,
     which hold psi = Q c and the interior nodes: the eigenfunction at every
-    sample.  They are orthonormalised in L2(sqrt(eta) dx) by Simpson
-    quadrature, each with its largest sample real positive, and dpsi comes
-    from the end cells' DtN rows."""
+    sample.  The Ritz steps start from ``start`` (len(lams), dim, p), the
+    vectors of each level's last secant probe, and end once those ``mult``
+    pairs are certified.  The vectors are orthonormalised in L2(sqrt(eta) dx)
+    by Simpson quadrature, each with its largest sample real positive, and
+    dpsi comes from the end cells' DtN rows."""
     domain, S, m = g.domain, g.opts.samples, g.Q.shape[1]
     n = domain.n
     xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
     w = _quad_weights(domain, xs)
     root_a = np.sqrt([expr.evaluate(iv.metric, iv.a) for iv in domain.intervals])
     cells = g.cells(lams)
-    theta, vecs = g.ritz(*cells, max(mults) + 2)
+    mults = np.asarray(mults)
+
+    def read(rows, theta):
+        return (np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
+                < mults[rows, np.newaxis])
+
+    theta, vecs, _ = g.ritz(*cells, start.shape[2], start, read)
     pairs = []
     for lam, mult, th, x, alpha, beta, gamma in zip(lams, mults, theta, vecs, *cells):
         x = x[:, np.argsort(np.abs(th))[:mult]]

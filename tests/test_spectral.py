@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from qwire import expr, spectral
@@ -424,6 +425,88 @@ def test_count_is_batched(monkeypatch):
     assert max(calls) >= 64
 
 
+def test_refinement_solves_fewer_than_twice_per_factorisation(monkeypatch):
+    # The periodic circle over (-0.5, 530): warm-started Ritz steps stop once
+    # the values they are read for are certified, so most probes take one
+    # banded solve per LU instead of a fixed three.
+    calls = {"gbtrf": 0, "gbtrs": 0}
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def counting(names, arrays=()):
+        def count(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
+        return tuple(count(nm, f) for nm, f in zip(names, get_lapack_funcs(names, arrays)))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0))
+    assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
+    assert calls["gbtrf"] > 0
+    assert calls["gbtrs"] < 2 * calls["gbtrf"]
+
+
+def _dense_glued(g, cells):
+    """K(lam) - A as dense matrices, summed from the entry lists."""
+    v = g._values(*cells)
+    K = np.zeros((len(v), g.dim, g.dim), dtype=g.dtype)
+    for k, entries in zip(K, v):
+        np.add.at(k, (g.rows, g.cols), entries)
+        np.add.at(k, (g.cols[g.off], g.rows[g.off]), entries[g.off].conj())
+    return K
+
+
+@pytest.mark.parametrize("case", ["periodic circle", "Haar U(4)"])
+def test_ritz_pairs_against_dense_eigenvalues(case):
+    # Each certified Ritz value lies within its residual of an eigenvalue of
+    # the dense K(lam) - A (up to rounding), and the residual that the Ritz
+    # step computes from the solve is the true ||(K - A) v - theta v||; from
+    # a cold start and from the vectors at a nearby lam.
+    if case == "periodic circle":
+        U, dom = make_quasiperiodic(0.0), FREE
+    else:
+        U = random_unitary(4, np.random.default_rng(3))
+        dom = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3, "1", "x^2/2")])
+    g = spectral._Glued(U, dom, SolveOptions())
+    assert g.dtype is (float if case == "periodic circle" else complex)
+    levels = find_eigenvalues(U, dom, (-math.inf, 30.0)).lams[:4]
+    lams = np.concatenate([levels, levels + 1e-3, [0.37, 7.3, 19.1]])
+    cells = g.cells(lams)
+    K = _dense_glued(g, cells)
+    dense = np.linalg.eigvalsh(K)
+    norm = np.max(np.abs(dense), axis=1)[:, np.newaxis]
+
+    def every(rows, theta):
+        return np.ones(theta.shape, dtype=bool)
+
+    _, near, _ = g.ritz(*g.cells(lams + 1e-6), 4, None, every)
+    for start in (None, near):
+        theta, vecs, resid = g.ritz(*cells, 4, start, every)
+        certified = spectral._certified(theta, resid)
+        assert certified.sum() >= 0.75 * certified.size
+        gap = np.min(np.abs(dense[:, np.newaxis, :] - theta[:, :, np.newaxis]), axis=2)
+        assert np.all((gap <= resid + 1e-14 * norm)[certified])
+        true = np.linalg.norm(K @ vecs - vecs * theta[:, np.newaxis, :], axis=1)
+        assert np.all(np.abs(true - resid) <= 1e-12 * norm)
+        gram = vecs.conj().transpose(0, 2, 1) @ vecs
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+
+
+def test_count_is_zero_at_minus_infinity():
+    counts = count_eigenvalues(make_dirichlet(1), FREE, [-math.inf, 1.0])
+    assert counts.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_count_rejects_plus_infinity_and_nan_before_building_cells(monkeypatch, lam):
+    calls = []
+    monkeypatch.setattr(spectral, "cell_dtn", lambda *args: calls.append(args))
+    with pytest.raises(ValueError):
+        count_eigenvalues(make_dirichlet(1), FREE, [1.0, lam])
+    assert calls == []
+
+
 # Silent misses of the sigma_min scan that the count must not repeat.
 
 HO = QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")])
@@ -531,3 +614,24 @@ def test_count_on_wire_rings_matches_closed_form(lengths, theta, lam):
     assume(np.all(np.abs(levels - lam) > 1e-6 * max(1.0, abs(lam))))
     dom = QuantumDomain([Interval(0.0, x) for x in lengths])
     assert count_eigenvalues(U, dom, lam)[0] == np.count_nonzero(levels < lam)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 2), variable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_no_level_is_misplaced(n, variable, seed):
+    # Haar U(2n), the last interval variable if drawn.  The count just below
+    # and just above each level (1e-7 relative) differs by its multiplicity,
+    # and the counts run on from one level to the next without a gap.
+    U = random_unitary(2 * n, np.random.default_rng(seed))
+    ivs = [Interval(0.0, L) for L in LENGTHS[:n]]
+    if variable:
+        ivs[-1] = Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")
+    dom = QuantumDomain(ivs)
+    eigs = find_eigenvalues(U, dom, (-math.inf, 40.0)).eigs
+    assert eigs
+    lams, mults = np.array([e.lam for e in eigs]), [e.multiplicity for e in eigs]
+    delta = 1e-7 * np.maximum(1.0, np.abs(lams))
+    below, above = np.split(count_eigenvalues(U, dom, np.concatenate([lams - delta,
+                                                                      lams + delta])), 2)
+    assert (above - below).tolist() == mults
+    assert below.tolist() == np.concatenate([[0], np.cumsum(mults)[:-1]]).tolist()
