@@ -1,4 +1,4 @@
-"""Fundamental solutions of the eigenvalue ODE on a single interval.
+"""Cell propagators and fundamental solutions of the eigenvalue ODE on one interval.
 
 For H = -(1/(2*sqrt(eta))) d/dx (eta**-0.5 d/dx) + V the eigenvalue equation
 H u = lam u is written for the quasi-derivative pair y = (u, eta**-0.5 u'):
@@ -34,17 +34,18 @@ per-cell tolerance relative to its own largest entry, a test that a single
 cell passes near eigenvalues too.  The next call with the same tolerance on
 the same interval starts at the level last accepted.  :func:`cell_dtn` turns
 the finer sample cells, for an array of lam, into Dirichlet-to-Neumann
-matrices; the count and the roots of :mod:`qwire.spectral` are built on
-those.  :func:`fundamental_solutions` takes the per-cell tolerance
-rel_tol / (samples - 1) and multiplies the finer cells by a parallel prefix
-product into the transfer matrices from a to every sample point; it raises
+matrices; the count, the roots and the spectral determinant of
+:mod:`qwire.spectral` are built on those.  :func:`fundamental_solutions`
+gives the canonical pair's endpoint data, an independent reference for
+them: it takes the per-cell tolerance rel_tol / (samples - 1) and multiplies
+the finer cells pairwise into the endpoint transfer matrix, and raises
 :class:`OdeError` where the two levels' endpoint products still differ by
 more than rel_tol, which happens only where the product is ill-conditioned.
 Every product is divided by its largest entry and the logarithm of the
 factor is carried alongside, so deep tunnelling (lam far below V) cannot
-overflow.  Samples whose magnitude would exceed 1e100 are stored with a
-factor exp(-scale_exponent); a uniform positive rescaling multiplies the
-spectral determinant by a positive constant and leaves its zero set
+overflow.  Endpoint data whose magnitude would exceed 1e100 are stored with
+a factor exp(-scale_exponent); a uniform positive rescaling multiplies the
+determinant of M(U, lam) by a positive constant and leaves its zero set
 unchanged.
 """
 
@@ -62,12 +63,7 @@ from .domain import Interval
 __all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "cell_dtn",
            "free_exponential_basis"]
 
-# In a fully classically forbidden interval both left-launched solutions
-# converge onto the growing mode and the basis collapses at the level
-# exp(-action); beyond this action a solution is launched from each endpoint
-# instead (the determinant's zero set is basis independent).
-_TWO_SIDED_ACTION = 25.0
-# log(1e100): solutions growing past this are stored with a scale factor
+# log(1e100): endpoint data growing past this are stored with a scale factor
 _SCALE_LOG = 100.0 * math.log(10.0)
 # finest mesh level, (samples - 1) * 2**_MAX_LEVEL cells
 _MAX_LEVEL = 10
@@ -79,21 +75,19 @@ class OdeError(Exception):
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Canonical basis solutions of H u = lam u on one interval.
+    """Endpoint data of the canonical basis solutions of H u = lam u on one
+    interval, row sigma of each array for solution sigma.
 
-    ``values`` has shape (2, m): dense samples of the two basis solutions on
-    the uniform grid ``xs``.  Endpoint data are plain (unnormalised)
-    derivatives; the metric trace factors are applied downstream.  All stored
-    numbers carry a factor exp(-scale_exponent) relative to the exact
-    canonical solutions.  ``error_estimate`` is the mesh-halving estimate of
-    the relative error of the endpoint data, 0.0 on a constant interval,
-    whose cells are exact.
+    Derivatives are plain (unnormalised); the metric trace factors are
+    applied downstream.  All stored numbers carry a factor
+    exp(-scale_exponent) relative to the exact canonical solutions, so where
+    that factor is below ~1e-308 the data at a underflow to 0.
+    ``error_estimate`` is the mesh-halving estimate of the relative error of
+    the endpoint data, 0.0 on a constant interval, whose cells are exact.
     """
 
     lam: float
     interval: Interval
-    xs: np.ndarray
-    values: np.ndarray
     psi_a: np.ndarray      # (2,) values at a
     dpsi_a: np.ndarray     # (2,) plain derivatives at a
     psi_b: np.ndarray
@@ -276,25 +270,16 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
         coarse, coarse_logs = fine, fine_logs
 
 
-def _prefix(m: np.ndarray, logs: np.ndarray):
-    """Products M_i ... M_1 for every i, by a Hillis-Steele scan."""
-    m, logs = m.copy(), logs.copy()
-    step = 1
-    while step < m.shape[1]:
-        m[:, step:], logs[step:] = _normalised(_mul(m[:, step:], m[:, :-step]),
-                                               logs[step:] + logs[:-step])
-        step *= 2
-    return m, logs
+def _product(m: np.ndarray, logs: np.ndarray):
+    """The product M_N ... M_1 of (4, N) cells, normalised, and its log factor."""
+    while m.shape[-1] > 1:
+        m, logs = _normalised(*_pair_products(m, logs))
+    return m[:, 0], float(logs[0])
 
 
 def _distance(t, t_log: float, ref, ref_log: float) -> float:
     """Largest entry of t - ref relative to ref's; ref is normalised to a peak of 1."""
     return float(np.max(np.abs(t * math.exp(t_log - ref_log) - ref)))
-
-
-def _storage_scale(logs: np.ndarray) -> float:
-    top = max(float(np.max(logs)), 0.0)
-    return top if top > _SCALE_LOG else 0.0
 
 
 def fundamental_solutions(
@@ -303,7 +288,7 @@ def fundamental_solutions(
     rel_tol: float = 1e-10,
     samples: int = 257,
 ) -> FundamentalPair:
-    """Propagate the canonical solution pair and sample it densely.
+    """Propagate the canonical solution pair to the endpoint b.
 
     ``samples`` is the number of uniform grid points (including endpoints).
     The mesh is halved until every sample cell agrees between two levels to
@@ -322,53 +307,21 @@ def fundamental_solutions(
     mesh = _mesh(interval, samples)
     _, coarse, coarse_logs, cells, cell_logs = _converged_cells(mesh, lam,
                                                                 rel_tol / (samples - 1))
-    cells = np.broadcast_to(cells, (4, samples - 1))
-    cell_logs = np.broadcast_to(cell_logs, samples - 1)
-    p, pl = _prefix(cells, cell_logs)
-    error = 0.0
-    if not mesh.constant:
-        c, cl = _prefix(coarse, coarse_logs)
-        error = _distance(c[:, -1], float(cl[-1]), p[:, -1], float(pl[-1]))
+    p, pl = _product(np.broadcast_to(cells, (4, samples - 1)),
+                     np.broadcast_to(cell_logs, samples - 1))
+    error = 0.0 if mesh.constant else _distance(*_product(coarse, coarse_logs), p, pl)
     if error > rel_tol:
         raise OdeError(f"lam={lam:.6g}: the endpoint transfer matrix of [{interval.a:g}, "
                        f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
                        f"{error:.3g} > rel_tol={rel_tol:g})")
-
-    xs = np.linspace(interval.a, interval.b, samples)
+    # y = (u, eta**-0.5 u') starts at (1, 0) and (0, 1 / sqrt(eta(a)))
+    scale = pl if pl > _SCALE_LOG else 0.0
+    f, sf = math.exp(pl - scale), math.exp(-scale)
     sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
-    stride = 1 << mesh.finest                  # the level-0 nodes
-    w = 2.0 * mesh.eta[::stride] * (mesh.pot[::stride] - lam)
-    kappa = math.sqrt(max(float(w.max()), 0.0))
-    if w.min() > 0.0 and kappa * (interval.b - interval.a) > _TWO_SIDED_ACTION:
-        # u1 as usual; u2 launched from b with u = 1, u' = 0.  With Q the
-        # transfer matrix from x to b, det Q = 1 gives
-        # y2(x) = Q^-1 (1, 0) = (Q11, -Q10).  The transposes of Q are the
-        # prefix products of the reversed, transposed cells.
-        q, ql = _prefix(cells[[0, 2, 1, 3], ::-1], cell_logs[::-1])
-        q, ql = q[:, ::-1], ql[::-1]           # q[:, i] holds Q(x_i)^T, i < m - 1
-        s1, s2 = _storage_scale(pl), _storage_scale(ql)
-        f1, f2 = np.exp(pl - s1), np.exp(ql - s2)
-        values = np.empty((2, samples))
-        values[0, 0], values[0, 1:] = math.exp(-s1), f1 * p[0]
-        values[1, :-1], values[1, -1] = f2 * q[3], math.exp(-s2)
-        return FundamentalPair(
-            lam=lam, interval=interval, xs=xs, values=values,
-            psi_a=values[:, 0].copy(), dpsi_a=np.array([0.0, -sa * f2[0] * q[1, 0]]),
-            psi_b=values[:, -1].copy(), dpsi_b=np.array([sb * f1[-1] * p[2, -1], 0.0]),
-            scale_exponent=s1 + s2, error_estimate=error,
-        )
-    scale = _storage_scale(pl)
-    f = np.exp(pl - scale)
-    sf = math.exp(-scale)
-    values = np.empty((2, samples))
-    values[:, 0] = sf, 0.0
-    values[0, 1:] = f * p[0]
-    values[1, 1:] = f * p[1] / sa
     return FundamentalPair(
-        lam=lam, interval=interval, xs=xs, values=values,
+        lam=lam, interval=interval,
         psi_a=np.array([sf, 0.0]), dpsi_a=np.array([0.0, sf]),
-        psi_b=values[:, -1].copy(),
-        dpsi_b=sb * f[-1] * np.array([p[2, -1], p[3, -1] / sa]),
+        psi_b=f * np.array([p[0], p[1] / sa]), dpsi_b=sb * f * np.array([p[2], p[3] / sa]),
         scale_exponent=scale, error_estimate=error,
     )
 
@@ -415,7 +368,7 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     return alpha, beta, gamma
 
 
-def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -> FundamentalPair:
+def free_exponential_basis(interval: Interval, lam: float) -> FundamentalPair:
     """Closed-form plane-wave basis exp(+-i k x), k = sqrt(2 lam), for eta=1, V=0.
 
     Validation path only: requires a trivial metric, vanishing potential and
@@ -428,13 +381,9 @@ def free_exponential_basis(interval: Interval, lam: float, samples: int = 257) -
     if lam <= 0.0:
         raise ValueError("free_exponential_basis requires lam > 0")
     k = math.sqrt(2.0 * lam)
-    xs = np.linspace(interval.a, interval.b, samples)
-    up = np.exp(1j * k * xs)
-    um = np.exp(-1j * k * xs)
-    values = np.vstack([up, um])
     ea, eb = np.exp(1j * k * interval.a), np.exp(1j * k * interval.b)
     return FundamentalPair(
-        lam=lam, interval=interval, xs=xs, values=values,
+        lam=lam, interval=interval,
         psi_a=np.array([ea, np.conj(ea)]),
         dpsi_a=np.array([1j * k * ea, -1j * k * np.conj(ea)]),
         psi_b=np.array([eb, np.conj(eb)]),

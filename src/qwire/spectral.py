@@ -1,11 +1,15 @@
 """Spectral function, eigenvalue count and search, eigenfunctions and evolution.
 
-The fundamental solutions give the 2n x 2n matrix M(U, lam) whose
-determinant, the spectral function, vanishes at the eigenvalues of H_U.  With
-psi_{l+-} = psi_l +- i dpsi_l (likewise at the right ends) its column sigma
-has the row blocks I o psi_{l-} - U11 o psi_{l+} - U12 o psi_{r+} and
-I o psi_{r-} - U21 o psi_{l+} - U22 o psi_{r+}, where ``o`` is the Hadamard
-column scaling (T o X)Y = T(X o Y).
+The spectral function is det M(U, lam), where M is the 2n x 2n matrix whose
+determinant vanishes at the eigenvalues of H_U.  With the canonical pair's
+endpoint data and psi_{l+-} = psi_l +- i dpsi_l (likewise at the right ends)
+its column sigma has the row blocks I o psi_{l-} - U11 o psi_{l+} -
+U12 o psi_{r+} and I o psi_{r-} - U21 o psi_{l+} - U22 o psi_{r+}, where
+``o`` scales the columns of the matrix before it by the vector after it.
+:func:`spectral_matrix` assembles M from :class:`FundamentalPair` data, the
+worked example and the reference; :func:`spectral_function` computes det M
+without them, from one banded LU of the glued matrix below (see
+:meth:`_Glued.log_det`).
 
 Eigenvalues are counted, found and reconstructed with one object, the glued
 matrix K(lam) - A.  Each sample cell contributes its 2x2 Dirichlet-to-Neumann
@@ -34,13 +38,12 @@ import scipy.linalg
 from . import expr
 from .bc import UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import FundamentalPair, OdeError, cell_dtn, fundamental_solutions
+from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, cell_dtn
 from .oracle import _folded_positions
 
-__all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "hadamard_mat",
-           "spectral_matrix", "spectral_function", "boundary_wronskian",
-           "count_eigenvalues", "find_eigenvalues", "eigenfunctions", "evolve",
-           "deficiency_indices"]
+__all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
+           "spectral_function", "boundary_wronskian", "count_eigenvalues", "find_eigenvalues",
+           "eigenfunctions", "evolve", "deficiency_indices"]
 
 # relative widths: brackets isolate levels to _ISOLATE, roots agreeing to
 # _MERGE form one level, and the secant refines to _REFINE, or stops where
@@ -71,25 +74,12 @@ class SolveOptions:
                               DeprecationWarning, stacklevel=3)
 
 
-def hadamard_mat(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Column scaling: the unique matrix with (T o X) Y = T (X o Y).
-
-    Column j of the result is column j of ``t`` times ``x[j]``.
-    """
-    t, x = np.asarray(t), np.asarray(x)
-    if t.ndim != 2 or x.ndim != 1 or t.shape[1] != x.shape[0]:
-        raise ValueError("hadamard_mat needs an (m, n) matrix and an n-vector")
-    return t * x[np.newaxis, :]
-
-
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Assembled M(U, lam) and its singular values."""
+    """Assembled M(U, lam)."""
 
     lam: float
     matrix: np.ndarray
-    svals: np.ndarray
-    sigma_min: float
     scale_exponent: float      # total log-rescaling inherited from the ODE solves
 
 
@@ -105,7 +95,12 @@ def _endpoint_traces(fps: list[FundamentalPair]) -> tuple[np.ndarray, ...]:
 
 
 def spectral_matrix(U: UnitaryBC, fps: list[FundamentalPair]) -> SpectralMatrix:
-    """Assemble M(U, lam) from per-interval fundamental pairs at a common lam."""
+    """Assemble M(U, lam) from per-interval fundamental pairs at a common lam.
+
+    Both canonical solutions are launched from a, so deep below the
+    potential they grow alike and det M cancels to a few digits;
+    :func:`spectral_function` has no such loss.
+    """
     if len(fps) != U.n:
         raise ValueError(f"expected {U.n} fundamental pairs, got {len(fps)}")
     lam = fps[0].lam
@@ -128,21 +123,23 @@ def spectral_matrix(U: UnitaryBC, fps: list[FundamentalPair]) -> SpectralMatrix:
     M = np.concatenate([
         eye * cols(lm) - tile(U.u11) * cols(lp) - tile(U.u12) * cols(rp),
         eye * cols(rm) - tile(U.u21) * cols(lp) - tile(U.u22) * cols(rp)])
-    svals = np.linalg.svd(M, compute_uv=False)
-    return SpectralMatrix(lam=lam, matrix=M, svals=svals, sigma_min=float(svals[-1]),
+    return SpectralMatrix(lam=lam, matrix=M,
                           scale_exponent=float(sum(fp.scale_exponent for fp in fps)))
 
 
 def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
                       opts: SolveOptions = SolveOptions()) -> complex:
-    """det M(U, lam) with the canonical-basis fundamental solutions.
+    """det M(U, lam) with the canonical-basis fundamental solutions, from one
+    banded LU of K(lam) - A (see :meth:`_Glued.log_det`).
 
-    The value carries the positive factor exp(-2 * scale_exponent) from the
-    overflow guard; its zeros are the eigenvalues of H_U.
+    The value carries the positive factor exp(-s), s = max(0, log|det M| -
+    log 1e100), which caps its modulus at 1e100 however deep lam lies below
+    the potential; its zeros are the eigenvalues of H_U.  A sample cell that
+    holds a Dirichlet level of its own raises
+    :class:`~qwire.odesolve.OdeError` (raise ``opts.samples``).
     """
-    fps = [fundamental_solutions(iv, lam, rel_tol=opts.rel_tol, samples=opts.samples)
-           for iv in domain.intervals]
-    return complex(np.linalg.det(spectral_matrix(U, fps).matrix))
+    phase, log_mod = _Glued(U, domain, opts).log_det(lam)
+    return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
 @dataclass(frozen=True)
@@ -332,6 +329,31 @@ class _Glued:
         ab = np.bincount(self._scatter[G], v.view(float), parts * size).view(self.dtype)
         return ab.reshape(3 * w + 1, G * D)
 
+    def log_det(self, lam: float):
+        """det M(U, lam) as (phase, log|det M|), or (0, -inf) where it is 0.
+
+        The gluing identity (R. Forman, Invent. Math. 88 (1987); Burghelea,
+        Friedlander & Kappeler, J. Funct. Anal. 107 (1992)) reads
+        det M = c(U) * prod_cells t01 * det(K(lam) - A), with t01 = -1/beta > 0
+        each sample cell's transfer entry and c(U) = (-1)**n (2i)**(2n - m)
+        det(I_m + U_V) prod_j eta(a_j)**-0.5 (m = rank Q).  det(K - A) comes
+        from one unshifted banded LU: the product of the diagonal of its U
+        factor, times -1 per row interchange (``ipiv`` is 0-based).
+        """
+        cells = self.cells([lam])
+        lu, piv, info = self._gbtrf(self.band(*cells), self.w, self.w, overwrite_ab=True)
+        if info > 0:
+            return 0.0, -math.inf
+        d = lu[2 * self.w]
+        n, m = self.domain.n, self.Q.shape[1]
+        c = (-1) ** n * (2j) ** (2 * n - m) * np.linalg.det(
+            np.eye(m) + self.Q.conj().T @ self.U.matrix @ self.Q)
+        eta_a = [expr.evaluate(iv.metric, iv.a) for iv in self.domain.intervals]
+        swaps = np.count_nonzero(piv != np.arange(self.dim))
+        phase = complex(np.prod(d / np.abs(d))) * (-1) ** swaps * c / abs(c)
+        return phase, float(np.sum(np.log(np.abs(d))) - np.sum(np.log(-cells[1]))
+                            + math.log(abs(c)) - 0.5 * np.sum(np.log(eta_a)))
+
     def cold(self, p: int) -> np.ndarray:
         """A fixed random orthonormal (dim, p) start block."""
         if self._cold.shape[1] < p:
@@ -413,12 +435,16 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     its step halved where a sample cell would hold a Dirichlet level.
     The count at the ends gives the levels; multisection on the count
     isolates them, one per bracket or to 1e-7 relative; level k is the root
-    of mu_k, refined to 1e-12 relative.  Roots that agree to 1e-9 relative
+    of mu_k, found by a secant whose tolerance is 1e-12 relative.  A level's
+    accuracy is floored by rounding at about eps ||K|| / |mu_k'|, ~1e-11
+    relative on multi-interval problems.  Roots that agree to 1e-9 relative
     form one eigenvalue, and their number is its multiplicity.
     """
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("lambda_range must be increasing")
+    if opts.max_eigs is not None and opts.max_eigs < 1:
+        raise ValueError(f"max_eigs must be at least 1, got {opts.max_eigs}")
     if hi == math.inf and opts.max_eigs is None:
         raise ValueError("an open upper end needs max_eigs")
     g = _Glued(U, domain, opts)

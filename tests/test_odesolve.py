@@ -18,36 +18,48 @@ from qwire.odesolve import (
 
 def test_free_interval_closed_form():
     # On a free interval u'' = -2 lam u, so the canonical pair is
-    # cos(k(x-a)) and sin(k(x-a))/k with k = sqrt(2 lam).
+    # cos(k(x-a)) and sin(k(x-a))/k with k = sqrt(2 lam): at the end of
+    # [a, x] for x on a grid, and in the DtN matrix of every sample cell.
     lam = 1.3
     k = math.sqrt(2.0 * lam)
+    for x in np.linspace(0.5, 4.0, 9)[1:]:
+        fp = fundamental_solutions(Interval(0.5, x, "1", "0"), lam)
+        kz = k * (x - 0.5)
+        assert np.allclose(fp.psi_b, [math.cos(kz), math.sin(kz) / k], rtol=0.0, atol=1e-9)
+        assert np.allclose(fp.dpsi_b, [-k * math.sin(kz), math.cos(kz)], rtol=0.0, atol=1e-9)
     iv = Interval(0.5, 4.0, "1", "0")
     fp = fundamental_solutions(iv, lam)
-    z = fp.xs - iv.a
-    assert np.max(np.abs(fp.values[0] - np.cos(k * z))) <= 1e-9
-    assert np.max(np.abs(fp.values[1] - np.sin(k * z) / k)) <= 1e-9
     assert fp.psi_a == pytest.approx([1.0, 0.0])
     assert fp.dpsi_a == pytest.approx([0.0, 1.0])
     assert fp.psi_b[0] == pytest.approx(math.cos(k * (4.0 - 0.5)), rel=1e-10)
     assert fp.dpsi_b[1] == pytest.approx(math.cos(k * (4.0 - 0.5)), rel=1e-10)
+    alpha, beta, gamma = cell_dtn(iv, [lam])
+    want = _constant_cell_dtn(1.0, 0.0, iv.length / 256, lam)
+    assert np.allclose([alpha, gamma], want[0], rtol=1e-9, atol=0.0)
+    assert np.allclose(beta, want[1], rtol=1e-9, atol=0.0)
 
 
 def test_lambda_zero_gives_linear_pair():
-    fp = fundamental_solutions(Interval(0.0, 2.0, "1", "0"), 0.0)
-    assert np.max(np.abs(fp.values[0] - 1.0)) <= 1e-10
-    assert np.max(np.abs(fp.values[1] - fp.xs)) <= 1e-10
+    for x in np.linspace(0.0, 2.0, 9)[1:]:
+        fp = fundamental_solutions(Interval(0.0, x, "1", "0"), 0.0)
+        assert np.allclose(fp.psi_b, [1.0, x], rtol=0.0, atol=1e-10)
+        assert np.allclose(fp.dpsi_b, [0.0, 1.0], rtol=0.0, atol=1e-10)
+    alpha, beta, gamma = cell_dtn(Interval(0.0, 2.0, "1", "0"), [0.0])
+    h = 2.0 / 256
+    assert np.allclose([alpha, gamma], 1.0 / h, rtol=0.0, atol=1e-10)
+    assert np.allclose(beta, -1.0 / h, rtol=0.0, atol=1e-10)
 
 
 def test_constant_fast_path_matches_integrator():
     # '1 + 0*x' is not recognized as constant, so it takes the halved Magnus
-    # mesh; the values must match the single exact cell of a constant interval.
+    # mesh; the endpoint data of [0, x] must match the single exact cell of a
+    # constant interval.
     lam = 0.8
-    iv_fast = Interval(0.0, 3.0, "1", "2")
-    iv_slow = Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x")
-    fast = fundamental_solutions(iv_fast, lam)
-    slow = fundamental_solutions(iv_slow, lam, rel_tol=1e-12)
-    assert np.max(np.abs(fast.values - slow.values)) <= 1e-8
-    assert fast.dpsi_b == pytest.approx(slow.dpsi_b, rel=1e-8)
+    for x in np.linspace(0.0, 3.0, 5)[1:]:
+        fast = fundamental_solutions(Interval(0.0, x, "1", "2"), lam)
+        slow = fundamental_solutions(Interval(0.0, x, "1 + 0*x", "2 + 0*x"), lam, rel_tol=1e-12)
+        assert np.max(np.abs(fast.psi_b - slow.psi_b)) <= 1e-8
+        assert fast.dpsi_b == pytest.approx(slow.dpsi_b, rel=1e-8)
 
 
 def test_wronskian_invariant_variable_coefficients():
@@ -68,8 +80,8 @@ def test_wronskian_drift_beside_a_growing_solution():
 
 def test_closed_form_branches():
     # eta = 2, V = 3 on [0, 1.3]: u'' = w u with w = 4 (3 - lam).  lam above
-    # V, lam = V, then growing with action k L <= 25, two-sided (u2 launched
-    # from b) with 25 < k L <= 300, and two-sided with a storage scale.
+    # V, lam = V, then growing with action k L of 10.6 and 45, and deep
+    # tunnelling (k L = 822) with a storage scale.
     iv = Interval(0.0, 1.3, "2", "3")
     L = iv.length
     fps = [fundamental_solutions(iv, lam) for lam in (10.0, 3.0, -3.0, -300.0, -1e5)]
@@ -80,15 +92,16 @@ def test_closed_form_branches():
                         [-k * math.sin(k * L), math.cos(k * L)]], rtol=1e-13, atol=1e-15)
     assert np.allclose([fps[1].psi_b, fps[1].dpsi_b], [[1.0, L], [0.0, 1.0]], rtol=1e-13)
     k = np.sqrt(4.0 * (3.0 + np.array([3.0, 300.0, 1e5])))
-    assert k[0] * L <= 25.0 < k[1] * L <= 300.0 < k[2] * L
     ch, sh = np.cosh(k[:2] * L), np.sinh(k[:2] * L)
     data = np.array([[fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b] for fp in fps[2:4]])
-    want = np.array([[[1.0, 0.0], [0.0, 1.0], [ch[0], sh[0] / k[0]], [k[0] * sh[0], ch[0]]],
-                     [[1.0, ch[1]], [0.0, -k[1] * sh[1]], [ch[1], 1.0], [k[1] * sh[1], 0.0]]])
+    want = np.array([[[1.0, 0.0], [0.0, 1.0], [c, s / q], [q * s, c]]
+                     for c, s, q in zip(ch, sh, k)])
     assert np.allclose(data, want, rtol=1e-13, atol=0.0)
     deep = fps[4]
-    assert _total_growth(deep) == pytest.approx(2.0 * (k[2] * L - math.log(2.0)), rel=1e-12)
-    assert all(np.all(np.isfinite(v)) for v in (deep.values, deep.dpsi_a, deep.dpsi_b))
+    assert deep.scale_exponent > 0.0
+    assert _growth(deep, 0) == pytest.approx(k[2] * L - math.log(2.0), rel=1e-12)
+    assert _growth(deep, 1) == pytest.approx(k[2] * L - math.log(2.0 * k[2]), rel=1e-12)
+    assert all(np.all(np.isfinite(v)) for v in (deep.psi_b, deep.dpsi_a, deep.dpsi_b))
 
 
 def test_cell_dtn_closed_form_matches_magnus():
@@ -160,16 +173,17 @@ def test_cell_dtn_refuses_a_cell_with_its_own_level():
 
 def test_exponential_basis_change():
     # [psi_exp^1, psi_exp^2] = [psi_can^1, psi_can^2] T with
-    # T = [[1, 1], [i k, -i k]], k = sqrt(2 lam).
+    # T = [[1, 1], [i k, -i k]], k = sqrt(2 lam), in the data at both ends.
     lam = 0.9
     k = math.sqrt(2.0 * lam)
     iv = Interval(0.0, 2.0 * math.pi, "1", "0")
     can = fundamental_solutions(iv, lam)
     ex = free_exponential_basis(iv, lam)
     T = np.array([[1.0, 1.0], [1j * k, -1j * k]])
-    rebuilt = T.T @ can.values.astype(complex)
-    scale = np.max(np.abs(ex.values))
-    assert np.max(np.abs(rebuilt - ex.values)) <= 1e-8 * scale
+    for name in ("psi_a", "dpsi_a", "psi_b", "dpsi_b"):
+        rebuilt = T.T @ getattr(can, name).astype(complex)
+        scale = np.max(np.abs(getattr(ex, name)))
+        assert np.max(np.abs(rebuilt - getattr(ex, name))) <= 1e-8 * scale
 
 
 def test_exponential_basis_requires_free_interval():
@@ -191,12 +205,10 @@ def test_tolerance_convergence():
         assert np.max(np.abs(c - f)) <= 10 * 1e-8 * max(1.0, np.max(np.abs(f)))
 
 
-def _total_growth(fp):
-    # Both deep-tunnelling basis solutions grow like cosh across the
-    # interval; this sum recovers 2 * (k L - log 2) independently of the
-    # internal per-solution rescaling.
-    return (fp.scale_exponent + math.log(abs(fp.psi_b[0]))
-            + math.log(abs(fp.psi_a[1])))
+def _growth(fp, sigma):
+    # log |u_sigma(b)|: with u1 = cosh(k x) and u2 = sinh(k x) / k both grow
+    # like e^(k L) / 2, independently of the storage scale
+    return fp.scale_exponent + math.log(abs(fp.psi_b[sigma]))
 
 
 def test_deep_tunnelling_rescales_without_overflow():
@@ -204,10 +216,12 @@ def test_deep_tunnelling_rescales_without_overflow():
     iv = Interval(0.0, 10.0, "1", "5000")
     fp = fundamental_solutions(iv, -5000.0)
     assert fp.scale_exponent > 0.0
-    assert np.all(np.isfinite(fp.values))
-    assert np.max(np.abs(fp.values)) < 1e305
+    data = np.array([fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b])
+    assert np.all(np.isfinite(data))
+    assert np.max(np.abs(data)) < 1e305
     k = math.sqrt(2.0 * 10000.0)
-    assert _total_growth(fp) == pytest.approx(2 * (k * 10.0 - math.log(2.0)), rel=1e-12)
+    assert _growth(fp, 0) == pytest.approx(k * 10.0 - math.log(2.0), rel=1e-12)
+    assert _growth(fp, 1) == pytest.approx(k * 10.0 - math.log(2.0 * k), rel=1e-12)
 
 
 def test_deep_tunnelling_integrator_path():
@@ -215,27 +229,11 @@ def test_deep_tunnelling_integrator_path():
     # so check the accumulated growth rate against the closed form instead.
     iv = Interval(0.0, 4.0, "1", "1000 + 0.001*x")
     fp = fundamental_solutions(iv, -1000.0)
-    assert np.all(np.isfinite(fp.values))
+    assert np.all(np.isfinite([fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b]))
     assert fp.scale_exponent > 0.0
     k = math.sqrt(2.0 * (1000.002 + 1000.0))
-    want = 2 * (k * 4.0 - math.log(2.0))
-    assert _total_growth(fp) == pytest.approx(want, rel=1e-4)
-
-
-def test_two_sided_launch_against_airy():
-    # V = 40 + x on [0, 5] at lam = 0 is forbidden everywhere with action
-    # above 45, so u2 is launched from b with u = 1, u' = 0.
-    a, b, lam = 0.0, 5.0, 0.0
-    fp = fundamental_solutions(Interval(a, b, "1", "40 + x"), lam)
-    assert fp.scale_exponent == 0.0
-    u_left, du_left = _airy_pair(a, lam - 40.0, fp.xs)
-    u_right, du_right = _airy_pair(b, lam - 40.0, fp.xs)
-    for got, want in ((fp.values[0], u_left[0]), (fp.values[1], u_right[0])):
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    assert fp.psi_a == pytest.approx([1.0, u_right[0, 0]], rel=1e-10)
-    assert fp.dpsi_a == pytest.approx([0.0, du_right[0, 0]], rel=1e-10)
-    assert fp.psi_b == pytest.approx([u_left[0, -1], 1.0], rel=1e-10)
-    assert fp.dpsi_b == pytest.approx([du_left[0, -1], 0.0], rel=1e-10)
+    assert _growth(fp, 0) == pytest.approx(k * 4.0 - math.log(2.0), rel=1e-4)
+    assert _growth(fp, 1) == pytest.approx(k * 4.0 - math.log(2.0 * k), rel=1e-4)
 
 
 def test_metric_must_be_positive():
@@ -253,21 +251,18 @@ def test_samples_validation():
 @pytest.mark.parametrize("a", [0.0, 0.5])
 def test_metric_against_arc_length_closed_form(a):
     # With eta = (1 + 0.3x)^2 and V = 0 the arc length s(x) = int_a^x sqrt(eta)
-    # turns H into -1/2 d^2/ds^2: u1 = cos(k s), u2 = sin(k s) / (k sqrt(eta(a))).
-    b, lam = a + 2.0, 1.7
+    # turns H into -1/2 d^2/ds^2: u1 = cos(k s), u2 = sin(k s) / (k sqrt(eta(a))),
+    # here at the end of [a, x] for x on a grid.
+    lam = 1.7
     k = math.sqrt(2.0 * lam)
-    iv = Interval(a, b, "(1+0.3*x)^2", "0")
-    fp = fundamental_solutions(iv, lam)
-    x = fp.xs
-    s = (x - a) + 0.15 * (x * x - a * a)
-    root_a, root = 1.0 + 0.3 * a, 1.0 + 0.3 * x
-    assert np.max(np.abs(fp.values[0] - np.cos(k * s))) <= 1e-10
-    assert np.max(np.abs(fp.values[1] - np.sin(k * s) / (k * root_a))) <= 1e-10
-    sb = s[-1]
-    assert np.allclose(fp.psi_b, [math.cos(k * sb), math.sin(k * sb) / (k * root_a)],
-                       rtol=0.0, atol=1e-10)
-    assert np.allclose(fp.dpsi_b, [-k * math.sin(k * sb) * root[-1],
-                                   math.cos(k * sb) * root[-1] / root_a], rtol=0.0, atol=1e-10)
+    root_a = 1.0 + 0.3 * a
+    for x in np.linspace(a, a + 2.0, 9)[1:]:
+        fp = fundamental_solutions(Interval(a, x, "(1+0.3*x)^2", "0"), lam)
+        s, root = (x - a) + 0.15 * (x * x - a * a), 1.0 + 0.3 * x
+        assert np.allclose(fp.psi_b, [math.cos(k * s), math.sin(k * s) / (k * root_a)],
+                           rtol=0.0, atol=1e-10)
+        assert np.allclose(fp.dpsi_b, [-k * math.sin(k * s) * root,
+                                       math.cos(k * s) * root / root_a], rtol=0.0, atol=1e-10)
 
 
 def _airy_pair(a, lam, x):
@@ -286,14 +281,17 @@ def _airy_pair(a, lam, x):
 
 
 def test_linear_potential_against_airy():
-    iv = Interval(-1.0, 3.0, "1", "x")
+    # the endpoint data of [-1, x] for x on a grid, against the Airy pair
+    # sampled on [-1, 3]
+    a, b = -1.0, 3.0
     for lam in (-0.5, 1.2, 4.0):
-        fp = fundamental_solutions(iv, lam)
-        u, du = _airy_pair(iv.a, lam, fp.xs)
-        scale = np.max(np.abs(u))
-        assert np.max(np.abs(fp.values - u)) <= 1e-10 * scale
-        assert np.max(np.abs(fp.psi_b - u[:, -1])) <= 1e-10 * scale
-        assert np.max(np.abs(fp.dpsi_b - du[:, -1])) <= 1e-10 * np.max(np.abs(du))
+        u, du = _airy_pair(a, lam, np.linspace(a, b, 257))
+        scale, dscale = np.max(np.abs(u)), np.max(np.abs(du))
+        for x in np.linspace(a, b, 9)[1:]:
+            fp = fundamental_solutions(Interval(a, x, "1", "x"), lam)
+            u, du = _airy_pair(a, lam, [x])
+            assert np.max(np.abs(fp.psi_b - u[:, 0])) <= 1e-10 * scale
+            assert np.max(np.abs(fp.dpsi_b - du[:, 0])) <= 1e-10 * dscale
 
 
 def _endpoint_transfer(fp):
@@ -334,8 +332,8 @@ def test_fourth_order_convergence():
     mesh = odesolve._Mesh(iv, 17)
     errors = []
     for level in range(4):
-        p, logs = odesolve._prefix(*odesolve._sample_cells(mesh, level, lam))
-        errors.append(np.max(np.abs(p[:, -1] * math.exp(logs[-1]) - exact)))
+        p, logs = odesolve._product(*odesolve._sample_cells(mesh, level, lam))
+        errors.append(np.max(np.abs(p * math.exp(logs) - exact)))
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse >= 10.0 * fine
 

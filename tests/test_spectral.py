@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qwire import expr, spectral
 from qwire.bc import (
+    UnitaryBC,
     WireSpec,
     admissible_subspace,
     cayley_degeneracy,
@@ -33,7 +36,6 @@ from qwire.spectral import (
     eigenfunctions,
     evolve,
     find_eigenvalues,
-    hadamard_mat,
     spectral_function,
     spectral_matrix,
 )
@@ -41,23 +43,6 @@ from qwire.spectral import (
 FREE = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "0")])
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
-
-
-@given(st.lists(finite, min_size=9, max_size=9),
-       st.lists(finite, min_size=3, max_size=3),
-       st.lists(finite, min_size=3, max_size=3))
-def test_hadamard_mat_defining_property(ts, xs, ys):
-    # (T o X) Y = T (X o Y)
-    T = np.array(ts).reshape(3, 3)
-    x, y = np.array(xs), np.array(ys)
-    lhs = hadamard_mat(T, x) @ y
-    rhs = T @ (x * y)
-    assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_hadamard_shape_validation():
-    with pytest.raises(ValueError):
-        hadamard_mat(np.ones((2, 3)), np.ones(2))
 
 
 def _six_term_lambda(U, fp):
@@ -126,7 +111,6 @@ def test_basis_change_leaves_zero_set_invariant():
             fp = fundamental_solutions(FREE.intervals[0], lam)
             fp_c = dataclasses.replace(
                 fp,
-                values=C.T @ fp.values.astype(complex),
                 psi_a=C.T @ fp.psi_a.astype(complex),
                 dpsi_a=C.T @ fp.dpsi_a.astype(complex),
                 psi_b=C.T @ fp.psi_b.astype(complex),
@@ -140,6 +124,16 @@ def test_basis_change_leaves_zero_set_invariant():
             assert abs(r - det_c) <= 1e-8 * abs(det_c)
 
 
+def _vanishes_only_at(U, dom, lams):
+    # the spectral function is nonzero between the levels and vanishes at
+    # each of them, relative to the midpoints beside it
+    mids = [abs(spectral_function(U, dom, 0.5 * (a + b))) for a, b in zip(lams, lams[1:])]
+    assert min(mids) > 0.0
+    for k, lam in enumerate(lams):
+        beside = mids[max(k - 1, 0):k + 1]
+        assert abs(spectral_function(U, dom, lam)) <= 1e-8 * min(beside), (k, lam)
+
+
 def test_dirichlet_spectrum_and_spurious_root_guard():
     with pytest.warns(DeprecationWarning):
         opts = SolveOptions(grid=300, sigma_tol=1e-6)
@@ -149,12 +143,12 @@ def test_dirichlet_spectrum_and_spurious_root_guard():
     assert np.max(np.abs(lams - want)) <= 1e-8
     assert all(e.multiplicity == 1 for e in spectrum.eigs)
     assert all(e.residual <= 1e-6 for e in spectrum.eigs)
-    # no spurious roots: sigma_min stays large at midpoints between roots
-    for a, b in zip(lams, lams[1:]):
-        mid = 0.5 * (a + b)
-        fp = fundamental_solutions(FREE.intervals[0], mid)
-        sig = spectral_matrix(make_dirichlet(1), [fp]).sigma_min
-        assert sig >= 1e3 * opts.sigma_tol
+    _vanishes_only_at(make_dirichlet(1), FREE, lams)
+    dom = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3, "1", "x^2/2")])
+    U = random_unitary(4, np.random.default_rng(8))
+    spectrum = find_eigenvalues(U, dom, (-math.inf, 40.0))
+    assert len(spectrum.lams) >= 4 and all(e.multiplicity == 1 for e in spectrum.eigs)
+    _vanishes_only_at(U, dom, spectrum.lams)
 
 
 def test_levels_within_one_grid_step_of_the_window_ends():
@@ -343,8 +337,8 @@ def test_batched_count_variable_coefficients():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_assembly_matches_blockwise_formula(n):
-    # M against the block-by-block construction written out with Hadamard
-    # column scalings.
+    # M against the block-by-block construction written out with column
+    # scalings (T o x: column j of T times x[j]).
     rng = np.random.default_rng(60 + n)
     dom = QuantumDomain([Interval(0.0, L, "1 + 0.5*x", "x") for L in (1.0, 1.3, 0.7)[:n]])
     U = random_unitary(2 * n, rng)
@@ -358,11 +352,96 @@ def test_assembly_matches_blockwise_formula(n):
         for sigma in (0, 1):
             lp, lm = psi_l[sigma] + 1j * dpsi_l[sigma], psi_l[sigma] - 1j * dpsi_l[sigma]
             rp, rm = psi_r[sigma] + 1j * dpsi_r[sigma], psi_r[sigma] - 1j * dpsi_r[sigma]
+            lp, lm, rp, rm = (v[np.newaxis, :] for v in (lp, lm, rp, rm))
             cols = slice(sigma * n, (sigma + 1) * n)
-            M[:n, cols] = hadamard_mat(eye, lm) - hadamard_mat(U.u11, lp) - hadamard_mat(U.u12, rp)
-            M[n:, cols] = hadamard_mat(eye, rm) - hadamard_mat(U.u21, lp) - hadamard_mat(U.u22, rp)
+            M[:n, cols] = eye * lm - U.u11 * lp - U.u12 * rp
+            M[n:, cols] = eye * rm - U.u21 * lp - U.u22 * rp
         assert np.array_equal(sm.matrix, M)
-        assert sm.sigma_min == pytest.approx(np.linalg.svd(M, compute_uv=False)[-1], rel=1e-12)
+
+
+def _haar_with_kernel(size, rank, rng):
+    # Haar eigenvectors, eigenphases uniform but for ``rank`` of them at pi
+    v = random_unitary(size, rng).matrix
+    phases = np.exp(1j * rng.uniform(-3.0, 3.0, size))
+    phases[:rank] = -1.0
+    return UnitaryBC(v @ np.diag(phases) @ v.conj().T)
+
+
+def _old_det(U, dom, lam):
+    # det M from the canonical pair's endpoint data, without the storage scale
+    sm = spectral_matrix(U, [fundamental_solutions(iv, lam, rel_tol=1e-11)
+                             for iv in dom.intervals])
+    return complex(np.linalg.det(sm.matrix)) * math.exp(2.0 * sm.scale_exponent)
+
+
+@pytest.mark.parametrize("n, a, metric", [(1, 0.0, "1 + 0.5*x"), (2, 0.0, "1 + 0.5*x"),
+                                          (3, 0.0, "1 + 0.5*x"), (2, 0.5, "(1+0.3*x)^2")])
+def test_spectral_function_against_the_canonical_pair(n, a, metric):
+    # One banded LU of K - A, the cell entries t01 and c(U) give the same
+    # det M as the transfer products, for every rank of ker(U + I).  The
+    # metric at a != 0 checks the factor prod eta(a_j)**-0.5 of c(U).
+    rng = np.random.default_rng(70 + n)
+    dom = QuantumDomain([Interval(a, a + L, metric, "x") for L in (1.0, 1.3, 0.7)[:n]])
+    for rank in range(2 * n + 1):
+        U = _haar_with_kernel(2 * n, rank, rng)
+        assert cayley_degeneracy(U) == rank
+        for lam in (-2.0, 0.7, 5.5):
+            want = _old_det(U, dom, lam)
+            assert abs(spectral_function(U, dom, lam) - want) <= 1e-9 * abs(want), (rank, lam)
+
+
+def test_spectral_function_on_the_free_interval():
+    U = random_unitary(2, np.random.default_rng(11))
+    for lam in (0.5, 2.0, 8.0):
+        want = _old_det(U, FREE, lam)
+        assert abs(spectral_function(U, FREE, lam) - want) <= 1e-9 * abs(want), lam
+
+
+def _closed_form_det(U, L, eta, pot, lam):
+    # det M of one constant interval [0, L] in mpmath: u1 = cosh(q x),
+    # u2 = sinh(q x) / q, q = sqrt(2 eta (V - lam)); the outward
+    # quasi-derivatives carry eta**-0.5.  The entries grow like e^(q L)
+    # and cancel in the determinant, hence the working precision.
+    q = mpmath.sqrt(2 * mpmath.mpf(eta) * (mpmath.mpf(pot) - mpmath.mpf(lam)))
+    with mpmath.workdps(60 + int(2.5 * float(q) * L) + 1):
+        q = mpmath.sqrt(2 * mpmath.mpf(eta) * (mpmath.mpf(pot) - mpmath.mpf(lam)))
+        r = 1 / mpmath.sqrt(eta)
+        ch, sh = mpmath.cosh(q * L), mpmath.sinh(q * L)
+        psi_l, dpsi_l = [1, 0], [0, -r]
+        psi_r, dpsi_r = [ch, sh / q], [q * sh * r, ch * r]
+        u = [[mpmath.mpc(complex(z)) for z in row] for row in U.matrix]
+        M = mpmath.matrix(2, 2)
+        for s in (0, 1):
+            lp, lm = psi_l[s] + 1j * dpsi_l[s], psi_l[s] - 1j * dpsi_l[s]
+            rp, rm = psi_r[s] + 1j * dpsi_r[s], psi_r[s] - 1j * dpsi_r[s]
+            M[0, s] = lm - u[0][0] * lp - u[0][1] * rp
+            M[1, s] = rm - u[1][0] * lp - u[1][1] * rp
+        d = mpmath.det(M)
+        return complex(d / abs(d)), float(mpmath.log(abs(d)))
+
+
+@pytest.mark.parametrize("L, eta, pot", [(10.0, 1.0, 5000.0), (1.3, 2.0, 3.0)])
+def test_log_det_deep_below_the_potential(L, eta, pot):
+    # det M reaches e^4589 here, where the canonical pair's data at a
+    # underflow; the LU and the cell entries stay finite.
+    dom = QuantumDomain([Interval(0.0, L, str(eta), str(pot))])
+    for U in (random_unitary(2, np.random.default_rng(12)), make_dirichlet(1)):
+        g = spectral._Glued(U, dom, SolveOptions())
+        for lam in (-5000.0, -1e5):
+            phase, log_mod = g.log_det(lam)
+            want_phase, want_log = _closed_form_det(U, L, eta, pot, lam)
+            assert abs(log_mod - want_log) <= 1e-10, (lam, log_mod, want_log)
+            assert abs(phase - want_phase) <= 1e-10, (lam, phase, want_phase)
+            value = spectral_function(U, dom, lam)
+            assert math.isfinite(abs(value)) and value != 0.0
+
+
+@pytest.mark.parametrize("window", [(0.1, 10.0), (-math.inf, math.inf)])
+@pytest.mark.parametrize("max_eigs", [0, -2])
+def test_max_eigs_below_one_is_rejected(window, max_eigs):
+    dom = QuantumDomain([Interval(0.0, math.pi)])
+    with pytest.raises(ValueError, match="max_eigs"):
+        find_eigenvalues(make_dirichlet(1), dom, window, SolveOptions(max_eigs=max_eigs))
 
 
 def test_evolve_matches_per_interval_loops():
