@@ -5,7 +5,6 @@ import dataclasses
 import math
 
 import mpmath
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,8 +40,6 @@ from qwire.spectral import (
 )
 
 FREE = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "0")])
-
-finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
 
 def _six_term_lambda(U, fp):
@@ -402,8 +399,7 @@ def _closed_form_det(U, L, eta, pot, lam):
     # u2 = sinh(q x) / q, q = sqrt(2 eta (V - lam)); the outward
     # quasi-derivatives carry eta**-0.5.  The entries grow like e^(q L)
     # and cancel in the determinant, hence the working precision.
-    q = mpmath.sqrt(2 * mpmath.mpf(eta) * (mpmath.mpf(pot) - mpmath.mpf(lam)))
-    with mpmath.workdps(60 + int(2.5 * float(q) * L) + 1):
+    with mpmath.workdps(60 + math.ceil(2.5 * math.sqrt(2.0 * eta * (pot - lam)) * L)):
         q = mpmath.sqrt(2 * mpmath.mpf(eta) * (mpmath.mpf(pot) - mpmath.mpf(lam)))
         r = 1 / mpmath.sqrt(eta)
         ch, sh = mpmath.cosh(q * L), mpmath.sinh(q * L)
