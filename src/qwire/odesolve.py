@@ -11,42 +11,52 @@ u1(a) = 1, u1'(a) = 0 and u2(a) = 0, u2'(a) = 1 (plain derivatives).  The
 modified Wronskian p(x) (u1 u2' - u1' u2) with p = eta**-0.5 is an invariant
 of the flow and is used as a sanity check.
 
-The interval is cut into a uniform mesh of (samples - 1) * 2**j cells
-aligned with the sample grid, and each cell of width h contributes the
-fourth-order Magnus transfer matrix
+In the arc length s = int sqrt(eta) dx the same y obeys
 
-    Omega = h/6 (A0 + 4 Am + A1) + h**2/12 [A1, A0]
+    y_s = [[0, 1], [2*(V - lam), 0]] * y
 
-from the coefficient matrix A at the cell's ends and midpoint.  Omega is a
-traceless 2x2 matrix, Omega**2 = q**2 I, so exp(Omega) = cosh(q) I +
-sinh(q)/q Omega (cos and sin when q**2 < 0).  With constant eta and V the
-commutator vanishes and exp(Omega) is the exact transfer matrix of a sample
-cell, the same for all of them: such an interval is one cell at level 0,
-needs no halving, and is broadcast to its samples - 1 cells.  The
-coefficients do not depend on lam and the nodes of a level include those of
-every coarser one, so each interval's coefficients are evaluated once per
-node and cached (for the 16 intervals used last, process-wide); all cells of
-a level are formed in one numpy pass.
+so eta enters only through the cells' arc lengths l and the factors
+sqrt(eta) at the endpoints.  The interval is cut into a mesh of
+(samples - 1) * 2**j cells of equal width in x, aligned with the sample
+grid, and each is a constant-reference-potential (CP) cell (Ixaru 1984;
+Ledoux, Van Daele and Vanden Berghe, MATSLISE, 2005): the exact transfer
+matrix of the cell with V replaced by its mean Vbar in s,
+
+    [[xi(z), l eta_0(z)], [z eta_0(z) / l, xi(z)]],   z = 2 (Vbar - lam) l**2,
+
+with xi = cosh(sqrt z) and eta_0 = sinh(sqrt z) / sqrt z (cos and sin for
+z < 0), plus the first- and second-order perturbation corrections in
+V - Vbar.  With V - Vbar expanded in Legendre polynomials of s, these are
+fixed combinations of Ixaru's functions eta_m(z) = i_m(sqrt z) / sqrt(z)**m
+(modified spherical Bessel functions) whose coefficients do not depend on
+lam.  The cells' l, Vbar and coefficients come from one pass of Gauss
+quadrature per level and are cached (for the 16 intervals used last,
+process-wide), so a value of lam costs the eta_m of every cell and one
+contraction.  What is left is third order in l**2 (V - Vbar), about l**9
+per cell for smooth V, and it does not grow with lam.  With constant eta and
+V the reference cell is exact and the same for every sample cell: such an
+interval is one cell at level 0, needs no halving, and is broadcast to its
+samples - 1 cells.
 
 Error control halves the mesh per sample cell: level j is accepted when
-every sample cell's transfer matrix agrees between levels j and j + 1 to a
-per-cell tolerance relative to its own largest entry, a test that a single
-cell passes near eigenvalues too.  The next call with the same tolerance on
-the same interval starts at the level last accepted.  :func:`cell_dtn` turns
-the finer sample cells, for an array of lam, into Dirichlet-to-Neumann
-matrices; the count, the roots and the spectral determinant of
-:mod:`qwire.spectral` are built on those.  :func:`fundamental_solutions`
-gives the canonical pair's endpoint data, an independent reference for
-them: it takes the per-cell tolerance rel_tol / (samples - 1) and multiplies
-the finer cells pairwise into the endpoint transfer matrix, and raises
-:class:`OdeError` where the two levels' endpoint products still differ by
-more than rel_tol, which happens only where the product is ill-conditioned.
-Every product is divided by its largest entry and the logarithm of the
-factor is carried alongside, so deep tunnelling (lam far below V) cannot
-overflow.  Endpoint data whose magnitude would exceed 1e100 are stored with
-a factor exp(-scale_exponent); a uniform positive rescaling multiplies the
-determinant of M(U, lam) by a positive constant and leaves its zero set
-unchanged.
+every sample cell's transfer matrix agrees between levels j and j + 1 (both
+formed in one pass) to a per-cell tolerance relative to its own largest
+entry, a test that a single cell passes near eigenvalues too.  The next
+call with the same tolerance on the same interval starts at the level last
+accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
+lam, into Dirichlet-to-Neumann matrices; the count, the roots and the
+spectral determinant of :mod:`qwire.spectral` are built on those.
+:func:`fundamental_solutions` gives the canonical pair's endpoint data, an
+independent reference for them: it takes the per-cell tolerance rel_tol /
+(samples - 1) and multiplies the finer cells pairwise into the endpoint
+transfer matrix, and raises :class:`OdeError` where the two levels'
+endpoint products still differ by more than rel_tol, which happens only
+where the product is ill-conditioned.  Every product is divided by its
+largest entry and the logarithm of the factor is carried alongside, so deep
+tunnelling (lam far below V) cannot overflow.  Endpoint data whose
+magnitude would exceed 1e100 are stored with a factor exp(-scale_exponent);
+a uniform positive rescaling multiplies the determinant of M(U, lam) by a
+positive constant and leaves its zero set unchanged.
 """
 
 from __future__ import annotations
@@ -67,6 +77,12 @@ __all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "cell_dtn",
 _SCALE_LOG = 100.0 * math.log(10.0)
 # finest mesh level, (samples - 1) * 2**_MAX_LEVEL cells
 _MAX_LEVEL = 10
+# Legendre moments of V - Vbar kept per cell, and Gauss points per cell
+_MOMENTS = 4
+_GAUSS = 8
+# |z| below which the eta functions come from Taylor series of this many terms
+_SERIES_Z = 5.0
+_SERIES_TERMS = 12
 
 
 class OdeError(Exception):
@@ -105,8 +121,9 @@ class FundamentalPair:
         divided by the larger |T|**2 of the two ends.  Dividing by |W| instead
         reads a growing solution's rounding as drift: beside a solution of
         size 3e7 the other is 1e-7 and carries an error of 3e7 * eps.  The
-        Magnus cells have determinant 1, so on that path the drift shows
-        rounding; ``error_estimate`` shows the truncation error.
+        cells have determinant 1 up to their third-order truncation, so the
+        drift shows little beyond rounding; ``error_estimate`` shows the
+        truncation error.
         """
         iv = self.interval
         ends = []
@@ -121,64 +138,39 @@ class FundamentalPair:
 class _Mesh:
     """Lam-independent data of one interval.
 
-    eta and V are held at the ends and midpoints of the cells of the finest
-    level evaluated so far, which include the nodes of every coarser level,
-    so a halving evaluates only the new midpoints.  Per level j the cells
-    hold b, c and d0 with Omega = [[c, b], [d0 - 2 lam b, -c]] at eigenvalue
-    lam.  With constant eta and V every sample cell is the same and its
-    level-0 Magnus cell is exact, so the mesh holds that one cell.
+    Per level j the (samples - 1) * 2**j cells of equal width in x hold
+    2 l**2, Vbar, l and the correction coefficients (see :func:`_cp_cells`),
+    evaluated in one pass over their Gauss points the first time the level
+    is used.  With constant eta and V every sample cell is the same and its
+    reference cell is exact, so the mesh holds that one cell at level 0.
     """
 
     def __init__(self, interval: Interval, samples: int):
         self.interval = interval
         self.constant = all(expr.is_constant(e) for e in (interval.metric, interval.potential))
         self.cells0 = 1 if self.constant else samples - 1
-        self.length = interval.length / (samples - 1) if self.constant else interval.length
-        self.finest = 0
-        self.eta, self.pot = _coefficients_at(
-            interval, np.linspace(interval.a, interval.a + self.length, 2 * self.cells0 + 1))
-        self.sqrt_eta_a, self.sqrt_eta_b = math.sqrt(self.eta[0]), math.sqrt(self.eta[-1])
+        self.width = interval.length / (samples - 1)
+        self.sqrt_eta_a, self.sqrt_eta_b = np.sqrt(_metric_at(interval, [interval.a, interval.b]))
         self.levels: dict = {}
+        self.pairs: dict = {}
         self.cell_start: dict = {}                      # per-cell tolerance -> last level
 
     def cells(self, level: int):
         if level not in self.levels:
-            while self.finest < level:
-                self._halve()
-            stride = 1 << (self.finest - level)
-            h = self.length / (self.cells0 << level)
-            self.levels[level] = _magnus_coefficients(self.eta[::stride], self.pot[::stride], h)
+            if self.constant:
+                pot = expr.evaluate(self.interval.potential, np.array([self.interval.a]))
+                ell = self.sqrt_eta_a * np.array([self.width])
+                self.levels[level] = 2.0 * ell * ell, pot, ell, None
+            else:
+                self.levels[level] = _cp_cells(self.interval, self.cells0 << level)
         return self.levels[level]
 
-    def _halve(self):
-        iv, n = self.interval, len(self.eta) - 1
-        eta, pot = _coefficients_at(iv, iv.a + self.length * (np.arange(n) + 0.5) / n)
-        self.eta = np.insert(self.eta, np.arange(1, n + 1), eta)
-        self.pot = np.insert(self.pot, np.arange(1, n + 1), pot)
-        self.finest += 1
-
-
-def _coefficients_at(interval: Interval, xs: np.ndarray):
-    values = [expr.evaluate(e, xs) for e in (interval.metric, interval.potential)]
-    bad = ~(values[0] > 0.0)
-    if bad.any():
-        raise OdeError(f"metric not positive at x={xs[bad][0]:.6g}")
-    return values
-
-
-def _magnus_coefficients(eta: np.ndarray, pot: np.ndarray, h: float):
-    """Cell coefficients b, c, d0 from eta and V at cell ends and midpoints.
-
-    Simpson's rule and the end-point commutator give the fourth-order
-    Omega = h/6 (A0 + 4 Am + A1) + h**2/12 [A1, A0].
-    """
-    s = np.sqrt(eta)
-    s0, sm, s1 = s[:-1:2], s[1::2], s[2::2]
-    v0, vm, v1 = pot[:-1:2], pot[1::2], pot[2::2]
-    b = h / 6.0 * (s0 + 4.0 * sm + s1)
-    c = h * h / 6.0 * s0 * s1 * (v0 - v1)
-    d0 = h / 3.0 * (s0 * v0 + 4.0 * sm * vm + s1 * v1)
-    return b, c, d0
+    def pair(self, level: int):
+        """The cells of levels j and j + 1 side by side, formed in one pass."""
+        if level not in self.pairs:
+            self.pairs[level] = tuple(None if a is None else np.concatenate([a, b], axis=-1)
+                                      for a, b in zip(self.cells(level), self.cells(level + 1)))
+        return self.pairs[level]
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,25 +178,196 @@ def _mesh(interval: Interval, samples: int) -> _Mesh:
     return _Mesh(interval, samples)
 
 
-def _cell_matrices(coeffs, lam):
-    """exp(Omega) of every cell as rows (m00, m01, m10, m11), shape (4, N), or
-    (4, G, N) for a column of G values of lam.
+def _metric_at(interval: Interval, xs) -> np.ndarray:
+    eta = expr.evaluate(interval.metric, np.asarray(xs, dtype=float))
+    bad = ~(eta > 0.0)
+    if bad.any():
+        raise OdeError(f"metric not positive at x={np.asarray(xs)[bad][0]:.6g}")
+    return eta
 
-    Growing cells (q**2 > 0) are stored times exp(-q); q is returned as their
-    log factor.
+
+@functools.cache
+def _quadrature():
+    """Gauss-Legendre points g and weights w on [-1, 1], and the matrix that
+    integrates from -1 to each point the polynomial interpolating the points."""
+    leg = np.polynomial.legendre
+    g, w = leg.leggauss(_GAUSS)
+    primitives = np.array([leg.legval(g, leg.legint(e, lbnd=-1.0)) for e in np.eye(_GAUSS)]).T
+    return g, w, primitives @ np.linalg.inv(leg.legvander(g, _GAUSS - 1))
+
+
+def _cp_cells(interval: Interval, n: int):
+    """2 l**2, Vbar, l and the (4, M + 2, n) coefficients of eta_-1 .. eta_M
+    in the transfer matrices of the n cells of equal width in x, by Gauss
+    quadrature: l is a cell's arc length, Vbar the mean of V over it in s,
+    and the coefficients hold the reference cell and its corrections, which
+    follow from the Legendre moments V_1 .. V_N of V - Vbar in s.  With a
+    constant V the reference cells are exact and the coefficients are None.
     """
-    b, c, d0 = coeffs
-    d = d0 - 2.0 * lam * b
-    q2 = c * c + b * d
-    r = np.sqrt(np.abs(q2))
-    grow = q2 > 0.0
+    g, w, primitive = _quadrature()
+    width = interval.length / n
+    xs = (interval.a + width * (np.arange(n)[:, np.newaxis] + 0.5 * (1.0 + g))).ravel()
+    ds = np.sqrt(_metric_at(interval, xs)).reshape(n, _GAUSS) * (0.5 * width)
+    pot = expr.evaluate(interval.potential, xs).reshape(n, _GAUSS)
+    ell = ds @ w
+    vbar = (ds * pot) @ w / ell
+    if expr.is_constant(interval.potential):
+        return 2.0 * ell * ell, vbar, ell, None
+    t = 2.0 * (ds @ primitive.T) / ell[:, np.newaxis] - 1.0      # the nodes by arc length
+    legendre = np.polynomial.legendre.legvander(t, _MOMENTS)[..., 1:]
+    moments = np.einsum("ck,ck,ckn->nc", ds * w, pot - vbar[:, np.newaxis], legendre)
+    q = moments * (2.0 * np.arange(1, _MOMENTS + 1)[:, np.newaxis] + 1.0) * ell  # l**2 V_k
+    first, second = _correction_tables()[:2]
+    coeffs = np.einsum("emk,kc->emc", first, q) + np.einsum("emkj,kc,jc->emc", second, q, q)
+    coeffs[[0, 3], 0] += 1.0                    # the reference cell's xi and eta_0
+    coeffs[1, 1] += 1.0
+    coeffs[1] *= ell
+    coeffs[2] /= ell
+    return 2.0 * ell * ell, vbar, ell, coeffs
+
+
+def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials in tau with coefficients along axis 0."""
+    out = np.zeros((len(p) + len(q) - 1,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]))
+    for i, c in enumerate(p):
+        out[i:i + len(q)] += c * q
+    return out
+
+
+def _solve(rhs: dict) -> dict:
+    """Polynomials C_m with p = sum_m C_m(tau) F_m(tau) solving
+    p'' - Z p = sum_m R_m(tau) F_m(tau), p(0) = p'(0) = 0, for rhs = {m: R_m}.
+
+    F_m = tau**(2m+1) eta_m(Z tau**2) obeys F_m' = tau F_(m-1) and
+    F_m'' - Z F_m = 2m F_(m-1), so matching the F_m gives
+    C_(m+1) = tau**-(m+1) / 2 * int_0^tau t**m (R_m - C_m'') dt (Ixaru).
+    """
+    out, m, c = {}, min(rhs), np.zeros((1,) + next(iter(rhs.values())).shape[1:])
+    while m <= max(rhs) or len(c) > 2:
+        k = np.arange(2, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+        p = -(c[2:] * k * (k - 1))
+        if m in rhs:
+            r = rhs[m].copy()
+            r[:len(p)] += p
+            p = r
+        den = (np.arange(len(p)) + m + 1.0).reshape((-1,) + (1,) * (p.ndim - 1))
+        c = 0.5 * p / np.where(den == 0.0, np.inf, den)  # R_-1 has no constant term
+        out[m + 1] = c
+        m += 1
+    return out
+
+
+def _at_one(coeffs: dict, top: int):
+    """Coefficients of eta_-1 .. eta_top in p(1) and p'(1) for p = sum_m C_m F_m."""
+    shape = (top + 2,) + next(iter(coeffs.values())).shape[1:]
+    value, slope = np.zeros(shape), np.zeros(shape)
+    for m, c in coeffs.items():
+        k = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+        value[m + 1] += c.sum(axis=0)
+        slope[m + 1] += (k * c).sum(axis=0)
+        slope[m] += c.sum(axis=0)                    # C_m tau F_(m-1), F_-1 = xi / tau
+    return value, slope
+
+
+@functools.cache
+def _correction_tables():
+    """The first- and second-order corrections to the reference cell of a
+    cell with l = 1, as coefficients of eta_-1 .. eta_M: first (4, M+2, N)
+    per q_k = l**2 V_k and second (4, M+2, N, N) per q_k q_j, for the entries
+    (t00, t01, t10, t11); and the Taylor coefficients (terms, 2) of eta_M-1
+    and eta_M.
+
+    In the cell's variable tau = s / l the reference solutions are
+    u0 = xi = tau F_-1 and v0 = F_0, and each order solves
+    p'' - Z p = 2 (V - Vbar) l**2 times the order below (:func:`_solve`).
+    """
+    n = np.arange(_MOMENTS + 1)
+    # column k - 1: 2 P_k(2 tau - 1) in powers of tau
+    dv = 2.0 * np.array([[(-1) ** (k + i) * math.comb(k, i) * math.comb(k + i, i)
+                          for k in n[1:]] for i in n])
+    tau = np.array([[0.0], [1.0]])
+    u1 = _solve({-1: _poly_mul(tau, dv)})
+    v1 = _solve({0: dv})
+    u2 = _solve({m: _poly_mul(c[..., np.newaxis], dv[:, np.newaxis]) for m, c in u1.items()})
+    v2 = _solve({m: _poly_mul(c[..., np.newaxis], dv[:, np.newaxis]) for m, c in v1.items()})
+    top = max(max(c) for c in (u1, v1, u2, v2))
+    first = np.array([*_at_one(u1, top), *_at_one(v1, top)])[[0, 2, 1, 3]]
+    second = np.array([*_at_one(u2, top), *_at_one(v2, top)])[[0, 2, 1, 3]]
+    # eta_m(z) = sum_k z**k / (2**k k! (2m + 2k + 1)!!)
+    series = np.array([[1.0 / (2 ** k * math.factorial(k) * math.prod(range(2 * (m + k) + 1, 0, -2)))
+                        for m in (top - 1, top)] for k in range(_SERIES_TERMS)])
+    return first, second, series
+
+
+def _reference(z: np.ndarray):
+    """xi = cosh(sqrt z) and eta_0 = sinh(sqrt z) / sqrt z (cos and sin for
+    z < 0), both times exp(-sqrt z) where z > 0, and that log factor."""
+    r = np.sqrt(np.abs(z))
+    grow = z > 0.0
     em = np.expm1(-2.0 * r)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ch = np.where(grow, 1.0 + 0.5 * em, np.cos(r))
-        sh = np.where(grow, -0.5 * em, np.sin(r)) / r
-    sh[r == 0.0] = 1.0
-    shc = sh * c
-    return np.array([ch + shc, sh * b, sh * d, ch - shc]), np.where(grow, r, 0.0)
+        xi = np.where(grow, 1.0 + 0.5 * em, np.cos(r))
+        eta0 = np.where(grow, -0.5 * em, np.sin(r)) / r
+    eta0[r == 0.0] = 1.0
+    return xi, eta0, np.where(grow, r, 0.0)
+
+
+def _etas(z: np.ndarray):
+    """eta_-1 .. eta_M at z stacked on a new first axis, times exp(-sqrt z)
+    where z >= _SERIES_Z, and that log factor.
+
+    For |z| of at least _SERIES_Z they come from xi and eta_0 by the
+    recurrence eta_m = (eta_(m-2) - (2m - 1) eta_(m-1)) / z upwards; below it
+    that loses digits, and eta_M-1, eta_M come from their Taylor series and
+    the others from the recurrence downwards (:func:`_etas_down`).
+    """
+    small = np.abs(z) < _SERIES_Z
+    if small.all():
+        return _etas_down(z), np.zeros(z.shape)
+    xi, eta0, log = _reference(z)
+    up = [xi, eta0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for m in range(1, len(_correction_tables()[0][0]) - 1):
+            up.append((up[m - 1] - (2 * m - 1) * up[m]) / z)
+    if not small.any():
+        return np.array(up), log
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(small, _etas_down(z), np.array(up)), np.where(small, 0.0, log)
+
+
+def _etas_down(z: np.ndarray) -> np.ndarray:
+    """eta_-1 .. eta_M for small |z|: eta_M-1 and eta_M by Horner's rule,
+    then eta_(m-2) = z eta_m + (2m - 1) eta_(m-1) downwards, unscaled."""
+    first, _, series = _correction_tables()
+    acc = series[-1].reshape((2,) + (1,) * z.ndim)
+    for c in series[-2::-1]:
+        acc = acc * z + c.reshape(acc.shape[:1] + (1,) * z.ndim)
+    top = len(first[0]) - 2
+    etas = {top - 1: acc[0], top: acc[1]}
+    for m in range(top, 0, -1):
+        etas[m - 2] = z * etas[m] + (2 * m - 1) * etas[m - 1]
+    return np.array([etas[m] for m in range(-1, top + 1)])
+
+
+def _cell_matrices(cells, lam):
+    """Transfer matrices of the cells as rows (t00, t01, t10, t11), shape
+    (4, N) or (4, G, N) for a column of G values of lam, and their log
+    factors (growing cells are stored times exp(-sqrt z)).
+
+    Without corrections a cell is its reference cell [[xi, l eta_0],
+    [z eta_0 / l, xi]]; with them, its coefficients hold the reference's
+    xi and l eta_0 terms too.
+    """
+    two_l2, vbar, ell, coeffs = cells
+    z = two_l2 * (vbar - lam)
+    if coeffs is None:
+        xi, eta0, log = _reference(z)
+        m = np.array([xi, ell * eta0, z * eta0 / ell, xi])
+    else:
+        etas, log = _etas(z)
+        m = np.einsum("emc,m...c->e...c", coeffs, etas)
+        m[2] += z * etas[1] / ell
+    return m, log
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,16 +395,19 @@ def _pair_products(m: np.ndarray, logs: np.ndarray):
     return prod, pl
 
 
-def _sample_cells(mesh: _Mesh, level: int, lam):
-    """Transfer matrices of the sample cells, normalised, with their log factors.
+def _product(m: np.ndarray, logs: np.ndarray):
+    """The products M_n ... M_1 along the last axis, normalised, and their log factors."""
+    while m.shape[-1] > 1:
+        m, logs = _normalised(*_pair_products(m, logs))
+    return m[..., 0], logs[..., 0]
 
-    Within one sample cell the growth is carried by the cell logs, so the
-    2**level sub-cell products need no normalisation of their own.
-    """
-    m, logs = _cell_matrices(mesh.cells(level), lam)
-    for _ in range(level):
-        m, logs = _pair_products(m, logs)
-    return _normalised(m, logs)
+
+def _sample_cells(m: np.ndarray, logs: np.ndarray, n: int):
+    """The n sample cells from the cells of one level: the products of each
+    sample cell's 2**level cells, normalised, with their log factors."""
+    if m.shape[-1] == n:
+        return _normalised(m, logs)
+    return _product(m.reshape(m.shape[:-1] + (n, -1)), logs.reshape(logs.shape[:-1] + (n, -1)))
 
 
 def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
@@ -256,9 +422,11 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
         cell, logs = _cell_matrices(mesh.cells(0), lam)
         return 0, cell, logs, cell, logs
     level = mesh.cell_start.get(cell_tol, 0)
-    coarse, coarse_logs = _sample_cells(mesh, level, lam)
+    m, logs = _cell_matrices(mesh.pair(level), lam)
+    n = mesh.cells0 << level
+    coarse, coarse_logs = _sample_cells(m[..., :n], logs[..., :n], mesh.cells0)
+    fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], mesh.cells0)
     while True:
-        fine, fine_logs = _sample_cells(mesh, level + 1, lam)
         error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
         if error <= cell_tol:
             mesh.cell_start[cell_tol] = level
@@ -268,13 +436,7 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
         coarse, coarse_logs = fine, fine_logs
-
-
-def _product(m: np.ndarray, logs: np.ndarray):
-    """The product M_N ... M_1 of (4, N) cells, normalised, and its log factor."""
-    while m.shape[-1] > 1:
-        m, logs = _normalised(*_pair_products(m, logs))
-    return m[:, 0], float(logs[0])
+        fine, fine_logs = _sample_cells(*_cell_matrices(mesh.cells(level + 1), lam), mesh.cells0)
 
 
 def _distance(t, t_log: float, ref, ref_log: float) -> float:
@@ -294,7 +456,9 @@ def fundamental_solutions(
     The mesh is halved until every sample cell agrees between two levels to
     ``rel_tol / (samples - 1)``, so the cell errors sum to at most
     ``rel_tol``; ``error_estimate`` is the difference of the two levels'
-    endpoint transfer matrices relative to the finer one's largest entry.
+    endpoint transfer matrices relative to the finer one's largest entry,
+    plus the (samples - 1) eps that rounding adds to the product of cells
+    which are exact to rounding themselves.
     Where growth and decay cancel in the product (near an eigenvalue of an
     interval with forbidden regions at both ends) the product is
     ill-conditioned and that difference exceeds ``rel_tol`` on every mesh:
@@ -309,12 +473,15 @@ def fundamental_solutions(
                                                                 rel_tol / (samples - 1))
     p, pl = _product(np.broadcast_to(cells, (4, samples - 1)),
                      np.broadcast_to(cell_logs, samples - 1))
-    error = 0.0 if mesh.constant else _distance(*_product(coarse, coarse_logs), p, pl)
+    # cells exact to rounding leave the product's own rounding, up to (samples - 1) eps
+    error = 0.0 if mesh.constant else (_distance(*_product(coarse, coarse_logs), p, pl)
+                                        + (samples - 1) * np.finfo(float).eps)
     if error > rel_tol:
         raise OdeError(f"lam={lam:.6g}: the endpoint transfer matrix of [{interval.a:g}, "
                        f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
                        f"{error:.3g} > rel_tol={rel_tol:g})")
     # y = (u, eta**-0.5 u') starts at (1, 0) and (0, 1 / sqrt(eta(a)))
+    pl = float(pl)
     scale = pl if pl > _SCALE_LOG else 0.0
     f, sf = math.exp(pl - scale), math.exp(-scale)
     sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
@@ -326,8 +493,8 @@ def fundamental_solutions(
     )
 
 
-# lam values times leaf cells per batch of cell_dtn: 0.5 MB per (4, lam, leaf)
-_BATCH_LEAVES = 1 << 14
+# lam values times cells per block of cell_dtn: its arrays stay in cache
+_BATCH_CELLS = 1 << 14
 
 
 def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257):
@@ -338,24 +505,27 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     A cell maps its end values to the outward derivatives: with T the cell's
     transfer matrix of y = (u, eta**-0.5 u'), alpha = t00/t01, gamma = t11/t01
     and beta = -1/t01, or -exp(-l)/t~01 for T = exp(l) T~ normalised, so no
-    entry overflows however deep the cell tunnels.  The mesh is halved until
-    every cell's T agrees between levels j and j + 1 to ``rel_tol`` of its
-    own largest entry, a test that a single cell passes near eigenvalues
-    too; a constant interval's one exact cell is broadcast to every sample
-    cell.  A cell must hold no Dirichlet level of its own (t01 > 0 and its
-    elliptic leaves turn by less than pi in all), else :class:`OdeError`.
+    entry overflows however deep the cell tunnels.  T is the product of the
+    sample cell's 2**j CP cells.  The mesh is halved until every sample
+    cell's T agrees between levels j and j + 1 to ``rel_tol`` of its own
+    largest entry, a test that a single cell passes near eigenvalues too;
+    on smooth coefficients levels 0 and 1 agree to ~1e-14, so a value of lam
+    costs 3 (samples - 1) CP cells.  A constant interval's one exact cell is
+    broadcast to every sample cell.  A cell must hold no Dirichlet level of
+    its own (t01 > 0, and the exact turns l sqrt(2 (lam - Vbar))+ of its
+    reference cells sum to less than pi), else :class:`OdeError`.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
     mesh = _mesh(interval, samples)
     parts = []
     start = 0
     while start < len(lams):
-        level = mesh.cell_start.get(rel_tol, 0)
-        block = lams[start:start + max(1, _BATCH_LEAVES // (mesh.cells0 << (level + 1)))]
+        pair = 3 * (mesh.cells0 << mesh.cell_start.get(rel_tol, 0))
+        block = lams[start:start + max(1, _BATCH_CELLS // pair)]
         start += len(block)
         level, _, _, fine, fine_logs = _converged_cells(mesh, block, rel_tol)
-        b, c, d0 = mesh.cells(level)
-        turn = np.sqrt(np.maximum(b * (2.0 * block * b - d0) - c * c, 0.0))
+        two_l2, vbar = mesh.cells(level)[:2]
+        turn = np.sqrt(np.maximum(two_l2 * (block - vbar), 0.0))
         t00, t01, _, t11 = fine
         ok = (t01 > 0.0) & (turn.reshape(len(block), mesh.cells0, -1).sum(axis=-1) < math.pi)
         if not ok.all():

@@ -2,18 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import airy
 
 from qwire import expr, odesolve
-from qwire.domain import Interval
+from qwire.bc import make_dirichlet
+from qwire.domain import Interval, QuantumDomain
 from qwire.odesolve import (
     OdeError,
     cell_dtn,
     free_exponential_basis,
     fundamental_solutions,
 )
+from qwire.spectral import SolveOptions, find_eigenvalues
 
 
 def test_free_interval_closed_form():
@@ -51,9 +55,9 @@ def test_lambda_zero_gives_linear_pair():
 
 
 def test_constant_fast_path_matches_integrator():
-    # '1 + 0*x' is not recognized as constant, so it takes the halved Magnus
-    # mesh; the endpoint data of [0, x] must match the single exact cell of a
-    # constant interval.
+    # '1 + 0*x' is not recognized as constant, so it takes the halved mesh of
+    # CP cells; the endpoint data of [0, x] must match the single exact cell
+    # of a constant interval.
     lam = 0.8
     for x in np.linspace(0.0, 3.0, 5)[1:]:
         fast = fundamental_solutions(Interval(0.0, x, "1", "2"), lam)
@@ -104,9 +108,9 @@ def test_closed_form_branches():
     assert all(np.all(np.isfinite(v)) for v in (deep.psi_b, deep.dpsi_a, deep.dpsi_b))
 
 
-def test_cell_dtn_closed_form_matches_magnus():
-    # '1 + 0*x' is not recognised as constant and takes the halved Magnus
-    # mesh; forbidden, flat (lam = V) and oscillating cells.
+def test_cell_dtn_closed_form_matches_cp_mesh():
+    # '1 + 0*x' is not recognised as constant and takes the halved mesh of
+    # CP cells; forbidden, flat (lam = V) and oscillating cells.
     lams = np.array([-40.0, -1.0, 2.0, 3.5, 30.0])
     fast = cell_dtn(Interval(0.0, 3.0, "1", "2"), lams)
     slow = cell_dtn(Interval(0.0, 3.0, "1 + 0*x", "2 + 0*x"), lams, rel_tol=1e-12)
@@ -323,24 +327,28 @@ def test_ill_conditioned_product_raises():
     assert fundamental_solutions(iv, 1.0, rel_tol=1e-11).error_estimate <= 1e-11
 
 
-def test_fourth_order_convergence():
-    # Halving the Magnus mesh divides the endpoint error by about 2^4.
+def test_cp_cells_converge_against_airy():
+    # With the second-order corrections a cell's error is third order in
+    # l**2 (V - Vbar), about l**9 for V = x, so halving the mesh of 4 sample
+    # cells divides the endpoint error by about 2**8.
     iv = Interval(-1.0, 3.0, "1", "x")
-    lam = 1.2
-    u, du = _airy_pair(iv.a, lam, [iv.b])
-    exact = np.array([u[:, 0], du[:, 0]]).ravel()
-    mesh = odesolve._Mesh(iv, 17)
-    errors = []
-    for level in range(4):
-        p, logs = odesolve._product(*odesolve._sample_cells(mesh, level, lam))
-        errors.append(np.max(np.abs(p * math.exp(logs) - exact)))
-    for coarse, fine in zip(errors, errors[1:]):
-        assert coarse >= 10.0 * fine
+    mesh = odesolve._Mesh(iv, 5)
+    for lam in (-0.5, 1.2, 4.0):
+        u, du = _airy_pair(iv.a, lam, [iv.b])
+        exact = np.array([u[:, 0], du[:, 0]]).ravel()
+        errors = []
+        for level in range(4):
+            cells = odesolve._cell_matrices(mesh.cells(level), lam)
+            p, logs = odesolve._product(*odesolve._sample_cells(*cells, mesh.cells0))
+            errors.append(np.max(np.abs(p * math.exp(logs) - exact)) / np.max(np.abs(exact)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse >= 100.0 * fine
+        assert errors[-1] <= 2e-12
 
 
 def test_coefficients_evaluated_once_per_level(monkeypatch):
-    # Each halving evaluates the coefficients at the new midpoints only, and
-    # later calls on the same interval evaluate nothing.
+    # Each level evaluates the coefficients once, at the Gauss points of its
+    # cells, and later calls on the same interval evaluate nothing.
     points = []
     evaluate = expr.evaluate
     iv = Interval(0.0, 2.0 * math.pi, "1", "x^2/2 + 0.1*sin(3*x)")
@@ -355,11 +363,149 @@ def test_coefficients_evaluated_once_per_level(monkeypatch):
     lams = np.linspace(-1.0, 6.0, 20)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)
-    finest = odesolve._mesh(iv, 257).finest
-    assert finest >= 2
-    assert len(points) == finest + 1                       # one pass per level
-    assert sum(points) == 2 * 256 * 2 ** finest + 1        # every node once
+    levels = sorted(odesolve._mesh(iv, 257).levels)
+    assert len(levels) >= 2 and levels == list(range(len(levels)))
+    assert len(points) == len(levels)                                     # one pass per level
+    assert sum(points) == odesolve._GAUSS * 256 * (2 ** len(levels) - 1)  # every point once
     evaluated = sum(points)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)
     assert sum(points) == evaluated
+
+
+def _mp_transfer(a, b, sqrt_eta, pot, lam):
+    # transfer matrix of y = (u, eta^-1/2 u') over [a, b] from mpmath's Taylor
+    # integrator at 32 digits: y' = sqrt(eta) [[0, 1], [2 (V - lam), 0]] y
+    with mpmath.workdps(32):
+        lam = mpmath.mpf(lam)
+        cols = []
+        for y0 in ([1, 0], [0, 1]):
+            f = mpmath.odefun(lambda x, y: [sqrt_eta(x) * y[1], 2 * sqrt_eta(x) * (pot(x) - lam) * y[0]],
+                              mpmath.mpf(a), [mpmath.mpf(v) for v in y0])
+            cols.append([float(v) for v in f(mpmath.mpf(b))])
+    return np.array(cols).T.ravel()
+
+
+_X2 = Interval(-6.0, 6.0, "1", "x^2/2")
+# interval, lam (None: the mean potential of one cell), x in the sample cells
+# checked, and sqrt(eta) and V for mpmath
+_MPMATH_CASES = {
+    "turning_points": (_X2, 4.5, [-3.0, 3.0], lambda x: 1, lambda x: x * x / 2),
+    "metric": (Interval(0.0, 2.0, "(1+0.3*x)^2", "sin(3*x)"), 1.7, [0.1, 1.0, 1.9],
+               lambda x: 1 + 0.3 * x, lambda x: mpmath.sin(3 * x)),
+    "deep": (Interval(0.0, 4.0, "1", "1000 + x"), -1e3, [0.0, 3.99], lambda x: 1, lambda x: 1000 + x),
+    "high_lam": (Interval(0.0, 2.0 * math.pi, "1", "x^2/2"), 5e3, [0.0, 3.0, 6.2],
+                 lambda x: 1, lambda x: x * x / 2),
+    "lam_at_vbar": (_X2, None, [2.0], lambda x: 1, lambda x: x * x / 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MPMATH_CASES))
+def test_cells_against_mpmath(case):
+    # Sample cells of the accepted level (rel_tol 1e-12) against an
+    # independent high-precision integration, to 1e-12 of each cell's largest
+    # entry: x^2/2 at its turning points -3 and 3 (lam = 4.5), a metric with a
+    # potential, tunnelling 2000 below V, cells turning by up to 2.4 rad, and
+    # a lam equal to the mean potential of one level-1 cell (z = 0 there).
+    iv, lam, xs, root, pot = _MPMATH_CASES[case]
+    mesh = odesolve._mesh(iv, 257)
+    if lam is None:
+        lam = float(mesh.cells(1)[1][341])              # in the sample cell of x = 2
+    level, _, _, fine, logs = odesolve._converged_cells(mesh, np.array([[lam]]), 1e-12)
+    assert level == 1
+    for x in xs:
+        i = int((x - iv.a) / mesh.width)
+        a = iv.a + i * mesh.width
+        want = _mp_transfer(a, a + mesh.width, root, pot, lam)
+        got = fine[:, 0, i] * math.exp(logs[0, i])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reference_flow(z, t):
+    # [[xi, t eta_0], [z t eta_0, xi]] at z t^2: the reference cell of length
+    # t in units of the cell, as (2, 2, len(t))
+    w = np.sqrt(complex(z))
+    c = np.cosh(w * t).real
+    s = t if z == 0.0 else (np.sinh(w * t) / w).real
+    return np.array([[c, s], [z * s, c]])
+
+
+def test_corrections_against_quadrature():
+    # The first- and second-order terms of a cell with l = 1,
+    #   T1 = int_0^1 T0(1 - t) N(t) T0(t) dt,
+    #   T2 = int_0^1 int_0^t1 T0(1 - t1) N(t1) T0(t1 - t2) N(t2) T0(t2) dt2 dt1,
+    # N = [[0, 0], [2 (V - Vbar), 0]] with V - Vbar = sum_k q_k P_k(2t - 1),
+    # by Gauss-Legendre quadrature, against their closed forms in eta_m(z):
+    # both signs of z, z = 0, and both sides of the switch to the series.
+    q = np.array([0.3, -0.2, 0.15, 0.1])
+    first, second = odesolve._correction_tables()[:2]
+    x, w = np.polynomial.legendre.leggauss(40)
+    t, w = (x + 1.0) / 2.0, w / 2.0
+
+    def n(u):
+        dv = 2.0 * np.polynomial.legendre.legval(2.0 * u - 1.0, np.concatenate([[0.0], q]))
+        return np.array([[0.0 * u, 0.0 * u], [dv, 0.0 * u]])
+
+    switch = odesolve._SERIES_Z
+    for z in (-30.0, -1.1 * switch, -0.9 * switch, -0.2, 0.0, 0.2, 0.9 * switch, 1.1 * switch, 30.0):
+        etas, log = odesolve._etas(np.array([z]))
+        etas = etas[:, 0] * math.exp(log[0])
+        flow = lambda u: _reference_flow(z, u)
+        t1 = np.einsum("ijn,jkn,kln,n->il", flow(1.0 - t), n(t), flow(t), w)
+        t2 = np.zeros((2, 2))
+        for t_out, w_out in zip(t, w):
+            inner, wi = t_out * t, t_out * w
+            right = np.einsum("ijn,jkn,kln,n->il", flow(t_out - inner), n(inner), flow(inner), wi)
+            at = np.array([t_out])
+            t2 += w_out * flow(1.0 - at)[..., 0] @ n(at)[..., 0] @ right
+        size = np.max(np.abs(flow(np.array([1.0]))))
+        got1 = np.einsum("emk,k,m->e", first, q, etas).reshape(2, 2)
+        got2 = np.einsum("emkj,k,j,m->e", second, q, q, etas).reshape(2, 2)
+        assert np.max(np.abs(got1 - t1)) <= 1e-14 * size
+        assert np.max(np.abs(got2 - t2)) <= 1e-14 * size
+
+
+def test_linear_potential_levels_against_airy():
+    # The 150 lowest Dirichlet levels of V = 5x on [0, 2] reach lam ~ 2.8e4,
+    # where a sample cell turns by 1.8 rad.  With c = 10**(1/3) and
+    # z = c (x - lam/5) the equation is Airy's, and the levels are the roots
+    # of Ai(z0) Bi(z1) - Ai(z1) Bi(z0), bracketed between the midpoints of
+    # the solver's levels, so that a dropped level leaves a bracket without a
+    # sign change.
+    dom = QuantumDomain([Interval(0.0, 2.0, "1", "5*x")])
+    got = np.array([e.lam for e in find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
+                                                    SolveOptions(max_eigs=150)).eigs])
+    c = 10.0 ** (1.0 / 3.0)
+
+    def cross(lam):
+        ai0, _, bi0, _ = airy(-c * lam / 5.0)
+        ai1, _, bi1, _ = airy(c * (2.0 - lam / 5.0))
+        return ai0 * bi1 - ai1 * bi0
+
+    mids = np.concatenate([[1.5 * got[0] - 0.5 * got[1]], 0.5 * (got[1:] + got[:-1]),
+                           [1.5 * got[-1] - 0.5 * got[-2]]])
+    want = np.array([brentq(cross, lo, hi, xtol=1e-14 * hi, rtol=1e-15)
+                     for lo, hi in zip(mids[:-1], mids[1:])])
+    assert len(got) == 150
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+
+
+def test_cell_dtn_builds_two_levels_per_lam(monkeypatch):
+    # Work guard: at rel_tol 1e-11 on x^2/2 over [-6, 6] the 256 sample
+    # cells agree with their 512 halves, so cell_dtn builds at most
+    # 256 + 512 cells per lam, from a cold mesh and on later calls.
+    built = []
+    cell_matrices = odesolve._cell_matrices
+
+    def counting(cells, lam):
+        built.append(np.size(cells[0]) * np.size(lam))
+        return cell_matrices(cells, lam)
+
+    monkeypatch.setattr(odesolve, "_cell_matrices", counting)
+    odesolve._mesh.cache_clear()
+    iv = Interval(-6.0, 6.0, "1", "x^2/2")
+    lams = np.linspace(0.1, 60.0, 40)
+    for block in (lams, lams[:1], lams[10:14]):
+        built.clear()
+        cell_dtn(iv, block, rel_tol=1e-11)
+        assert sum(built) <= 768 * len(block)
