@@ -5,7 +5,8 @@ winding number of its determinant around U(1), and the signed count of
 eigenvalue crossings through -1 (each crossing changes the dimension of the
 eigenspace at -1, the degeneracy that obstructs the Robin reduction).  The two
 invariants coincide for every closed loop; both are computed here from a
-continuous lifting of the eigenvalue angles.
+continuous lifting of the eigenvalue angles, each sample's angles assigned to
+the previous sample's by the assignment of least total angular step.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .bc import UnitaryBC
 
@@ -89,65 +91,35 @@ class EigenangleFlow:
 def eigenangle_flow(curve: UnitaryCurve) -> EigenangleFlow:
     """Lift the eigenvalue angles of the curve to continuous tracks.
 
-    Consecutive samples are matched greedily by nearest angular distance on
-    the circle; any matched step larger than pi/4 raises
-    :class:`ResolutionError` (refine the sampling).
+    Each sample's angles are assigned to the previous sample's tracks by the
+    assignment of least total wrapped step (:func:`_match`); any assigned
+    step larger than pi/4 raises :class:`ResolutionError` (refine the sampling).
     """
-    dim = curve.dim
-    tracks = np.empty((len(curve.thetas), dim))
-    prev = np.sort(np.angle(np.linalg.eigvals(curve.matrices[0])))
-    tracks[0] = prev
-    for j, mat in enumerate(curve.matrices[1:], start=1):
-        angles = np.angle(np.linalg.eigvals(mat))
-        lifted = _match_step(tracks[j - 1], angles)
-        tracks[j] = lifted
+    angles = np.angle(np.linalg.eigvals(np.array(curve.matrices)))
+    tracks = np.empty_like(angles)
+    tracks[0] = np.sort(angles[0])
+    for j in range(1, len(tracks)):
+        step = _match(tracks[j - 1], angles[j])
+        worst = np.max(np.abs(step))
+        if worst > _MAX_STEP:
+            raise ResolutionError(
+                f"eigenangle step {worst:.3f} exceeds pi/4; refine the curve sampling"
+            )
+        tracks[j] = tracks[j - 1] + step
     # Multiset closure: eigenvalue crossings may exchange track identities,
     # which leaves every index invariant, so only the unordered collection of
     # angles must return to its start modulo 2*pi.
-    remaining = list(range(dim))
-    for e in tracks[-1]:
-        dists = [_circle_dist(e, tracks[0][r]) for r in remaining]
-        pick = int(np.argmin(dists))
-        if dists[pick] > 1e-6:
-            raise ResolutionError("tracks fail to close up to multiples of 2*pi")
-        remaining.pop(pick)
+    if np.max(np.abs(_match(tracks[-1], tracks[0]))) > 1e-6:
+        raise ResolutionError("tracks fail to close up to multiples of 2*pi")
     return EigenangleFlow(thetas=curve.thetas, tracks=tracks)
 
 
-def _match_step(prev: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Greedily assign new eigenangles to the previous lifted values."""
-    dim = len(prev)
-    remaining = list(range(dim))
-    lifted = np.empty(dim)
-    # visit previous tracks in order of their best available match quality
-    order = sorted(range(dim), key=lambda i: _best_dist(prev[i], angles, remaining))
-    for i in order:
-        dists = [_circle_dist(prev[i], angles[r]) for r in remaining]
-        pick = int(np.argmin(dists))
-        step = dists[pick]
-        if step > _MAX_STEP:
-            raise ResolutionError(
-                f"eigenangle step {step:.3f} exceeds pi/4; refine the curve sampling"
-            )
-        r = remaining.pop(pick)
-        delta = _signed_circle_diff(angles[r], prev[i])
-        lifted[i] = prev[i] + delta
-    return lifted
-
-
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
-
-
-def _signed_circle_diff(a: float, b: float) -> float:
-    """Representative of a - b in (-pi, pi]."""
-    d = (a - b) % (2 * math.pi)
-    return d if d <= math.pi else d - 2 * math.pi
-
-
-def _best_dist(p: float, angles: np.ndarray, remaining: list[int]) -> float:
-    return min(_circle_dist(p, angles[r]) for r in remaining)
+def _match(prev: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Steps in (-pi, pi] from each previous track to its assigned angle,
+    the linear assignment of least total |step| (Kuhn's Hungarian method)."""
+    step = np.angle(np.exp(1j * (angles[np.newaxis, :] - prev[:, np.newaxis])))
+    rows, cols = linear_sum_assignment(np.abs(step))
+    return step[rows, cols]
 
 
 def cayley_index(curve: UnitaryCurve) -> int:
@@ -157,15 +129,11 @@ def cayley_index(curve: UnitaryCurve) -> int:
     lifted tracks so eigenvalue collisions away from -1 are harmless.  Raises
     on a sample sitting exactly at angle pi (perturb the theta grid).
     """
-    flow = eigenangle_flow(curve)
-    total = 0
-    for k in range(flow.tracks.shape[1]):
-        track = flow.tracks[:, k]
-        if np.min(np.abs((track - math.pi) % (2 * math.pi))) < 1e-10:
-            raise ResolutionError("an eigenvalue sits exactly at -1 on a sample")
-        levels = np.floor((track - math.pi) / (2 * math.pi))
-        total += int(levels[-1] - levels[0])
-    return total
+    shifted = eigenangle_flow(curve).tracks - math.pi
+    if np.min(np.abs(shifted % (2 * math.pi))) < 1e-10:
+        raise ResolutionError("an eigenvalue sits exactly at -1 on a sample")
+    levels = np.floor(shifted / (2 * math.pi))
+    return int(np.sum(levels[-1] - levels[0]))
 
 
 def det_winding(curve: UnitaryCurve) -> int:
@@ -174,12 +142,8 @@ def det_winding(curve: UnitaryCurve) -> int:
     Per-step argument changes are taken in (-pi, pi]; a step of pi or more
     raises :class:`ResolutionError`.
     """
-    dets = np.array([np.linalg.det(m) for m in curve.matrices])
-    args = np.angle(dets)
-    total = 0.0
-    for j in range(len(dets) - 1):
-        step = _signed_circle_diff(args[j + 1], args[j])
-        if abs(step) >= math.pi - 1e-12:
-            raise ResolutionError("determinant argument step >= pi; refine the sampling")
-        total += step
-    return int(round(total / (2 * math.pi)))
+    dets = np.linalg.det(np.array(curve.matrices))
+    steps = np.angle(dets[1:] / dets[:-1])
+    if np.max(np.abs(steps)) >= math.pi - 1e-12:
+        raise ResolutionError("determinant argument step >= pi; refine the sampling")
+    return int(round(np.sum(steps) / (2 * math.pi)))

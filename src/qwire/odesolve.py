@@ -41,9 +41,10 @@ samples - 1 cells.
 Error control halves the mesh per sample cell: level j is accepted when
 every sample cell's transfer matrix agrees between levels j and j + 1 (both
 formed in one pass) to a per-cell tolerance relative to its own largest
-entry, a test that a single cell passes near eigenvalues too.  The next
-call with the same tolerance on the same interval starts at the level last
-accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
+entry, a test that a single cell passes near eigenvalues too.  A tolerance
+below the rounding floor of that comparison raises :class:`OdeError` at the
+first halving that does not lower the difference.  The next call with the
+same tolerance on the same interval starts at the level last accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
 lam, into Dirichlet-to-Neumann matrices; the count, the roots and the
 spectral determinant of :mod:`qwire.spectral` are built on those.
 :func:`fundamental_solutions` gives the canonical pair's endpoint data, an
@@ -414,7 +415,9 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
     """Sample cells of levels j - 1 and j, halving the mesh from the level last
     accepted at ``cell_tol`` until every cell agrees between the two levels to
     ``cell_tol`` of its own largest entry.  A constant mesh's one cell is
-    exact and serves as both levels.
+    exact and serves as both levels.  Once a halving no longer lowers the
+    difference, it has reached its rounding floor and :class:`OdeError` is
+    raised, as it is at ``_MAX_LEVEL``.
 
     Returns (j, coarse, coarse logs, fine, fine logs).
     """
@@ -426,15 +429,17 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
     n = mesh.cells0 << level
     coarse, coarse_logs = _sample_cells(m[..., :n], logs[..., :n], mesh.cells0)
     fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], mesh.cells0)
+    previous = math.inf
     while True:
         error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
         if error <= cell_tol:
             mesh.cell_start[cell_tol] = level
             return level + 1, coarse, coarse_logs, fine, fine_logs
         level += 1
-        if level >= _MAX_LEVEL:
+        if level >= _MAX_LEVEL or error >= previous:
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
+        previous = error
         coarse, coarse_logs = fine, fine_logs
         fine, fine_logs = _sample_cells(*_cell_matrices(mesh.cells(level + 1), lam), mesh.cells0)
 

@@ -146,17 +146,15 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
 class Eigenpair:
     """One eigenvalue with its boundary data and sampled eigenfunctions.
 
-    ``coeffs`` (mult, n, 2) holds (u(a_j), u'(a_j)) per interval; ``samples``
-    (mult, n, m) holds L2(sqrt(eta) dx)-orthonormal eigenfunctions on the
-    per-interval grids ``xs`` (n, m).  ``residual`` is the largest relative
-    boundary-condition residual ||(psi - i dpsi) - U (psi + i dpsi)|| /
-    (||psi|| + ||dpsi||) of the members.
+    ``samples`` (mult, n, m) holds L2(sqrt(eta) dx)-orthonormal
+    eigenfunctions on the per-interval grids ``xs`` (n, m).  ``residual`` is
+    the largest relative boundary-condition residual
+    ||(psi - i dpsi) - U (psi + i dpsi)|| / (||psi|| + ||dpsi||) of the members.
     """
 
     lam: float
     multiplicity: int
     residual: float
-    coeffs: np.ndarray
     xs: np.ndarray
     samples: np.ndarray
     psi: np.ndarray      # (mult, 2n) boundary values
@@ -645,7 +643,6 @@ def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
     n = domain.n
     xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
     w = _quad_weights(domain, xs)
-    root_a = np.sqrt([expr.evaluate(iv.metric, iv.a) for iv in domain.intervals])
     cells = g.cells(lams)
     mults = np.asarray(mults)
 
@@ -674,7 +671,6 @@ def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
                        / (np.linalg.norm(p) + np.linalg.norm(d)) for p, d in zip(psi, dpsi))
         pairs.append(Eigenpair(
             lam=float(lam), multiplicity=int(mult), residual=float(residual),
-            coeffs=np.stack([u[:, :, 0], -root_a * dpsi[:, :n]], axis=-1),
             xs=xs, samples=u, psi=psi, dpsi=dpsi))
     return pairs
 

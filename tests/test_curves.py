@@ -41,17 +41,33 @@ def test_mixed_windings_cancel():
     assert cayley_index(curve) == 0
 
 
+def _assert_indices(curve, ks):
+    flow = eigenangle_flow(curve)
+    assert np.max(np.abs(np.diff(flow.tracks, axis=0))) <= math.pi / 4
+    assert cayley_index(curve) == det_winding(curve) == int(np.sum(ks))
+    return flow
+
+
 def test_indices_agree_on_conjugated_loops():
     rng = np.random.default_rng(2024)
-    for _ in range(10):
-        dim = int(rng.choice([2, 4]))
+    for i in range(14):
+        dim = int(rng.choice([2, 4])) if i < 10 else 6
         ks = rng.integers(-3, 4, size=dim)
         phis = rng.uniform(0.05, 2 * math.pi - 0.05, size=dim)
         Q = random_unitary(dim, rng).matrix
-        curve = _phase_loop(dim, ks, phis, Q, samples=320)
-        w = det_winding(curve)
-        assert w == int(np.sum(ks))
-        assert cayley_index(curve) == w
+        _assert_indices(_phase_loop(dim, ks, phis, Q, samples=320), ks)
+    # Two eigenangles oscillating about 0.3 cross six times, and the winding
+    # ones cross them, all away from -1: the tracks swap branches there.
+    ks = [1, 0, 0, -2]
+    Q = random_unitary(4, rng).matrix
+
+    def f(theta):
+        s = 0.8 * math.sin(3 * theta)
+        d = np.exp(1j * np.array([theta + 2.0, 0.3 + s, 0.3 - s, 1.0 - 2 * theta]))
+        return Q @ np.diag(d) @ Q.conj().T
+
+    flow = _assert_indices(UnitaryCurve.from_function(f, 320), ks)
+    assert sorted(flow.windings) != sorted(ks)
 
 
 def test_constant_loop_has_zero_index():

@@ -327,6 +327,19 @@ def test_ill_conditioned_product_raises():
     assert fundamental_solutions(iv, 1.0, rel_tol=1e-11).error_estimate <= 1e-11
 
 
+def test_halving_stops_at_the_rounding_floor():
+    # Below the rounding floor of the level comparison halving cannot reach
+    # the per-cell tolerance (here 6.25e-16 and 3.9e-17): the level
+    # differences fall to ~5e-15 (17 samples) or start there (257) and then
+    # rise, and the first rise raises instead of halving on to _MAX_LEVEL.
+    for samples, finest in ((17, 6), (257, 3)):
+        odesolve._mesh.cache_clear()
+        iv = Interval(-6.0, 6.0, "1", "x^2/2")
+        with pytest.raises(OdeError, match="did not reach"):
+            fundamental_solutions(iv, 1.0, rel_tol=1e-14, samples=samples)
+        assert max(odesolve._mesh(iv, samples).levels) <= finest
+
+
 def test_cp_cells_converge_against_airy():
     # With the second-order corrections a cell's error is third order in
     # l**2 (V - Vbar), about l**9 for V = x, so halving the mesh of 4 sample

@@ -1,6 +1,8 @@
 """Finite-difference oracle and Robin ground-state reference."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +241,27 @@ def test_robin_edge_groundstate_saturates_for_large_kappa():
 def test_robin_edge_groundstate_precondition():
     with pytest.raises(ValueError):
         robin_edge_groundstate(1.0, 1.0)  # kappa * L <= 2
+
+
+def _imported_names(path):
+    """Every dotted component of every module a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        names.update(part for m in modules for part in m.split("."))
+    return names
+
+
+def test_oracle_imports_no_solver_and_package_no_benchmark():
+    # The FD oracle is the reference the solver's tests compare against, so
+    # it must not share the solver's code; and the package must not depend
+    # on the benchmark harness that measures it.
+    package = Path(oracle.__file__).parent
+    assert not _imported_names(package / "oracle.py") & {"spectral", "odesolve"}
+    for path in sorted(package.glob("*.py")):
+        assert "perfbench" not in _imported_names(path), path.name
