@@ -46,6 +46,24 @@ _UNITARITY_TOL = 1e-10
 _CAYLEY_ANGLE_TOL = 1e-8
 
 
+def _unitary_stack(matrices) -> np.ndarray:
+    """``matrices`` stacked as one complex array, each checked as UnitaryBC
+    checks its matrix: square of even size, with ||U^H U - I||_F at most
+    _UNITARITY_TOL.  The first that fails raises the ValueError UnitaryBC
+    would raise for it."""
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    for U in mats:
+        if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 != 0 or U.shape[0] == 0:
+            raise ValueError(f"boundary matrix must be square of even size, got {U.shape}")
+    stack = np.stack(mats)
+    defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(stack.shape[1]),
+                             axis=(1, 2))
+    bad = np.flatnonzero(defects > _UNITARITY_TOL)
+    if bad.size:
+        raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {defects[bad[0]]:.3e}")
+    return stack
+
+
 class CayleySingular(Exception):
     """U has eigenvalue -1: the Robin form dpsi = A psi does not exist."""
 
@@ -57,13 +75,7 @@ class UnitaryBC:
     matrix: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.matrix, dtype=complex)
-        if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 != 0 or U.shape[0] == 0:
-            raise ValueError(f"boundary matrix must be square of even size, got {U.shape}")
-        defect = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
-        if defect > _UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {defect:.3e}")
-        U = U.copy()
+        U = _unitary_stack([self.matrix])[0]
         U.setflags(write=False)
         object.__setattr__(self, "matrix", U)
 

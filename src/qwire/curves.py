@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .bc import UnitaryBC
+from .bc import _unitary_stack
 
 __all__ = [
     "UnitaryCurve",
@@ -55,8 +55,7 @@ class UnitaryCurve:
             raise ValueError("theta samples must be strictly increasing")
         if np.linalg.norm(mats[-1] - mats[0]) > 1e-10:
             raise ValueError("curve is not closed: U(2*pi) != U(0)")
-        for m in mats:
-            UnitaryBC(m)  # unitarity check
+        _unitary_stack(mats)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "matrices", mats)
 

@@ -97,8 +97,10 @@ class FundamentalPair:
 
     Derivatives are plain (unnormalised); the metric trace factors are
     applied downstream.  All stored numbers carry a factor
-    exp(-scale_exponent) relative to the exact canonical solutions, so where
-    that factor is below ~1e-308 the data at a underflow to 0.
+    exp(-scale_exponent) relative to the exact canonical solutions;
+    :func:`fundamental_solutions` raises :class:`OdeError` where that factor
+    would fall below ~1e-308 (growth past e^708), as the data at a would
+    underflow.
     ``error_estimate`` is the mesh-halving estimate of the relative error of
     the endpoint data, 0.0 on a constant interval, whose cells are exact.
     """
@@ -467,7 +469,9 @@ def fundamental_solutions(
     Where growth and decay cancel in the product (near an eigenvalue of an
     interval with forbidden regions at both ends) the product is
     ill-conditioned and that difference exceeds ``rel_tol`` on every mesh:
-    then :class:`OdeError` is raised.
+    then :class:`OdeError` is raised, as it is where the growth over the
+    interval passes e^708 and the data at a, stored with the factor
+    exp(-scale_exponent), would underflow.
     """
     if samples < 3:
         raise ValueError("samples must be at least 3")
@@ -489,6 +493,10 @@ def fundamental_solutions(
     pl = float(pl)
     scale = pl if pl > _SCALE_LOG else 0.0
     f, sf = math.exp(pl - scale), math.exp(-scale)
+    if sf < np.finfo(float).tiny:
+        raise OdeError(f"lam={lam:.6g}: the solutions grow by e^{scale:.6g} over "
+                       f"[{interval.a:g}, {interval.b:g}], so their data at a, stored "
+                       f"with the factor e^-{scale:.6g}, would underflow")
     sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
     return FundamentalPair(
         lam=lam, interval=interval,

@@ -27,7 +27,14 @@ below lam is the number of negative eigenvalues of H - lam M, which a
 pairwise tree of 2x2 Schur complements on each interval's chain of nodes
 plus the 2n x 2n block of its end nodes gives in O(n N) per lam (Haynsworth
 inertia additivity, the discrete form of the count of the spectral solver).
-Multisection on the count isolates the levels, and each is then polished:
+Multisection on the count isolates the levels.  At resolution N it starts
+from the Gershgorin interval.  At 2N it starts from the N brackets, whose
+midpoints lie within ~1e-4 of a level spacing of the 2N levels: its first
+count takes a short ladder of points on both sides of each midpoint, at
+fractions of the distance to the next.  On smooth problems that count or
+one more round separates the levels (1 or 2 counts at 2N, against 13 to 20
+from the Gershgorin interval).  Only the counts decide the brackets, so a seed far
+off costs counts, not accuracy.  Each level is then polished:
 two steps of inverse iteration by banded LU at the bracket midpoints give
 vectors spanning the k lowest eigenspaces, and the Rayleigh-Ritz values of
 the quadratic form, summed over edge differences so that the O(1/h**2)
@@ -60,6 +67,10 @@ __all__ = ["fd_spectrum", "robin_edge_groundstate"]
 # multisection narrows a bracket to _SEPARATE of its distance to the next one,
 # or to _FLOOR relative width; counts take at most _BATCH cells at a time
 _SEPARATE, _FLOOR, _BATCH = 1e-4, 1e-14, 1 << 16
+# a seeded search first counts at these fractions of each seed's distance to
+# the nearest other seed, on both sides: a level within the first rung is
+# separated at once, within the second after one round of quarter points
+_RUNGS = _SEPARATE * np.array([0.3, 3.0, 3000.0])
 
 
 def _folded_positions(n: int, N: int) -> np.ndarray:
@@ -189,47 +200,78 @@ def _count(disc, A: np.ndarray | None, lams) -> np.ndarray:
     return counts
 
 
-def _lowest(band: np.ndarray, disc, A: np.ndarray | None, k: int) -> np.ndarray:
-    """Shifts for inverse iteration towards the k lowest eigenvalues of Hs:
-    the midpoint of every bracket that holds one of them, once per eigenvalue
-    it holds.
+def _ladder(seeds) -> np.ndarray:
+    """Points at _RUNGS times the distance to the nearest other seed below and
+    above each distinct seed (max(1, |seed|) for a lone one), sorted."""
+    s = np.unique(np.asarray(seeds, dtype=float))
+    gaps = np.diff(s, prepend=-np.inf, append=np.inf)
+    near = np.minimum(gaps[:-1], gaps[1:])
+    near = np.where(np.isfinite(near), near, np.maximum(1.0, np.abs(s)))
+    return np.unique(s + np.multiply.outer(np.concatenate([-_RUNGS, _RUNGS]), near))
 
-    The search starts from the lower end of the Gershgorin interval and
-    doubles an upper end until it holds k + 1 eigenvalues, so that brackets
-    also isolate eigenvalue k, the first one left out.  Each round counts at
-    the quarter points of every bracket in one call.  A bracket is split
-    until it is narrower than _SEPARATE times its distance to the next
-    bracket, which bounds what inverse iteration at its midpoint draws from
-    any eigenvalue outside it; one that holds eigenvalues k - 1 and k, whose
-    next eigenvalue is not tracked, is split down to _FLOOR.
+
+def _parts(ends: np.ndarray, counts: np.ndarray, top: int) -> np.ndarray:
+    """The brackets ``(a, b, na, nb)`` between consecutive points of each row of
+    ``ends`` that hold one of the ``top`` lowest eigenvalues.  The counts are
+    made monotone along each row and capped at its last one."""
+    counts = np.minimum(np.maximum.accumulate(counts, axis=1), counts[:, -1:])
+    parts = np.stack([ends[:, :-1], ends[:, 1:], counts[:, :-1], counts[:, 1:]],
+                     axis=-1).reshape(-1, 4)
+    return parts[(parts[:, 3] > parts[:, 2]) & (parts[:, 2] < top)]
+
+
+def _lowest(band: np.ndarray, disc, A: np.ndarray | None, k: int, seeds=()):
+    """Brackets of the k + 1 lowest eigenvalues of Hs, by multisection on the
+    count, started from ``seeds`` (guesses of those eigenvalues, any number).
+
+    Returns ``(shifts, levels)``.  ``shifts`` are the shifts for inverse
+    iteration towards the k lowest eigenvalues: the midpoint of every bracket
+    that holds one of them, once per eigenvalue it holds.  ``levels`` are the
+    midpoints of the brackets of eigenvalues 0, ..., k, one per eigenvalue:
+    the seeds for the next resolution.
+
+    The first count covers the ladder of points around the seeds (_ladder)
+    and an upper end above the lower end of the Gershgorin interval; the
+    upper end doubles its distance from there until some point holds k + 1
+    eigenvalues, so that brackets also isolate eigenvalue k, the first one
+    left out.  The points cut that range into the first brackets.  Then each
+    round counts at the quarter points of every bracket that is still wide,
+    in one call.  A bracket is wide until it is narrower than _SEPARATE times
+    its distance to the next bracket, which bounds what inverse iteration at
+    its midpoint draws from any eigenvalue outside it; one that holds
+    eigenvalues k - 1 and k, whose next eigenvalue is not tracked, is wide
+    down to _FLOOR.  Only the counts decide the brackets, so seeds far from
+    the eigenvalues cost calls, not accuracy; with none this is the plain
+    multisection from the Gershgorin interval.
     """
     sums = _abs_sums(band)
     lo = float(np.min(band[0].real + np.abs(band[0]) - sums))
     lo -= np.sqrt(np.finfo(float).eps) * sums.max()   # far past a count's rounding
     top = min(k + 1, band.shape[1])
-    step = max(1.0, abs(lo))
-    while (n_hi := _count(disc, A, [lo + step])[0]) < top:
-        step *= 2.0
-    keep, split = np.empty((0, 4)), np.array([[lo, lo + step, 0, n_hi]])
-    while len(split):
-        a, b, na, nb = split.T
-        c = a[:, np.newaxis] + (b - a)[:, np.newaxis] * np.array([0.25, 0.5, 0.75])
-        ends = np.column_stack([a, c, b])
-        counts = np.column_stack([na, _count(disc, A, c.ravel()).reshape(c.shape), nb])
-        counts = np.clip(np.maximum.accumulate(counts, axis=1), na[:, np.newaxis],
-                         nb[:, np.newaxis])
-        parts = np.stack([ends[:, :-1], ends[:, 1:], counts[:, :-1], counts[:, 1:]],
-                         axis=-1).reshape(-1, 4)
-        parts = parts[(parts[:, 3] > parts[:, 2]) & (parts[:, 2] < top)]
-        brackets = np.concatenate([keep, parts])
+    ladder = _ladder(seeds)
+    ends = np.append(ladder[ladder > lo], lo + max(1.0, abs(lo)))
+    counts = _count(disc, A, ends)
+    while counts.max() < top:
+        ends[-1] = lo + 2.0 * (ends[-1] - lo)
+        counts[-1] = _count(disc, A, ends[-1:])[0]
+    order = np.argsort(ends)
+    brackets = _parts(np.append(lo, ends[order])[np.newaxis],
+                      np.append(0, counts[order])[np.newaxis], top)
+    while True:
         brackets = brackets[np.argsort(brackets[:, 0])]
         a, b, na, nb = brackets.T
         gaps = np.concatenate([[np.inf], a[1:] - b[:-1], [np.inf]])
         wide = (b - a > _SEPARATE * np.minimum(gaps[:-1], gaps[1:])) | ((na < k) & (nb > k))
         wide &= b - a > _FLOOR * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        keep, split = brackets[~wide], brackets[wide]
-    a, b, na, nb = keep[keep[:, 2] < k].T
-    return np.repeat(0.5 * (a + b), (nb - na).astype(int))
+        if not wide.any():
+            break
+        a, b, na, nb = brackets[wide].T
+        c = a[:, np.newaxis] + (b - a)[:, np.newaxis] * np.array([0.25, 0.5, 0.75])
+        counts = _count(disc, A, c.ravel()).reshape(c.shape)
+        brackets = np.concatenate([brackets[~wide], _parts(
+            np.column_stack([a, c, b]), np.column_stack([na, counts, nb]), top)])
+    mids = np.repeat(0.5 * (a + b), (nb - na).astype(int))
+    return mids[:int(nb[na < k].max())], mids[:top]
 
 
 def _ritz(band: np.ndarray, lams: np.ndarray, disc, A: np.ndarray | None) -> np.ndarray:
@@ -301,17 +343,18 @@ def fd_spectrum(U: UnitaryBC, domain: QuantumDomain, N: int = 600, k: int = 8,
         raise ValueError(f"k = {k} must lie in [1, {dim}], the dimension of the "
                          f"N = {N} matrix")
 
-    def solve(res: int):
+    def solve(res: int, seeds=()):
         disc = _discretize(domain, res)
         band = _band(disc, A, 2 * domain.n)
         if dirichlet:
             band = band[:, 2 * domain.n:]
-        return _ritz(band, _lowest(band, disc, A, k), disc, A)[:k], _norm1(band)
+        shifts, levels = _lowest(band, disc, A, k, seeds)
+        return _ritz(band, shifts, disc, A)[:k], _norm1(band), levels
 
+    lam_1, norm_1, levels = solve(N)
     if not extrapolate:
-        return solve(N)[0], None
-    lam_1, norm_1 = solve(N)
-    lam_2, norm_2 = solve(2 * N)
+        return lam_1, None
+    lam_2, norm_2, _ = solve(2 * N, levels)    # searched from the N brackets
     lams = (4.0 * lam_2 - lam_1) / 3.0
     rounding = 5.0 / 3.0 * np.finfo(float).eps * max(norm_1, norm_2)
     estimates = np.abs(lam_1 - lam_2) / 3.0 + rounding

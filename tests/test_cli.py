@@ -180,6 +180,19 @@ def test_maslov_command(tmp_path, capsys):
     assert capsys.readouterr().out == "index 2\n"
 
 
+def test_maslov_rejects_a_non_unitary_sample(tmp_path, capsys):
+    # the constant loop U = I with sample 4 of 8 scaled by 1.001
+    lines = ["8 1"]
+    for j, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 9)):
+        lines += [repr(float(theta)), f"{1.001 if j == 4 else 1.0},0 0,0", "0,0 1,0"]
+    path = tmp_path / "loop.crv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"not unitary: \|\|U\^H U - I\|\|_F = 2\.001e-03"):
+        read_curve(str(path))
+    assert run(["maslov", "--curve", str(path)]) == 4
+    assert "not unitary" in capsys.readouterr().err
+
+
 def test_wire_check_pass(tmp_path, capsys):
     path = str(tmp_path / "wire.mat")
     write_matrix(path, bc.make_quasiperiodic(0.0).matrix)

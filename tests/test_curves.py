@@ -141,3 +141,20 @@ def test_curve_validation():
         UnitaryCurve(thetas, bad)                 # not closed
     with pytest.raises(ValueError):
         UnitaryCurve([0.0, 1.0], [np.eye(2)] * 2)  # wrong endpoint
+    # every sample is checked; the first that fails is reported with the
+    # message UnitaryBC gives for it
+    bad = list(eye)
+    bad[4] = np.diag([1.0, 1.001]).astype(complex)   # defect 2.001e-3
+    bad[6] = np.diag([1.0, 1.1]).astype(complex)     # defect 0.21
+    with pytest.raises(ValueError, match=r"^matrix is not unitary: "
+                                         r"\|\|U\^H U - I\|\|_F = 2\.001e-03$"):
+        UnitaryCurve(thetas, bad)
+    bad = list(eye)
+    bad[3] = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match=r"^boundary matrix must be square of even size, "
+                                         r"got \(3, 3\)$"):
+        UnitaryCurve(thetas, bad)
+    bad = list(eye)
+    bad[5] = np.eye(2) * (1.0 + 1e-11)               # within the tolerance
+    UnitaryCurve(thetas, bad)
+

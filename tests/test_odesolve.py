@@ -85,17 +85,17 @@ def test_wronskian_drift_beside_a_growing_solution():
 def test_closed_form_branches():
     # eta = 2, V = 3 on [0, 1.3]: u'' = w u with w = 4 (3 - lam).  lam above
     # V, lam = V, then growing with action k L of 10.6 and 45, and deep
-    # tunnelling (k L = 822) with a storage scale.
+    # tunnelling (k L = 581) with a storage scale.
     iv = Interval(0.0, 1.3, "2", "3")
     L = iv.length
-    fps = [fundamental_solutions(iv, lam) for lam in (10.0, 3.0, -3.0, -300.0, -1e5)]
+    fps = [fundamental_solutions(iv, lam) for lam in (10.0, 3.0, -3.0, -300.0, -5e4)]
     k = math.sqrt(28.0)
     osc = fps[0]
     assert np.allclose([osc.psi_b, osc.dpsi_b],
                        [[math.cos(k * L), math.sin(k * L) / k],
                         [-k * math.sin(k * L), math.cos(k * L)]], rtol=1e-13, atol=1e-15)
     assert np.allclose([fps[1].psi_b, fps[1].dpsi_b], [[1.0, L], [0.0, 1.0]], rtol=1e-13)
-    k = np.sqrt(4.0 * (3.0 + np.array([3.0, 300.0, 1e5])))
+    k = np.sqrt(4.0 * (3.0 + np.array([3.0, 300.0, 5e4])))
     ch, sh = np.cosh(k[:2] * L), np.sinh(k[:2] * L)
     data = np.array([[fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b] for fp in fps[2:4]])
     want = np.array([[[1.0, 0.0], [0.0, 1.0], [c, s / q], [q * s, c]]
@@ -216,16 +216,26 @@ def _growth(fp, sigma):
 
 
 def test_deep_tunnelling_rescales_without_overflow():
-    # lam far below V: growth rate k = sqrt(2 (V - lam)) with k L >> 700.
-    iv = Interval(0.0, 10.0, "1", "5000")
+    # lam far below V: growth rate k = sqrt(2 (V - lam)) with k L = 566, past
+    # the 1e100 above which the data are stored with a scale factor
+    iv = Interval(0.0, 4.0, "1", "5000")
     fp = fundamental_solutions(iv, -5000.0)
     assert fp.scale_exponent > 0.0
     data = np.array([fp.psi_a, fp.dpsi_a, fp.psi_b, fp.dpsi_b])
     assert np.all(np.isfinite(data))
     assert np.max(np.abs(data)) < 1e305
+    assert fp.psi_a[0] == fp.dpsi_a[1] == math.exp(-fp.scale_exponent) > 0.0
     k = math.sqrt(2.0 * 10000.0)
-    assert _growth(fp, 0) == pytest.approx(k * 10.0 - math.log(2.0), rel=1e-12)
-    assert _growth(fp, 1) == pytest.approx(k * 10.0 - math.log(2.0 * k), rel=1e-12)
+    assert _growth(fp, 0) == pytest.approx(k * 4.0 - math.log(2.0), rel=1e-12)
+    assert _growth(fp, 1) == pytest.approx(k * 4.0 - math.log(2.0 * k), rel=1e-12)
+
+
+def test_growth_past_the_float_range_raises():
+    # k L = 1414 on [0, 10]: the factor exp(-scale_exponent) = e^-1418 of the
+    # data at a would underflow to 0, so the pair is refused, not returned
+    # with psi_a = dpsi_a = 0
+    with pytest.raises(OdeError, match=r"e\^1418\.\d+ .*would underflow"):
+        fundamental_solutions(Interval(0.0, 10.0, "1", "5000"), -5000.0)
 
 
 def test_deep_tunnelling_integrator_path():

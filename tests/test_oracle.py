@@ -1,12 +1,14 @@
 """Finite-difference oracle and Robin ground-state reference."""
 
 import ast
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qwire import oracle
 from qwire.bc import (
@@ -27,9 +29,9 @@ LENGTHS = [1.0, 1.3, 0.7]
 THREE = QuantumDomain([Interval(0.0, L, "1", "0") for L in LENGTHS])
 
 
-def _unitary_with_phases(rng, m=6):
-    """Q diag(exp(i phases)) Q^H, phases uniform in (-pi + 1, pi - 1), Q Haar."""
-    phases = rng.uniform(-math.pi + 1.0, math.pi - 1.0, size=m)
+def _unitary_with_phases(rng, m=6, low=-math.pi + 1.0):
+    """Q diag(exp(i phases)) Q^H, phases uniform in (low, pi - 1), Q Haar."""
+    phases = rng.uniform(low, math.pi - 1.0, size=m)
     Q = random_unitary(m, rng).matrix
     return UnitaryBC((Q * np.exp(1j * phases)) @ Q.conj().T)
 
@@ -221,6 +223,83 @@ def test_lowest_levels_match_dense_eigensolver(U, domain, N, k):
     # the count is the number of dense eigenvalues below each lam
     lams = np.random.default_rng(k).uniform(want[0] - 1.0, want[20] + 1.0, 40)
     assert np.array_equal(oracle._count(disc, A, lams), np.searchsorted(want, lams))
+
+
+SEEDED = {
+    "robin-u2": (random_unitary(2, np.random.default_rng(1)),
+                 QuantumDomain([Interval(0.0, 2.0, "1", "x")]), 200, 5),
+    # levels in pairs 1e-7 apart, the second pair split between level k - 1
+    # (kept) and level k (left out)
+    "dirichlet-pair": (make_dirichlet(2), PAIR, 200, 3),
+}
+
+
+@functools.cache
+def _seeded_case(case):
+    """(k, band, disc, A, the k + 2 lowest dense eigenvalues, the Gershgorin
+    lower bound of Hs, the cold search's Ritz values) of a SEEDED case."""
+    U, domain, N, k = SEEDED[case]
+    H, disc, A = _dense_hs(U, domain, N)
+    band = oracle._band(disc, A, 2 * domain.n)
+    if A is None:
+        band = band[:, 2 * domain.n:]
+    gershgorin = np.min(np.diag(H).real - (np.abs(H).sum(axis=1) - np.abs(np.diag(H))))
+    cold = oracle._ritz(band, oracle._lowest(band, disc, A, k)[0], disc, A)[:k]
+    return k, band, disc, A, np.linalg.eigvalsh(H)[:k + 2], gershgorin, cold
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", sorted(SEEDED))
+def test_seeded_search_gives_the_cold_levels(case, data):
+    # Seeds only steer the counts: whatever they are, the Ritz values of the
+    # seeded brackets are the cold search's, and the brackets of levels
+    # 0..k (the seeds for the next resolution) hold those levels.
+    k, band, disc, A, want, gershgorin, cold = _seeded_case(case)
+    gap = float(np.max(np.diff(want)))
+    kind = data.draw(st.sampled_from(["random", "shifted", "duplicated", "fewer",
+                                      "below", "none"]))
+    if kind == "random":
+        seeds = data.draw(st.lists(st.floats(want[0] - gap, want[-1] + gap), max_size=12))
+    elif kind == "shifted":        # every seed a whole gap off its level
+        seeds = want[:k + 1] + data.draw(st.sampled_from([-1.0, 1.0])) * gap
+    elif kind == "duplicated":
+        seeds = np.repeat(want[:k + 1], data.draw(st.integers(2, 3)))
+    elif kind == "fewer":
+        seeds = want[:data.draw(st.integers(1, k))]
+    elif kind == "below":
+        seeds = gershgorin - np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=1,
+                                                         max_size=k + 1)))
+    else:
+        seeds = ()
+    shifts, levels = oracle._lowest(band, disc, A, k, seeds)
+    lams = oracle._ritz(band, shifts, disc, A)[:k]
+    assert np.all(np.abs(lams - cold) <= 1e-12 * np.maximum(1.0, np.abs(cold)))
+    assert len(levels) == k + 1
+    assert np.all(np.abs(levels - want[:k + 1]) <= oracle._SEPARATE * gap)
+
+
+# the four cases of the fd-oracle benchmark, whose Robin U have eigenphases in (0, pi - 1)
+@pytest.mark.parametrize("U, domain, N", [
+    (make_dirichlet(1), FREE, 1200),
+    (make_dirichlet(1), QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")]), 1200),
+    (_unitary_with_phases(np.random.default_rng(5), 2, low=0.0),
+     QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")]), 1200),
+    (_unitary_with_phases(np.random.default_rng(6), 6, low=0.0), THREE, 400),
+])
+def test_fine_search_starts_from_the_coarse_brackets(monkeypatch, U, domain, N):
+    # Work guard: seeded with the brackets found at N, the search at 2N
+    # needs at most 3 counts; from the Gershgorin bound it takes 13 to 20.
+    calls = []
+    count = oracle._count
+
+    def counting(disc, A, lams):
+        calls.append(disc[4].size)
+        return count(disc, A, lams)
+
+    monkeypatch.setattr(oracle, "_count", counting)
+    fd_spectrum(U, domain, N=N, k=5)
+    assert 0 < calls.count(domain.n * (2 * N + 1)) <= 3
 
 
 def test_robin_edge_groundstate_defining_equation():
