@@ -205,7 +205,7 @@ def unitary_to_cayley(U: UnitaryBC) -> CayleyOperator:
     """A = -i(I - U)(I + U)^{-1}; raises :class:`CayleySingular` if -1 in spec(U)."""
     M = U.matrix
     eigs = np.linalg.eigvals(M)
-    if np.min(np.abs(eigs + 1.0)) <= 1e-8:
+    if np.min(np.abs(eigs + 1.0)) <= _CAYLEY_ANGLE_TOL:
         raise CayleySingular("-1 is an eigenvalue of U; Robin reduction undefined")
     I = np.eye(M.shape[0])
     A = -1j * np.linalg.solve((I + M).T, (I - M).T).T

@@ -346,20 +346,21 @@ def _write_output(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_spectrum(args) -> int:
+def _levels(args) -> tuple[ProblemConfig, spectral.Spectrum]:
+    """The config and its levels, --lambda-min and --lambda-max overriding its window."""
     cfg = load_config(args.config)
     lo = args.lambda_min if args.lambda_min is not None else cfg.lambda_range[0]
     hi = args.lambda_max if args.lambda_max is not None else cfg.lambda_range[1]
-    spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, (lo, hi), cfg.options)
-    _write_output(format_spectrum(spectrum), args.output)
+    return cfg, spectral.find_eigenvalues(cfg.boundary, cfg.domain, (lo, hi), cfg.options)
+
+
+def _cmd_spectrum(args) -> int:
+    _write_output(format_spectrum(_levels(args)[1]), args.output)
     return 0
 
 
 def _cmd_eigenfunctions(args) -> int:
-    cfg = load_config(args.config)
-    lo = args.lambda_min if args.lambda_min is not None else cfg.lambda_range[0]
-    hi = args.lambda_max if args.lambda_max is not None else cfg.lambda_range[1]
-    spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, (lo, hi), cfg.options)
+    cfg, spectrum = _levels(args)
     lines = ["# qwire-eigenfunctions v1", "# lambda branch x re im"]
     for lam, j, e in spectrum.flat():
         for k in range(cfg.domain.n):

@@ -90,6 +90,10 @@ class OdeError(Exception):
     """Integration failure (non-positive metric, mesh that does not converge)."""
 
 
+class _TurnLimit(OdeError):
+    """A sample cell of :func:`cell_dtn` holds a Dirichlet level of its own."""
+
+
 @dataclass(frozen=True)
 class FundamentalPair:
     """Endpoint data of the canonical basis solutions of H u = lam u on one
@@ -526,7 +530,8 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     costs 3 (samples - 1) CP cells.  A constant interval's one exact cell is
     broadcast to every sample cell.  A cell must hold no Dirichlet level of
     its own (t01 > 0, and the exact turns l sqrt(2 (lam - Vbar))+ of its
-    reference cells sum to less than pi), else :class:`OdeError`.
+    reference cells sum to less than pi), else :class:`OdeError`; the turns
+    grow with lam, so a ``samples`` that passes at lam passes below it.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
     mesh = _mesh(interval, samples)
@@ -542,9 +547,9 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         t00, t01, _, t11 = fine
         ok = (t01 > 0.0) & (turn.reshape(len(block), mesh.cells0, -1).sum(axis=-1) < math.pi)
         if not ok.all():
-            raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
-                           f"inside a sample cell of [{interval.a:g}, {interval.b:g}]; "
-                           "raise samples")
+            raise _TurnLimit(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
+                             f"inside one of the {samples - 1} sample cells of "
+                             f"[{interval.a:g}, {interval.b:g}]")
         parts.append(np.array([t00, -np.exp(-fine_logs), t11]) / t01)
     alpha, beta, gamma = np.broadcast_to(np.concatenate(parts, axis=1),
                                          (3, len(lams), samples - 1))

@@ -36,9 +36,9 @@ import numpy as np
 import scipy.linalg
 
 from . import expr
-from .bc import UnitaryBC
+from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, cell_dtn
+from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, _TurnLimit, cell_dtn
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -52,20 +52,21 @@ _ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
 # a pivot or boundary eigenvalue this small relative to the terms it came
 # from makes a count unsure
 _UNSURE = 1e6 * np.finfo(float).eps
+# sample nodes per interval: the first tried, and the cap of the doubling
+_SAMPLES, _MAX_SAMPLES = 257, 4097
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``rel_tol`` is the per-cell mesh-halving tolerance, ``samples`` the
-    sample nodes per interval.  ``grid`` and ``sigma_tol`` belonged to the
-    sigma_min scan that exact counting replaced: a set value warns, once,
-    and has no effect."""
+    """``rel_tol`` is the per-cell mesh-halving tolerance; the solver picks
+    the sample nodes per interval (see :func:`_solve`).  ``grid`` and
+    ``sigma_tol`` belonged to the sigma_min scan that exact counting
+    replaced: a set value warns, once, and has no effect."""
 
     grid: int | None = None
     sigma_tol: float | None = None
     max_eigs: int | None = None
     rel_tol: float = 1e-11
-    samples: int = 257
 
     def __post_init__(self):
         for name in ("grid", "sigma_tol"):
@@ -134,11 +135,11 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
 
     The value carries the positive factor exp(-s), s = max(0, log|det M| -
     log 1e100), which caps its modulus at 1e100 however deep lam lies below
-    the potential; its zeros are the eigenvalues of H_U.  A sample cell that
-    holds a Dirichlet level of its own raises
-    :class:`~qwire.odesolve.OdeError` (raise ``opts.samples``).
+    the potential; its zeros are the eigenvalues of H_U.  The samples follow
+    lam (see :func:`_solve`); past the reach of 4097 samples it raises
+    :class:`~qwire.odesolve.OdeError`.
     """
-    phase, log_mod = _Glued(U, domain, opts).log_det(lam)
+    phase, log_mod = _solve(U, domain, opts, lambda g: g.log_det(lam))
     return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
@@ -205,25 +206,25 @@ def _inner(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
 
 
 class _Glued:
-    """K(lam) - A for one boundary condition on one domain: the unknowns are c
-    (psi = Q c), then the interior sample nodes in the folded order of
-    :func:`qwire.oracle._folded_positions`, and ``rows`` <= ``cols`` list the
-    entries that :meth:`_values` fills at each lam."""
+    """K(lam) - A for one boundary condition on one domain, with ``samples``
+    nodes per interval: the unknowns are c (psi = Q c), then the interior
+    sample nodes in the folded order of :func:`qwire.oracle._folded_positions`,
+    and ``rows`` <= ``cols`` list the entries that :meth:`_values` fills at
+    each lam."""
 
-    def __init__(self, U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions):
+    def __init__(self, U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions,
+                 samples: int = _SAMPLES):
         if U.n != domain.n:
             raise ValueError(f"a U({2 * U.n}) condition needs {U.n} intervals, got {domain.n}")
-        if opts.samples < 3 or not opts.rel_tol > 0.0:
-            raise ValueError("samples must be at least 3 and rel_tol positive")
-        if opts.samples % 2 == 0:
-            raise ValueError("samples must be odd (composite Simpson weights)")
-        n, N = domain.n, opts.samples - 1
-        self.U, self.domain, self.opts = U, domain, opts
+        if not opts.rel_tol > 0.0:
+            raise ValueError("rel_tol must be positive")
+        n, N = domain.n, samples - 1
+        self.U, self.domain, self.opts, self.samples = U, domain, opts, samples
         # V: the right singular vectors of U + I whose singular value
         # 2 |cos(phase / 2)| clears the Cayley tolerance
         _, sv, vh = np.linalg.svd((U.matrix if U.matrix.imag.any() else U.matrix.real)
                                   + np.eye(2 * n))
-        Q = np.eye(2 * n) if sv.min() > 1e-8 else vh[sv > 1e-8].conj().T
+        Q = np.eye(2 * n) if sv.min() > _CAYLEY_ANGLE_TOL else vh[sv > _CAYLEY_ANGLE_TOL].conj().T
         UV, eye = Q.conj().T @ U.matrix @ Q, np.eye(Q.shape[1])
         A = -1j * np.linalg.solve(eye + UV, eye - UV)
         A = 0.5 * (A + A.conj().T)
@@ -249,7 +250,7 @@ class _Glued:
 
     def cells(self, lams):
         """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, samples - 1)."""
-        parts = [cell_dtn(iv, lams, self.opts.rel_tol, self.opts.samples)
+        parts = [cell_dtn(iv, lams, self.opts.rel_tol, self.samples)
                  for iv in self.domain.intervals]
         return tuple(np.stack(p, axis=1) for p in zip(*parts))
 
@@ -406,20 +407,41 @@ class _Glued:
         return np.concatenate(theta), np.concatenate(vecs), np.concatenate(resid)
 
 
+def _solve(U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions, work):
+    """``work(g)`` on the :class:`_Glued` of the fewest samples per interval,
+    257 and then 2S - 1 up to 4097, whose sample cells hold no Dirichlet
+    level of their own at any lam that ``work`` reaches.  The cells' turns
+    grow with lam (see :func:`~qwire.odesolve.cell_dtn`), so only the
+    highest lam of a solve can need more.  At the cap the limit is an
+    :class:`~qwire.odesolve.OdeError` that names it; every other one
+    propagates unchanged."""
+    samples = _SAMPLES
+    while True:
+        try:
+            return work(_Glued(U, domain, opts, samples))
+        except _TurnLimit as err:
+            if samples >= _MAX_SAMPLES:
+                raise OdeError(f"{err}, at the cap of {_MAX_SAMPLES} samples") from err
+            samples = 2 * samples - 1
+
+
 def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
                       opts: SolveOptions = SolveOptions()) -> np.ndarray:
     """N_U(lam), the number of eigenvalues below lam with multiplicity, for
-    each lam: exact unless a sample cell holds a Dirichlet level of its own
-    (:class:`~qwire.odesolve.OdeError`) or lam is within sqrt(eps) of a level.
-    N_U(-inf) is 0; lam = +inf or nan is a ``ValueError``."""
+    each lam: exact unless lam is within sqrt(eps) of a level.  The samples
+    follow the largest lam (see :func:`_solve`); past the reach of 4097
+    samples it raises :class:`~qwire.odesolve.OdeError`.  N_U(-inf) is 0;
+    lam = +inf or nan is a ``ValueError``."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(lams < math.inf):
         raise ValueError("count_eigenvalues needs lam below +inf and not nan")
-    g, counts = _Glued(U, domain, opts), np.zeros(lams.shape, dtype=int)
-    finite = lams > -math.inf
-    if finite.any():
-        counts[finite] = g.count(lams[finite])[0]
-    return counts
+
+    def count(g):
+        counts, finite = np.zeros(lams.shape, dtype=int), lams > -math.inf
+        if finite.any():
+            counts[finite] = g.count(lams[finite])[0]
+        return counts
+    return _solve(U, domain, opts, count)
 
 
 def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
@@ -429,8 +451,9 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
 
     An open end lo = -inf is the bottom of the spectrum, a floor doubled down
     from min(0, hi) - 1 until no level lies below it; hi = inf needs
-    ``max_eigs``, a ceiling stepped up until that many levels lie above lo,
-    its step halved where a sample cell would hold a Dirichlet level.
+    ``max_eigs``, a ceiling stepped up until that many levels lie above lo.
+    The samples per interval are 257, or more where the top needs them
+    (see :func:`_solve`).
     The count at the ends gives the levels; multisection on the count
     isolates them, one per bracket or to 1e-7 relative; level k is the root
     of mu_k, found by a secant whose tolerance is 1e-12 relative.  A level's
@@ -445,22 +468,20 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         raise ValueError(f"max_eigs must be at least 1, got {opts.max_eigs}")
     if hi == math.inf and opts.max_eigs is None:
         raise ValueError("an open upper end needs max_eigs")
-    g = _Glued(U, domain, opts)
+    eigs = _solve(U, domain, opts, lambda g: _levels(g, lo, hi))
+    return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
+
+
+def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
+    """The eigenpairs of :func:`find_eigenvalues` on one :class:`_Glued`."""
     if lo == -math.inf:
         lo = min(0.0, hi) - 1.0
         while g.count([lo])[0][0] > 0:
             lo *= 2.0
     if hi == math.inf:               # hi: fewer than max_eigs levels above lo
         n_lo, hi, step = g.count([lo])[0][0], lo, max(1.0, abs(lo))
-        while True:
-            try:
-                if g.count([hi + step])[0][0] - n_lo >= opts.max_eigs:
-                    break
-                hi, step = hi + step, 2.0 * step
-            except OdeError:
-                if step <= _ISOLATE * max(1.0, abs(hi)):
-                    raise
-                step *= 0.5
+        while g.count([hi + step])[0][0] - n_lo < g.opts.max_eigs:
+            hi, step = hi + step, 2.0 * step
         hi += step
     ends = np.array([lo, hi], dtype=float)
     (n_lo, n_hi), sure = g.count(ends)
@@ -469,13 +490,12 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         ends += np.where(sure, 0.0, [-step, step])
         (n_lo, n_hi), sure = g.count(ends)
         step *= 2.0
-    top = n_hi if opts.max_eigs is None else min(n_hi, n_lo + opts.max_eigs)
+    top = n_hi if g.opts.max_eigs is None else min(n_hi, n_lo + g.opts.max_eigs)
     roots, vecs = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
     cut = 1 + np.flatnonzero(np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:])))
     levels = np.split(roots, cut)
-    eigs = _eigenpairs(g, [float(np.mean(v)) for v in levels], [len(v) for v in levels],
+    return _eigenpairs(g, [float(np.mean(v)) for v in levels], [len(v) for v in levels],
                        vecs[np.concatenate([[0], cut])]) if roots.size else []
-    return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
 
 
 def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
@@ -639,7 +659,7 @@ def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
     pairs are certified.  The vectors are orthonormalised in L2(sqrt(eta) dx)
     by Simpson quadrature, each with its largest sample real positive, and
     dpsi comes from the end cells' DtN rows."""
-    domain, S, m = g.domain, g.opts.samples, g.Q.shape[1]
+    domain, S, m = g.domain, g.samples, g.Q.shape[1]
     n = domain.n
     xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
     w = _quad_weights(domain, xs)

@@ -353,6 +353,10 @@ def test_oracle_compare_window_holds_every_level(tmp_path, capsys):
     assert run(["oracle-compare", "--config", str(path), "--fd-n", "200",
                 "--count", "150"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 152
+    # the levels near the top of 300 lie past the reach of 257 samples
+    assert run(["oracle-compare", "--config", str(path), "--fd-n", "400",
+                "--count", "300"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 302
     # more levels than the FD matrix has is a numeric failure naming both
     assert run(["oracle-compare", "--config", str(path), "--fd-n", "200",
                 "--count", "500"]) == 3

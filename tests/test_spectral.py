@@ -244,11 +244,8 @@ def test_deficiency_indices():
 def test_find_eigenvalues_validation(free_2pi):
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(1), free_2pi, (2.0, 1.0))
-    with pytest.raises(ValueError):
-        find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(samples=2))
-    for solve in (find_eigenvalues, count_eigenvalues):
-        with pytest.raises(ValueError):
-            solve(make_dirichlet(1), free_2pi, (0.0, 1.0), SolveOptions(samples=256))
+    with pytest.raises(TypeError):
+        SolveOptions(samples=257)
     with pytest.raises(ValueError):
         find_eigenvalues(make_dirichlet(2), free_2pi, (0.0, 1.0))
 
@@ -286,16 +283,64 @@ def test_open_upper_end_needs_max_eigs(free_2pi):
         find_eigenvalues(make_dirichlet(1), free_2pi, (0.0, math.inf))
 
 
-def test_open_upper_end_steps_back_within_the_sample_cells():
-    # 257 samples on [0, 1] reach levels up to about (256 pi)**2 / 2; a
-    # doubled ceiling past that reach steps back instead of raising
+def test_open_upper_end_past_the_reach_of_257_samples():
+    # 257 samples on [0, 1] reach levels up to about (256 pi)**2 / 2 =
+    # 323,407; the doubled ceiling's probe at 524,286 lies past that, so
+    # both windows are solved with 513 samples
     dom = QuantumDomain([Interval(0.0, 1.0, "1", "0")])
     spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
                                 SolveOptions(max_eigs=240))
     assert len(spectrum.eigs) == 240
     assert spectrum.eigs[-1].lam == pytest.approx((240 * math.pi) ** 2 / 2, rel=1e-10)
-    with pytest.raises(OdeError, match="raise samples"):
-        find_eigenvalues(make_dirichlet(1), dom, (0.0, math.inf), SolveOptions(max_eigs=300))
+    assert spectrum.eigs[0].xs.shape == (1, 513)
+    spectrum = find_eigenvalues(make_dirichlet(1), dom, (0.0, math.inf), SolveOptions(max_eigs=300))
+    assert len(spectrum.eigs) == 300
+    assert spectrum.eigs[-1].lam == pytest.approx((300 * math.pi) ** 2 / 2, rel=1e-10)
+
+
+def test_samples_follow_the_window():
+    # 257 samples on [0, 2 pi] reach about (256 pi / (2 pi))**2 / 2 = 8192:
+    # a window below keeps them, one above doubles them once
+    for hi, samples in ((8000.0, 257), (8300.0, 513)):
+        spectrum = find_eigenvalues(make_dirichlet(1), FREE, (0.01, hi))
+        assert spectrum.eigs[0].xs.shape == (1, samples)
+    # 4097 samples on [0, 1] reach about 8.3e7: the cap raises, naming it
+    with pytest.raises(OdeError, match="cap of 4097 samples"):
+        count_eigenvalues(make_dirichlet(1), QuantumDomain([Interval(0.0, 1.0, "1", "0")]), 1e10)
+
+
+def test_only_the_turn_limit_adds_samples(monkeypatch):
+    # any other OdeError of a cell propagates as it is, from 257 samples
+    seen = []
+
+    def failing(iv, lams, rel_tol, samples):
+        seen.append(samples)
+        raise OdeError("mesh halving did not reach rel_tol")
+
+    monkeypatch.setattr(spectral, "cell_dtn", failing)
+    with pytest.raises(OdeError, match="^mesh halving did not reach rel_tol$"):
+        count_eigenvalues(make_dirichlet(1), FREE, 1.0)
+    assert seen == [257]
+
+
+def test_the_300_lowest_free_dirichlet_levels():
+    # the 300 lowest levels k**2 / 8 of free [0, 2 pi] lie past the reach of
+    # 257 samples (lam = 8192 at k = 256)
+    spectrum = find_eigenvalues(make_dirichlet(1), FREE, (-math.inf, math.inf),
+                                SolveOptions(max_eigs=300))
+    want = np.arange(1, 301) ** 2 / 8.0
+    assert [e.multiplicity for e in spectrum.eigs] == [1] * 300
+    assert spectrum.lams == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_the_300_lowest_levels_of_x2_over_2_against_fd():
+    # past the reach of 257 samples, like the free levels above
+    dom = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
+    spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
+                                SolveOptions(max_eigs=300))
+    fd, est = fd_spectrum(make_dirichlet(1), dom, N=1000, k=300)
+    assert [e.multiplicity for e in spectrum.eigs] == [1] * 300
+    assert np.all(np.abs(spectrum.lams - fd) <= est)
 
 
 def _branch_domain(n):
