@@ -203,6 +203,26 @@ def _quadrature():
     return g, w, primitives @ np.linalg.inv(leg.legvander(g, _GAUSS - 1))
 
 
+def _arc_means(interval: Interval, n: int):
+    """ds (the arc length per unit Gauss weight) and V at the Gauss points of
+    the n cells of equal width in x, each (n, _GAUSS), and each cell's arc
+    length l and mean Vbar of V in s."""
+    g, w, _ = _quadrature()
+    width = interval.length / n
+    xs = (interval.a + width * (np.arange(n)[:, np.newaxis] + 0.5 * (1.0 + g))).ravel()
+    ds = np.sqrt(_metric_at(interval, xs)).reshape(n, _GAUSS) * (0.5 * width)
+    pot = expr.evaluate(interval.potential, xs).reshape(n, _GAUSS)
+    ell = ds @ w
+    return ds, pot, ell, (ds * pot) @ w / ell
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_cells(interval: Interval, n: int):
+    """l and Vbar of the n reference cells of equal width in x, cached apart
+    from :func:`_mesh`: a cell's turn at lam is l sqrt(2 (lam - Vbar))+."""
+    return _arc_means(interval, n)[2:]
+
+
 def _cp_cells(interval: Interval, n: int):
     """2 l**2, Vbar, l and the (4, M + 2, n) coefficients of eta_-1 .. eta_M
     in the transfer matrices of the n cells of equal width in x, by Gauss
@@ -211,13 +231,8 @@ def _cp_cells(interval: Interval, n: int):
     follow from the Legendre moments V_1 .. V_N of V - Vbar in s.  With a
     constant V the reference cells are exact and the coefficients are None.
     """
-    g, w, primitive = _quadrature()
-    width = interval.length / n
-    xs = (interval.a + width * (np.arange(n)[:, np.newaxis] + 0.5 * (1.0 + g))).ravel()
-    ds = np.sqrt(_metric_at(interval, xs)).reshape(n, _GAUSS) * (0.5 * width)
-    pot = expr.evaluate(interval.potential, xs).reshape(n, _GAUSS)
-    ell = ds @ w
-    vbar = (ds * pot) @ w / ell
+    _, w, primitive = _quadrature()
+    ds, pot, ell, vbar = _arc_means(interval, n)
     if expr.is_constant(interval.potential):
         return 2.0 * ell * ell, vbar, ell, None
     t = 2.0 * (ds @ primitive.T) / ell[:, np.newaxis] - 1.0      # the nodes by arc length

@@ -175,7 +175,7 @@ def _count(disc, A: np.ndarray | None, lams) -> np.ndarray:
         shares = diag - lam * m
         alpha, gamma = shares[..., :-1], shares[..., 1:]
         beta = np.broadcast_to(beta0, alpha.shape)
-        neg = np.zeros(len(lam), dtype=int)
+        pivots = []
         while alpha.shape[-1] > 1:
             size = alpha.shape[-1]
             even = size & ~1
@@ -183,7 +183,7 @@ def _count(disc, A: np.ndarray | None, lams) -> np.ndarray:
             a2, b2, g2 = (v[..., 1:even:2] for v in (alpha, beta, gamma))
             d = g1 + a2
             d[np.abs(d) < tiny] = tiny
-            neg += np.count_nonzero(d < 0.0, axis=(1, 2))
+            pivots.append(d)
             merged = a1 - b1 * b1 / d, -b1 * b2 / d, g2 - b2 * b2 / d
             if even < size:
                 merged = (np.concatenate([v, rest[..., even:]], axis=-1)
@@ -195,8 +195,9 @@ def _count(disc, A: np.ndarray | None, lams) -> np.ndarray:
         ends[:, k, n + k] = ends[:, n + k, k] = beta[..., 0]
         if A is not None:
             ends = ends - 0.5 * A
-        counts[start:start + step] = neg + np.count_nonzero(
-            np.linalg.eigvalsh(ends) < 0.0, axis=-1)
+        counts[start:start + step] = (
+            np.count_nonzero(np.concatenate(pivots, axis=-1) < 0.0, axis=(1, 2))
+            + np.count_nonzero(np.linalg.eigvalsh(ends) < 0.0, axis=-1))
     return counts
 
 

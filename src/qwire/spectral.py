@@ -24,6 +24,13 @@ is N_U(lam), the number of levels below lam; its k-th smallest eigenvalue
 mu_k(lam) decreases through 0 exactly at the k-th level; and its null vector
 there holds the eigenfunction at the sample nodes (DtN bracketing:
 L. Friedlander, Arch. Rational Mech. Anal. 116 (1991)).
+
+Every cell is exact, so N_U and the roots of mu_k do not depend on how many
+sample cells there are, as long as none holds a Dirichlet level of its own.
+A solve therefore takes two sample counts per interval (see
+:func:`_samples`): the search counts and refines on the fewest that the
+highest lam it reaches needs, at least 17, and the eigenfunctions are read
+on a grid of 257 points per interval, or more where the top needs them.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import scipy.linalg
 from . import expr
 from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, _TurnLimit, cell_dtn
+from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _reference_cells, _TurnLimit,
+                       cell_dtn)
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -52,8 +60,13 @@ _ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
 # a pivot or boundary eigenvalue this small relative to the terms it came
 # from makes a count unsure
 _UNSURE = 1e6 * np.finfo(float).eps
-# sample nodes per interval: the first tried, and the cap of the doubling
-_SAMPLES, _MAX_SAMPLES = 257, 4097
+# sample nodes per interval, each 2**j + 1: the fewest a search takes, the
+# fewest of the eigenfunction grid, and the cap of both
+_LEAST, _SAMPLES, _MAX_SAMPLES = 17, 257, 4097
+# the largest turn of a search's sample cell at its top lam below the
+# grid's samples: it keeps the cells' DtN entries off their pole at pi;
+# measured on free-spectra, pi / 2 was slower and pi no faster
+_MARGIN = 0.75 * math.pi
 
 
 @dataclass(frozen=True)
@@ -136,10 +149,11 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
     The value carries the positive factor exp(-s), s = max(0, log|det M| -
     log 1e100), which caps its modulus at 1e100 however deep lam lies below
     the potential; its zeros are the eigenvalues of H_U.  The samples follow
-    lam (see :func:`_solve`); past the reach of 4097 samples it raises
+    lam (see :func:`_samples`); past the reach of 4097 samples it raises
     :class:`~qwire.odesolve.OdeError`.
     """
-    phase, log_mod = _solve(U, domain, opts, lambda g: g.log_det(lam))
+    phase, log_mod = _solve(U, domain, opts, _samples(domain, lam)[0],
+                            lambda g: g.log_det(lam))
     return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
@@ -407,15 +421,44 @@ class _Glued:
         return np.concatenate(theta), np.concatenate(vecs), np.concatenate(resid)
 
 
-def _solve(U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions, work):
-    """``work(g)`` on the :class:`_Glued` of the fewest samples per interval,
-    257 and then 2S - 1 up to 4097, whose sample cells hold no Dirichlet
-    level of their own at any lam that ``work`` reaches.  The cells' turns
-    grow with lam (see :func:`~qwire.odesolve.cell_dtn`), so only the
-    highest lam of a solve can need more.  At the cap the limit is an
-    :class:`~qwire.odesolve.OdeError` that names it; every other one
-    propagates unchanged."""
-    samples = _SAMPLES
+def _samples(domain: QuantumDomain, lam: float) -> tuple[int, int]:
+    """The samples per interval of a solve whose highest lam is ``lam``: the
+    search's, the fewest S = 2**j + 1 >= 17 at which every sample cell turns
+    by at most 3 pi / 4 there, and the eigenfunction grid's, the fewest
+    S >= 257 at which every one turns by less than pi.  The search takes
+    the grid's S where that is fewer: a search on twice the samples costs
+    more than one that probes next to a cell's pole.
+
+    A sample cell's turn is the one that :func:`~qwire.odesolve.cell_dtn`
+    checks, l sqrt(2 (lam - Vbar))+ summed over its reference cells, here
+    the 4096 of equal width per interval.  A lam at which 4097 samples turn
+    by pi is beyond the cap, an :class:`~qwire.odesolve.OdeError`.
+    """
+    counts = 2 ** np.arange(4, 13) + 1                      # 17, 33, .., 4097
+    turns = np.zeros(len(counts))
+    for iv in domain.intervals:
+        ell, vbar = _reference_cells(iv, _MAX_SAMPLES - 1)
+        t, top = ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0)), []
+        while t.size >= _LEAST - 1:                         # 4096 cells, then 2048, ..
+            top.append(t.max())
+            t = t[0::2] + t[1::2]
+        if top[0] >= math.pi:
+            raise OdeError(f"lam={lam:.6g} puts a Dirichlet level inside one of the "
+                           f"{_MAX_SAMPLES - 1} sample cells of [{iv.a:g}, {iv.b:g}], "
+                           f"at the cap of {_MAX_SAMPLES} samples")
+        turns = np.maximum(turns, top[::-1])
+    grid = max(int(counts[turns < math.pi][0]), _SAMPLES)
+    within = counts[(turns <= _MARGIN) & (counts < grid)]
+    return int(within[0]) if within.size else grid, grid
+
+
+def _solve(U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions, samples: int, work):
+    """``work(g)`` on the :class:`_Glued` of ``samples`` per interval, as
+    :func:`_samples` chose them.  This loop is the safety net behind that
+    choice: where a sample cell still holds a Dirichlet level of its own at a
+    lam that ``work`` reaches, ``work`` runs again on 2S - 1 samples, up to
+    4097.  At the cap the limit is an :class:`~qwire.odesolve.OdeError` that
+    names it; every other one propagates unchanged."""
     while True:
         try:
             return work(_Glued(U, domain, opts, samples))
@@ -428,10 +471,11 @@ def _solve(U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions, work):
 def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
                       opts: SolveOptions = SolveOptions()) -> np.ndarray:
     """N_U(lam), the number of eigenvalues below lam with multiplicity, for
-    each lam: exact unless lam is within sqrt(eps) of a level.  The samples
-    follow the largest lam (see :func:`_solve`); past the reach of 4097
-    samples it raises :class:`~qwire.odesolve.OdeError`.  N_U(-inf) is 0;
-    lam = +inf or nan is a ``ValueError``."""
+    each lam: exact unless lam is within sqrt(eps) of a level.  The count
+    takes the search's samples at the largest lam (see :func:`_samples`);
+    past the reach of 4097 samples it raises
+    :class:`~qwire.odesolve.OdeError`.  N_U(-inf) is 0; lam = +inf or nan is
+    a ``ValueError``."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(lams < math.inf):
         raise ValueError("count_eigenvalues needs lam below +inf and not nan")
@@ -441,7 +485,7 @@ def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
         if finite.any():
             counts[finite] = g.count(lams[finite])[0]
         return counts
-    return _solve(U, domain, opts, count)
+    return _solve(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf))[0], count)
 
 
 def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
@@ -452,14 +496,15 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     An open end lo = -inf is the bottom of the spectrum, a floor doubled down
     from min(0, hi) - 1 until no level lies below it; hi = inf needs
     ``max_eigs``, a ceiling stepped up until that many levels lie above lo.
-    The samples per interval are 257, or more where the top needs them
-    (see :func:`_solve`).
-    The count at the ends gives the levels; multisection on the count
-    isolates them, one per bracket or to 1e-7 relative; level k is the root
-    of mu_k, found by a secant whose tolerance is 1e-12 relative.  A level's
-    accuracy is floored by rounding at about eps ||K|| / |mu_k'|, ~1e-11
-    relative on multi-interval problems.  Roots that agree to 1e-9 relative
-    form one eigenvalue, and their number is its multiplicity.
+    The search takes the fewest samples per interval that the top needs,
+    and the eigenfunctions are read on 257, or more where the top needs them
+    (see :func:`_samples`).  The count at the ends gives the levels;
+    multisection on the count isolates them, one per bracket or to 1e-7
+    relative; level k is the root of mu_k, found by a secant whose tolerance
+    is 1e-12 relative.  A level's accuracy is floored by rounding at about
+    eps ||K|| / |mu_k'|, ~1e-11 relative on multi-interval problems.  Roots
+    that agree to 1e-9 relative form one eigenvalue, and their number is its
+    multiplicity.
     """
     lo, hi = lambda_range
     if not lo < hi:
@@ -468,19 +513,40 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
         raise ValueError(f"max_eigs must be at least 1, got {opts.max_eigs}")
     if hi == math.inf and opts.max_eigs is None:
         raise ValueError("an open upper end needs max_eigs")
-    eigs = _solve(U, domain, opts, lambda g: _levels(g, lo, hi))
+    # the highest lam of the first count: hi, or lo where a ceiling starts
+    # from it, or the floor's first -1
+    top = hi if hi < math.inf else max(lo, -1.0)
+    eigs = _solve(U, domain, opts, _samples(domain, top)[0], lambda g: _levels(g, lo, hi))
     return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
 
 
 def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
-    """The eigenpairs of :func:`find_eigenvalues` on one :class:`_Glued`."""
+    """The eigenpairs of :func:`find_eigenvalues`, searched on ``g``.
+
+    A floor for lo = -inf counts four candidates f, 2f, 4f, 8f per call and
+    takes the first with no level below it.  A ceiling probe for hi = inf
+    past the reach of ``g`` moves the search to the samples it needs; the
+    counts already taken stay, since N_U does not depend on the samples.
+    The eigenpairs are read on the grid of :func:`_samples` at the top.
+    """
+    n_lo = None
     if lo == -math.inf:
-        lo = min(0.0, hi) - 1.0
-        while g.count([lo])[0][0] > 0:
-            lo *= 2.0
+        floors = (min(0.0, hi) - 1.0) * np.array([1.0, 2.0, 4.0, 8.0])
+        empty = g.count(floors)[0] == 0
+        while not empty.any():
+            floors *= 16.0
+            empty = g.count(floors)[0] == 0
+        lo, n_lo = float(floors[np.argmax(empty)]), 0
     if hi == math.inf:               # hi: fewer than max_eigs levels above lo
-        n_lo, hi, step = g.count([lo])[0][0], lo, max(1.0, abs(lo))
-        while g.count([hi + step])[0][0] - n_lo < g.opts.max_eigs:
+        if n_lo is None:
+            n_lo = g.count([lo])[0][0]
+        hi, step = lo, max(1.0, abs(lo))
+        while True:
+            samples = _samples(g.domain, hi + step)[0]
+            if samples > g.samples:
+                g = _Glued(g.U, g.domain, g.opts, samples)
+            if g.count([hi + step])[0][0] - n_lo >= g.opts.max_eigs:
+                break
             hi, step = hi + step, 2.0 * step
         hi += step
     ends = np.array([lo, hi], dtype=float)
@@ -492,10 +558,17 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
         step *= 2.0
     top = n_hi if g.opts.max_eigs is None else min(n_hi, n_lo + g.opts.max_eigs)
     roots, vecs = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
+    if not roots.size:
+        return []
     cut = 1 + np.flatnonzero(np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:])))
     levels = np.split(roots, cut)
-    return _eigenpairs(g, [float(np.mean(v)) for v in levels], [len(v) for v in levels],
-                       vecs[np.concatenate([[0], cut])]) if roots.size else []
+    lams, mults = [float(np.mean(v)) for v in levels], [len(v) for v in levels]
+    start = vecs[np.concatenate([[0], cut])]
+
+    def read(h):                     # the search's vectors live on g only
+        return _eigenpairs(h, lams, mults, start.shape[2], start if h is g else None)
+    grid = _samples(g.domain, ends[1])[1]
+    return read(g) if grid == g.samples else _solve(g.U, g.domain, g.opts, grid, read)
 
 
 def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
@@ -651,14 +724,15 @@ def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
     return list(eigs)
 
 
-def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
+def _eigenpairs(g: _Glued, lams, mults, p: int, start) -> list[Eigenpair]:
     """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0,
     which hold psi = Q c and the interior nodes: the eigenfunction at every
-    sample.  The Ritz steps start from ``start`` (len(lams), dim, p), the
-    vectors of each level's last secant probe, and end once those ``mult``
-    pairs are certified.  The vectors are orthonormalised in L2(sqrt(eta) dx)
-    by Simpson quadrature, each with its largest sample real positive, and
-    dpsi comes from the end cells' DtN rows."""
+    sample.  The p-vector Ritz steps start from ``start`` (len(lams), dim,
+    p), the vectors of each level's last secant probe on the same ``g``, or
+    from the fixed random block where it is None, and end once those
+    ``mult`` pairs are certified.  The vectors are orthonormalised in
+    L2(sqrt(eta) dx) by Simpson quadrature, each with its largest sample
+    real positive, and dpsi comes from the end cells' DtN rows."""
     domain, S, m = g.domain, g.samples, g.Q.shape[1]
     n = domain.n
     xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
@@ -670,7 +744,7 @@ def _eigenpairs(g: _Glued, lams, mults, start) -> list[Eigenpair]:
         return (np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
                 < mults[rows, np.newaxis])
 
-    theta, vecs, _ = g.ritz(*cells, start.shape[2], start, read)
+    theta, vecs, _ = g.ritz(*cells, p, start, read)
     pairs = []
     for lam, mult, th, x, alpha, beta, gamma in zip(lams, mults, theta, vecs, *cells):
         x = x[:, np.argsort(np.abs(th))[:mult]]

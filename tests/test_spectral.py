@@ -310,7 +310,7 @@ def test_samples_follow_the_window():
 
 
 def test_only_the_turn_limit_adds_samples(monkeypatch):
-    # any other OdeError of a cell propagates as it is, from 257 samples
+    # any other OdeError of a cell propagates as it is, from the search's 17
     seen = []
 
     def failing(iv, lams, rel_tol, samples):
@@ -320,7 +320,7 @@ def test_only_the_turn_limit_adds_samples(monkeypatch):
     monkeypatch.setattr(spectral, "cell_dtn", failing)
     with pytest.raises(OdeError, match="^mesh halving did not reach rel_tol$"):
         count_eigenvalues(make_dirichlet(1), FREE, 1.0)
-    assert seen == [257]
+    assert seen == [17]
 
 
 def test_the_300_lowest_free_dirichlet_levels():
@@ -331,6 +331,71 @@ def test_the_300_lowest_free_dirichlet_levels():
     want = np.arange(1, 301) ** 2 / 8.0
     assert [e.multiplicity for e in spectrum.eigs] == [1] * 300
     assert spectrum.lams == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_the_search_takes_the_fewest_samples_its_top_needs(monkeypatch):
+    # a sample cell of free [0, 2 pi] turns by (2 pi / (S - 1)) sqrt(2 lam):
+    # at 4.8 that is 1.22 for S = 17, at 20 it is 2.48 for 17 (below pi, past
+    # the margin 3 pi / 4) and 1.24 for 33, at 530 it is 3.20 for 65 and 1.60
+    # for 129.  At 8000 the margin would take 513, more than the grid's 257,
+    # so the search takes 257.  The eigenfunctions keep 257 points.
+    seen = []
+    cell_dtn = spectral.cell_dtn
+
+    def recording(iv, lams, rel_tol, samples):
+        seen.append(samples)
+        return cell_dtn(iv, lams, rel_tol, samples)
+
+    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    for U, window, search in ((make_dirichlet(1), (0.01, 4.8), 17),
+                              (make_dirichlet(1), (0.01, 20.0), 33),
+                              (make_quasiperiodic(0.0), (-0.5, 530.0), 129),
+                              (make_dirichlet(1), (0.01, 8000.0), 257)):
+        seen.clear()
+        spectrum = find_eigenvalues(U, FREE, window)
+        assert seen[0] == search and set(seen) == {search, 257}
+        assert spectrum.eigs[0].xs.shape == (1, 257)
+
+
+def test_the_floor_counts_four_candidates_at_a_time(monkeypatch):
+    # V = -15 on [0, 1]: the lowest Dirichlet level is pi**2 / 2 - 15 = -10.07,
+    # so of -1, -2, .. the first floor with no level below is -16, as when
+    # the floors are counted one at a time
+    calls = []
+    cell_dtn = spectral.cell_dtn
+
+    def recording(iv, lams, *args):
+        calls.append(list(lams))
+        return cell_dtn(iv, lams, *args)
+
+    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    dom = QuantumDomain([Interval(0.0, 1.0, "1", "-15")])
+    spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, 0.0))
+    assert spectrum.lams == pytest.approx([math.pi ** 2 / 2.0 - 15.0], rel=1e-10)
+    assert calls[:3] == [[-1.0, -2.0, -4.0, -8.0], [-16.0, -32.0, -64.0, -128.0], [-16.0, 0.0]]
+
+
+def test_the_ceiling_moves_to_more_samples_without_counting_again(monkeypatch):
+    # The ceiling probes of the 300 lowest free Dirichlet levels pass the
+    # reach of 17, 33, .. 257 samples; each probe is counted once, and the
+    # counts before it are kept.  The probes are the one-lam counts between
+    # the floor's four-lam count and the two-lam count at the window's ends.
+    calls = []
+    cell_dtn = spectral.cell_dtn
+
+    def recording(iv, lams, rel_tol, samples):
+        calls.append((samples, list(lams)))
+        return cell_dtn(iv, lams, rel_tol, samples)
+
+    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    find_eigenvalues(make_dirichlet(1), FREE, (-math.inf, math.inf), SolveOptions(max_eigs=300))
+    sizes = [len(lams) for _, lams in calls]
+    assert sizes[0] == 4
+    probes = calls[1:sizes.index(2)]
+    assert all(len(lams) == 1 for _, lams in probes)
+    lams, samples = [lams[0] for _, lams in probes], [s for s, _ in probes]
+    assert np.all(np.diff(lams) > 0.0) and np.all(np.diff(samples) >= 0)
+    assert samples[0] == 17 and samples[-1] == 513
 
 
 def test_the_300_lowest_levels_of_x2_over_2_against_fd():
@@ -613,6 +678,48 @@ def test_ritz_pairs_against_dense_eigenvalues(case):
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
 
+@pytest.mark.parametrize("samples", [17, 33])
+@pytest.mark.parametrize("case", ["periodic circle", "Haar U(4)"])
+def test_ritz_pairs_on_the_fewest_samples(case, samples):
+    # The test above on the sample counts a search takes, where ||K|| is up
+    # to 16 times smaller.  The residual comes from ||r||**2 =
+    # ||R^-1 y||**2 - (theta - s)**2, a difference of two sums whose terms
+    # reach max |theta - s|**2 over the block, as R^-1 mixes its columns:
+    # rounding leaves an absolute error of about eps max |theta - s|**2 in
+    # ||r||**2, so up to sqrt(eps) max |theta - s| in ||r||, on top of
+    # the 1e-12 ||K|| of the test above.  A residual read high only makes a
+    # value less certain, and the soundness bound is kept as it is.
+    if case == "periodic circle":
+        U, dom = make_quasiperiodic(0.0), FREE
+    else:
+        U = random_unitary(4, np.random.default_rng(3))
+        dom = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3, "1", "x^2/2")])
+    g = spectral._Glued(U, dom, SolveOptions(), samples)
+    levels = find_eigenvalues(U, dom, (-math.inf, 30.0)).lams[:4]
+    lams = np.concatenate([levels, levels + 1e-3, [0.37, 7.3, 19.1]])
+    cells = g.cells(lams)
+    K = _dense_glued(g, cells)
+    dense = np.linalg.eigvalsh(K)
+    norm = np.max(np.abs(dense), axis=1)[:, np.newaxis]
+    s = 1e-12 * np.max(np.abs(np.diagonal(K, axis1=1, axis2=2)), axis=1)[:, np.newaxis]
+
+    def every(rows, theta):
+        return np.ones(theta.shape, dtype=bool)
+
+    _, near, _ = g.ritz(*g.cells(lams + 1e-6), 4, None, every)
+    for start in (None, near):
+        theta, vecs, resid = g.ritz(*cells, 4, start, every)
+        certified = spectral._certified(theta, resid)
+        assert certified.sum() >= 0.75 * certified.size
+        gap = np.min(np.abs(dense[:, np.newaxis, :] - theta[:, :, np.newaxis]), axis=2)
+        assert np.all((gap <= resid + 1e-14 * norm)[certified])
+        true = np.linalg.norm(K @ vecs - vecs * theta[:, np.newaxis, :], axis=1)
+        floor = math.sqrt(np.finfo(float).eps) * np.max(np.abs(theta - s), axis=1, keepdims=True)
+        assert np.all(np.abs(true - resid) <= floor + 1e-12 * norm)
+        gram = vecs.conj().transpose(0, 2, 1) @ vecs
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+
+
 def test_count_is_zero_at_minus_infinity():
     counts = count_eigenvalues(make_dirichlet(1), FREE, [-math.inf, 1.0])
     assert counts.tolist() == [0, 2]
@@ -755,3 +862,37 @@ def test_no_level_is_misplaced(n, variable, seed):
                                                                       lams + delta])), 2)
     assert (above - below).tolist() == mults
     assert below.tolist() == np.concatenate([[0], np.cumsum(mults)[:-1]]).tolist()
+
+
+def _reach(dom, samples):
+    """The top lam past which a search on ``dom`` takes more than ``samples``."""
+    lo, hi = 0.0, 1.0
+    while spectral._samples(dom, hi)[0] <= samples:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if spectral._samples(dom, mid)[0] <= samples else (lo, mid)
+    return hi
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), variable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       reach=st.sampled_from([17, 33]), where=st.floats(0.1, 1.25), width=st.floats(0.1, 0.4))
+def test_levels_do_not_depend_on_the_search_samples(n, variable, seed, reach, where, width):
+    # Haar U(2n), the last interval variable if drawn, and a window whose top
+    # lies below or past the reach of 17 or 33 samples: the levels of the
+    # derived search equal those of a search forced to 257 samples.
+    U = random_unitary(2 * n, np.random.default_rng(seed))
+    ivs = [Interval(0.0, L) for L in LENGTHS[:n]]
+    if variable:
+        ivs[-1] = Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")
+    dom = QuantumDomain(ivs)
+    hi = where * _reach(dom, reach)
+    window = ((1.0 - width) * hi, hi)
+    assert spectral._samples(dom, hi)[0] < 257
+    got = find_eigenvalues(U, dom, window).eigs
+    want = spectral._levels(spectral._Glued(U, dom, SolveOptions()), *window)
+    assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
+    assert [e.xs.shape for e in got] == [e.xs.shape for e in want]
+    lams, ref = np.array([e.lam for e in got]), np.array([e.lam for e in want])
+    assert np.all(np.abs(lams - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
