@@ -62,6 +62,25 @@ def _parse_complex(tok: str) -> complex:
         raise ConfigError(f"bad complex entry {tok!r}") from err
 
 
+def _complex_rows(rows: list[str], cols: int) -> np.ndarray:
+    """The entries "re,im" of whitespace-separated rows, (len(rows), cols),
+    in one float conversion per 128 rows, which bounds the strings held at
+    once.  Raises ValueError where a row has not ``cols`` entries or an entry
+    is not one pair of numbers; the per-token parse then names the bad
+    entry."""
+    out = np.empty((len(rows), cols), dtype=complex)
+    for i in range(0, len(rows), 128):
+        toks = [ln.split() for ln in rows[i:i + 128]]
+        if any(len(t) != cols for t in toks):
+            raise ValueError("row length")
+        flat = [t for row in toks for t in row]
+        if not all(t.count(",") == 1 for t in flat):
+            raise ValueError("entry without exactly one comma")
+        out[i:i + 128] = np.array(",".join(flat).split(","), dtype=float).view(complex).reshape(
+            -1, cols)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -82,6 +101,10 @@ def read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"{path}: header values must be positive")
     if len(lines) != 1 + rows:
         raise ConfigError(f"{path}: expected {rows} matrix rows, got {len(lines) - 1}")
+    try:
+        return _complex_rows(lines[1:], cols)
+    except ValueError:
+        pass
     M = np.empty((rows, cols), dtype=complex)
     for i, ln in enumerate(lines[1:]):
         toks = ln.split()
@@ -117,20 +140,28 @@ def read_curve(path: str) -> curves.UnitaryCurve:
     block = 1 + dim
     if len(lines) != 1 + (m + 1) * block:
         raise ConfigError(f"{path}: expected {(m + 1) * block} data lines, got {len(lines) - 1}")
-    thetas, mats = [], []
-    for j in range(m + 1):
-        base = 1 + j * block
-        try:
-            thetas.append(float(lines[base]))
-        except ValueError as err:
-            raise ConfigError(f"{path}: bad theta in block {j}") from err
-        M = np.empty((dim, dim), dtype=complex)
-        for i in range(dim):
-            toks = lines[base + 1 + i].split()
-            if len(toks) != dim:
-                raise ConfigError(f"{path}: block {j} row {i} has {len(toks)} entries")
-            M[i] = [_parse_complex(t) for t in toks]
-        mats.append(M)
+    body = lines[1:]
+    try:
+        thetas = [float(t) for t in body[::block]]
+        mats = _complex_rows([ln for i, ln in enumerate(body) if i % block], dim).reshape(
+            m + 1, dim, dim)
+    except ValueError:
+        thetas = None
+    if thetas is None:
+        thetas, mats = [], []
+        for j in range(m + 1):
+            base = 1 + j * block
+            try:
+                thetas.append(float(lines[base]))
+            except ValueError as err:
+                raise ConfigError(f"{path}: bad theta in block {j}") from err
+            M = np.empty((dim, dim), dtype=complex)
+            for i in range(dim):
+                toks = lines[base + 1 + i].split()
+                if len(toks) != dim:
+                    raise ConfigError(f"{path}: block {j} row {i} has {len(toks)} entries")
+                M[i] = [_parse_complex(t) for t in toks]
+            mats.append(M)
     try:
         return curves.UnitaryCurve(thetas, mats)
     except ValueError as err:

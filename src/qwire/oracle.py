@@ -235,13 +235,14 @@ def _lowest(band: np.ndarray, disc, A: np.ndarray | None, k: int, seeds=()):
     and an upper end above the lower end of the Gershgorin interval; the
     upper end doubles its distance from there until some point holds k + 1
     eigenvalues, so that brackets also isolate eigenvalue k, the first one
-    left out.  The points cut that range into the first brackets.  Then each
-    round counts at the quarter points of every bracket that is still wide,
-    in one call.  A bracket is wide until it is narrower than _SEPARATE times
-    its distance to the next bracket, which bounds what inverse iteration at
-    its midpoint draws from any eigenvalue outside it; one that holds
-    eigenvalues k - 1 and k, whose next eigenvalue is not tracked, is wide
-    down to _FLOOR.  Only the counts decide the brackets, so seeds far from
+    left out; each count takes the next four doublings and keeps the first
+    that holds k + 1.  The points cut that range into the first brackets.
+    Then each round counts at the quarter points of every bracket that is
+    still wide, in one call.  A bracket is wide until it is narrower than
+    _SEPARATE times its distance to the next bracket, which bounds what
+    inverse iteration at its midpoint draws from any eigenvalue outside it;
+    one that holds eigenvalues k - 1 and k, whose next eigenvalue is not
+    tracked, is wide down to _FLOOR.  Only the counts decide the brackets, so seeds far from
     the eigenvalues cost calls, not accuracy; with none this is the plain
     multisection from the Gershgorin interval.
     """
@@ -253,8 +254,13 @@ def _lowest(band: np.ndarray, disc, A: np.ndarray | None, k: int, seeds=()):
     ends = np.append(ladder[ladder > lo], lo + max(1.0, abs(lo)))
     counts = _count(disc, A, ends)
     while counts.max() < top:
-        ends[-1] = lo + 2.0 * (ends[-1] - lo)
-        counts[-1] = _count(disc, A, ends[-1:])[0]
+        ups = [ends[-1]]
+        for _ in range(4):
+            ups.append(lo + 2.0 * (ups[-1] - lo))
+        up_counts = _count(disc, A, ups[1:])
+        held = up_counts >= top
+        i = int(np.argmax(held)) if held.any() else 3
+        ends[-1], counts[-1] = ups[1 + i], up_counts[i]
     order = np.argsort(ends)
     brackets = _parts(np.append(lo, ends[order])[np.newaxis],
                       np.append(0, counts[order])[np.newaxis], top)

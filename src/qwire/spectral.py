@@ -21,16 +21,19 @@ matrix A = -i (I + U_V)^-1 (I - U_V) of U_V = Q^H U Q is subtracted.  In the
 FD oracle's folded node order this is one banded Hermitian matrix.  While no
 cell holds a Dirichlet level of its own, its number of negative eigenvalues
 is N_U(lam), the number of levels below lam; its k-th smallest eigenvalue
-mu_k(lam) decreases through 0 exactly at the k-th level; and its null vector
-there holds the eigenfunction at the sample nodes (DtN bracketing:
-L. Friedlander, Arch. Rational Mech. Anal. 116 (1991)).
+mu_k(lam) decreases through 0 exactly at the k-th level, with the slope
+x^H K'(lam) x < 0 of its unit eigenvector x (Hellmann-Feynman), which
+Newton's method follows to the level; and its null vector there holds the
+eigenfunction at the sample nodes (DtN bracketing: L. Friedlander, Arch.
+Rational Mech. Anal. 116 (1991)).
 
 Every cell is exact, so N_U and the roots of mu_k do not depend on how many
 sample cells there are, as long as none holds a Dirichlet level of its own.
 A solve therefore takes two sample counts per interval (see
 :func:`_samples`): the search counts and refines on the fewest that the
 highest lam it reaches needs, at least 17, and the eigenfunctions are read
-on a grid of 257 points per interval, or more where the top needs them.
+on a grid of 257 points per interval, or more where the highest level
+needs them.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_
            "eigenfunctions", "evolve", "deficiency_indices"]
 
 # relative widths: brackets isolate levels to _ISOLATE, roots agreeing to
-# _MERGE form one level, and the secant refines to _REFINE, or stops where
-# mu_k is below _REFINE of the largest Ritz value beside it
+# _MERGE form one level, and Newton's method refines to _REFINE, or stops
+# where mu_k is below _REFINE of the largest Ritz value beside it
 _ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
 # a pivot or boundary eigenvalue this small relative to the terms it came
 # from makes a count unsure
@@ -500,8 +503,9 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     and the eigenfunctions are read on 257, or more where the top needs them
     (see :func:`_samples`).  The count at the ends gives the levels;
     multisection on the count isolates them, one per bracket or to 1e-7
-    relative; level k is the root of mu_k, found by a secant whose tolerance
-    is 1e-12 relative.  A level's accuracy is floored by rounding at about
+    relative; level k is the root of mu_k, found by a safeguarded Newton
+    iteration whose slope mu_k' comes from the probe's own Ritz vector, to
+    1e-12 relative.  A level's accuracy is floored by rounding at about
     eps ||K|| / |mu_k'|, ~1e-11 relative on multi-interval problems.  Roots
     that agree to 1e-9 relative form one eigenvalue, and their number is its
     multiplicity.
@@ -527,7 +531,8 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
     takes the first with no level below it.  A ceiling probe for hi = inf
     past the reach of ``g`` moves the search to the samples it needs; the
     counts already taken stay, since N_U does not depend on the samples.
-    The eigenpairs are read on the grid of :func:`_samples` at the top.
+    The eigenpairs are read on the grid of :func:`_samples` at the highest
+    level found, so the grid follows the levels, not the ceiling's probes.
     """
     n_lo = None
     if lo == -math.inf:
@@ -567,7 +572,7 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
 
     def read(h):                     # the search's vectors live on g only
         return _eigenpairs(h, lams, mults, start.shape[2], start if h is g else None)
-    grid = _samples(g.domain, ends[1])[1]
+    grid = _samples(g.domain, roots[-1])[1]
     return read(g) if grid == g.samples else _solve(g.U, g.domain, g.opts, grid, read)
 
 
@@ -625,16 +630,26 @@ def _column(theta, count, sure, k, k0, m):
 
 def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None):
     """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1
-    (see :func:`_column`), nan where the Ritz block misses it; whether it is
-    certified; the count at lam and whether it is sure; the largest Ritz value
-    in magnitude; and the p Ritz vectors at lam (len(lams), dim, p).
+    (see :func:`_column`), nan where the Ritz block misses it; its slope
+    mu_k'(lam); whether mu_k is certified; the count at lam and whether it is
+    sure; the largest Ritz value in magnitude; and the p Ritz vectors at lam
+    (len(lams), dim, p).
 
     ``start`` (len(lams), dim, p) holds a warm start per probe; the Ritz
     steps at lam end once the value of every k probed there is certified.
+    The slope is x^H K'(lam) x for the Ritz vector x of mu_k (Hellmann-
+    Feynman), with K' differenced backward over delta = sqrt(eps) max(1,
+    |lam|) in the same cells call: the turns grow with lam, so lam - delta
+    passes the turn limit wherever lam does.  From a converged Ritz vector
+    it is good to about sqrt(eps) relative; it only chooses the next probe
+    of :func:`_refine`.
     """
     uniq, first, inv = np.unique(np.asarray(lams, dtype=float), return_index=True,
                                  return_inverse=True)
-    cells = g.cells(uniq)
+    G = len(uniq)
+    delta = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(uniq))
+    both = g.cells(np.concatenate([uniq, uniq - delta]))
+    cells = tuple(c[:G] for c in both)
     counts, sure = g.tree(*cells)
 
     def read(rows, theta):
@@ -646,71 +661,76 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None):
         return mask
 
     theta, vecs, resid = g.ritz(*cells, p, None if start is None else start[first], read)
-    theta, cert = theta[inv], _certified(theta, resid)[inv]
+    theta, cert, vecs = theta[inv], _certified(theta, resid)[inv], vecs[inv]
     j = _column(theta, counts[inv], sure[inv], ks, k0s, ms)
     rows, hit = np.arange(len(inv)), j >= 0
-    out = np.where(hit, theta[rows, j], np.nan)
-    return (out, hit & cert[rows, j], counts[inv], sure[inv],
-            np.max(np.abs(theta), axis=1), vecs[inv])
+    # K' entry-wise: _values of the cells' difference subtracts A once, from
+    # the boundary block's entries, which come last
+    dk = g._values(*((c[:G] - c[G:]) / delta[:, np.newaxis, np.newaxis] for c in both))
+    dk[:, len(g.rows) - len(g.iu[0]):] += g.A[g.iu]
+    x = vecs[rows, :, j]
+    terms = dk[inv] * x[:, g.rows].conj() * x[:, g.cols]
+    slope = np.sum(np.where(g.off, 2.0 * terms.real, terms.real), axis=1)
+    return (np.where(hit, theta[rows, j], np.nan), np.where(hit, slope, np.nan),
+            hit & cert[rows, j], counts[inv], sure[inv], np.max(np.abs(theta), axis=1), vecs)
 
 
 def _refine(g: _Glued, brackets):
     """The root of mu_k for every level k of every bracket, ascending in k,
-    and the Ritz vectors of its last probe, by a safeguarded secant (Illinois)
-    in lockstep.  mu_k decreases, so mu_k(a) >= 0 > mu_k(b): an end value
-    that is nan or of the wrong sign is unknown.  The first step is a secant
-    step from the values at the bracket's ends; a step without both end
-    values bisects, as does one from the fourth on where the two steps
-    before it did not halve the bracket.  The side of a probe comes from the
-    sign of mu_k where its value is certified, and from the count where it is
-    not; each probe of a level starts from the Ritz vectors of the level's
-    last probe."""
+    and the Ritz vectors of its last probe, by a safeguarded Newton iteration
+    in lockstep (rtsafe: Press et al., Numerical Recipes, section 9.4).
+    mu_k decreases, so mu_k(a) >= 0 > mu_k(b).  The first probe takes both
+    ends, and Newton starts from the one with the smaller |mu_k|; an end
+    value that is not certified, or of the wrong sign, is unknown.  A step
+    from the last probe x to c = x - mu_k / mu_k' is taken where mu_k(x) is
+    certified, mu_k' < 0, c lies inside the bracket and |c - x| is at most
+    half the step before the last; any other step bisects.  The side of a
+    probe comes from the sign of mu_k where its value is certified, and from
+    the count where it is not; the slope only chooses the probe.  The root
+    is the probe where |mu_k| is below 1e-12 of the largest Ritz value, else
+    the midpoint of a bracket 1e-12 relative wide.  Each probe of a level
+    starts from the Ritz vectors of the level's last probe."""
     items = [(a, b, k, na, nb - na) for a, b, na, nb in brackets for k in range(na, nb)]
     if not items:
         return np.empty(0), np.empty((0, g.dim, 0))
     a, b, k, k0, m = (np.array(v) for v in zip(*items))
     a, b = a.astype(float), b.astype(float)
     p = int(np.max(m)) + 2
-    f, _, _, _, _, vecs = _mu(g, np.concatenate([a, b]), *(np.tile(v, 2) for v in (k, k0, m)), p)
-    fa, fb = np.split(f, 2)
-    vecs = vecs[len(a):]                            # the blocks at the b ends
+    f, df, cert, _, _, _, vecs = _mu(g, np.concatenate([a, b]),
+                                     *(np.tile(v, 2) for v in (k, k0, m)), p)
+    fa, fb = np.split(np.where(cert, f, np.nan), 2)
     fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan
-    side = np.zeros(len(a), dtype=int)               # end moved last: -1 a, +1 b
-    widths = [2.0 * (b - a)] * 3                  # no bisection before step 4
+    at_a = np.isnan(fb) | (fa <= -fb)      # the known end nearer its root, if any
+    x, fx, dfx = np.where(at_a, a, b), np.where(at_a, fa, fb), np.where(at_a, *np.split(df, 2))
+    vecs = np.where(at_a[:, np.newaxis, np.newaxis], *np.split(vecs, 2))
+    step = before = b - a                       # the last two steps
     for _ in range(500):
         xtol = _REFINE * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         act = np.flatnonzero(b - a > xtol)
         if not act.size:
             break
-        A, B, FA, FB = a[act], b[act], fa[act], fb[act]
+        A, B = a[act], b[act]
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = B - FB * (B - A) / (FB - FA)
-        bisect = ~np.isfinite(c) | (B - A > 0.5 * widths[-3][act])
-        c[bisect] = 0.5 * (A[bisect] + B[bisect])
+            c = x[act] - fx[act] / dfx[act]
+        newton = (dfx[act] < 0.0) & (c > A) & (c < B) & (np.abs(c - x[act]) <= 0.5 * before[act])
+        c = np.where(newton, c, 0.5 * (A + B))
+        before, step = step, step.copy()
+        step[act] = np.where(newton, np.abs(c - x[act]), 0.5 * (B - A))
         c = np.clip(c, A + 0.25 * xtol[act], B - 0.25 * xtol[act])
-        fc, cert, nc, sure, scale, vecs[act] = _mu(g, c, k[act], k0[act], m[act], p, vecs[act])
+        fc, dfc, cert, nc, sure, scale, vecs[act] = _mu(g, c, k[act], k0[act], m[act], p,
+                                                      vecs[act])
+        x[act], fx[act], dfx[act] = c, np.where(cert, fc, np.nan), dfc
         # the root lies left of c: by the sign of a certified mu_k, else by a
         # sure count, else by the sign of mu_k where it has one
         by_sign = cert | (~sure & ~np.isnan(fc))
         left = np.where(by_sign, fc < 0.0, nc > k[act])
         close = cert & (np.abs(fc) <= _REFINE * scale)            # c is the root
         a[act[close]], b[act[close]] = c[close], c[close]
-        lo_i, hi_i = act[left], act[~left]
-        b[lo_i], fb[lo_i] = c[left], fc[left]
-        a[hi_i], fa[hi_i] = c[~left], fc[~left]
-        # Illinois: an end kept twice in a row has its value halved
-        fa[lo_i[side[lo_i] == 1]] *= 0.5
-        fb[hi_i[side[hi_i] == -1]] *= 0.5
-        side[lo_i], side[hi_i] = 1, -1
-        fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan    # a side from the count
-        widths.append(b - a)
+        b[act[left]], a[act[~left]] = c[left], c[~left]
     else:
-        raise RuntimeError("the secant refinement of a level did not converge")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = b - fb * (b - a) / (fb - fa)
-    root = np.where(np.isfinite(root) & (root >= a) & (root <= b), root, 0.5 * (a + b))
+        raise RuntimeError("the Newton refinement of a level did not converge")
     order = np.argsort(k, kind="stable")
-    return root[order], vecs[order]
+    return 0.5 * (a + b)[order], vecs[order]
 
 
 def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
@@ -728,7 +748,7 @@ def _eigenpairs(g: _Glued, lams, mults, p: int, start) -> list[Eigenpair]:
     """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0,
     which hold psi = Q c and the interior nodes: the eigenfunction at every
     sample.  The p-vector Ritz steps start from ``start`` (len(lams), dim,
-    p), the vectors of each level's last secant probe on the same ``g``, or
+    p), the vectors of each level's last Newton probe on the same ``g``, or
     from the fixed random block where it is None, and end once those
     ``mult`` pairs are certified.  The vectors are orthonormalised in
     L2(sqrt(eta) dx) by Simpson quadrature, each with its largest sample

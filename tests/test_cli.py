@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, file formats, subcommands, exit codes."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,32 @@ def test_curve_round_trip(tmp_path):
     assert np.array_equal(curve.thetas, c2.thetas)
     for a, b in zip(curve.matrices, c2.matrices):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("row, matrix_message, curve_message", [
+    ("0,0 1,0", None, None),
+    ("0,0 1.0", "complex entry must be 're,im', got '1.0'", None),
+    ("0,0,1 0", "complex entry must be 're,im', got '0,0,1'", None),
+    ("0,0 x,0", "bad complex entry 'x,0'", None),
+    ("0,0", "row 2 has 1 entries, expected 2", "block 1 row 1 has 1 entries"),
+])
+def test_a_malformed_entry_is_named(tmp_path, row, matrix_message, curve_message):
+    # the entries of a file are parsed in one conversion; a malformed one in
+    # the last row is named as the per-token parse names it.  "0,0,1 0" has
+    # as many commas as entries, but not one in each
+    matrix = tmp_path / "m.mat"
+    matrix.write_text("\n".join(["1 2 2", "1,0 0,0", row]) + "\n")
+    curve = tmp_path / "c.crv"
+    curve.write_text("\n".join(["1 1", "0", "1,0 0,0", "0,0 1,0",
+                                repr(2.0 * math.pi), "1,0 0,0", row]) + "\n")
+    if matrix_message is None:
+        assert np.array_equal(read_matrix(str(matrix)), np.eye(2))
+        assert np.array_equal(read_curve(str(curve)).matrices[1], np.eye(2))
+        return
+    with pytest.raises(ConfigError, match=re.escape(matrix_message)):
+        read_matrix(str(matrix))
+    with pytest.raises(ConfigError, match=re.escape(curve_message or matrix_message)):
+        read_curve(str(curve))
 
 
 def test_spectrum_range_caps_output(free_cfg, capsys):

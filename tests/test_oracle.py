@@ -302,6 +302,24 @@ def test_fine_search_starts_from_the_coarse_brackets(monkeypatch, U, domain, N):
     assert 0 < calls.count(domain.n * (2 * N + 1)) <= 3
 
 
+@pytest.mark.parametrize("domain", [FREE, QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")])])
+def test_the_upper_end_doubles_four_times_per_count(monkeypatch, domain):
+    # Work guard: at N = 1200 the upper end of the first count is doubled
+    # four times before it holds k + 1 = 6 levels; those four doublings take
+    # one count, where one count per doubling took four.
+    calls = []
+    count = oracle._count
+
+    def counting(disc, A, lams):
+        calls.append((disc[4].size, len(lams)))
+        return count(disc, A, lams)
+
+    monkeypatch.setattr(oracle, "_count", counting)
+    fd_spectrum(make_dirichlet(1), domain, N=1200, k=5)
+    first = [size for nodes, size in calls if nodes == 1201]
+    assert first[:2] == [1, 4] and first.count(1) == 1 and 4 not in first[2:]
+
+
 def test_robin_edge_groundstate_defining_equation():
     for L, kappa in [(math.pi, 1.0), (math.pi, 5.0), (2.0, 3.0), (4.0, 0.8)]:
         lam = robin_edge_groundstate(L, kappa)

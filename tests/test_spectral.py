@@ -285,17 +285,20 @@ def test_open_upper_end_needs_max_eigs(free_2pi):
 
 def test_open_upper_end_past_the_reach_of_257_samples():
     # 257 samples on [0, 1] reach levels up to about (256 pi)**2 / 2 =
-    # 323,407; the doubled ceiling's probe at 524,286 lies past that, so
-    # both windows are solved with 513 samples
+    # 323,407; the doubled ceiling's probe at 524,286 lies past that, and
+    # both windows are searched with 513 samples.  The grid follows the
+    # highest level: the 240th, 284,245, keeps 257 points, and the 300th,
+    # 444,132, takes 513
     dom = QuantumDomain([Interval(0.0, 1.0, "1", "0")])
     spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
                                 SolveOptions(max_eigs=240))
     assert len(spectrum.eigs) == 240
     assert spectrum.eigs[-1].lam == pytest.approx((240 * math.pi) ** 2 / 2, rel=1e-10)
-    assert spectrum.eigs[0].xs.shape == (1, 513)
+    assert spectrum.eigs[0].xs.shape == (1, 257)
     spectrum = find_eigenvalues(make_dirichlet(1), dom, (0.0, math.inf), SolveOptions(max_eigs=300))
     assert len(spectrum.eigs) == 300
     assert spectrum.eigs[-1].lam == pytest.approx((300 * math.pi) ** 2 / 2, rel=1e-10)
+    assert spectrum.eigs[0].xs.shape == (1, 513)
 
 
 def test_samples_follow_the_window():
@@ -718,6 +721,73 @@ def test_ritz_pairs_on_the_fewest_samples(case, samples):
         assert np.all(np.abs(true - resid) <= floor + 1e-12 * norm)
         gram = vecs.conj().transpose(0, 2, 1) @ vecs
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["periodic circle", "Haar U(4)"])
+def test_the_slope_of_mu_is_its_derivative(monkeypatch, case):
+    # K'(lam) is negative definite (DtN bracketing), so mu_k' = x^H K' x < 0
+    # at every probe of a solve.  From converged Ritz vectors the slope is
+    # the derivative of mu_k, the k-th smallest eigenvalue of the dense
+    # K(lam) - A, up to its backward difference's ~sqrt(eps): checked by a
+    # central difference at lam off the levels, where mu_k is smooth (at a
+    # level of multiplicity 2 the two eigenvalues cross and the k-th
+    # smallest has a kink)
+    if case == "periodic circle":
+        U, dom = make_quasiperiodic(0.0), FREE
+    else:
+        U = random_unitary(4, np.random.default_rng(3))
+        dom = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3, "1", "x^2/2")])
+    slopes = []
+    mu = spectral._mu
+
+    def recording(*args):
+        out = mu(*args)
+        assert np.array_equal(np.isnan(out[0]), np.isnan(out[1]))
+        slopes.append(out[1][~np.isnan(out[1])])
+        return out
+
+    monkeypatch.setattr(spectral, "_mu", recording)
+    levels = np.unique(find_eigenvalues(U, dom, (-math.inf, 30.0)).lams)
+    slopes = np.concatenate(slopes)
+    assert slopes.size and np.all(slopes < 0.0)
+
+    g = spectral._Glued(U, dom, SolveOptions(), 33)
+    lams = np.concatenate([0.5 * (levels[:-1] + levels[1:]), levels - 1e-3, levels + 1e-3])
+    # k: the level above lam, or below it for the lam just above a level
+    ks = count_eigenvalues(U, dom, lams)
+    ks[-len(levels):] -= 1
+    h = 1e-6 * np.maximum(1.0, np.abs(lams))
+    dense = [np.linalg.eigvalsh(_dense_glued(g, g.cells(lams + s)))[np.arange(len(lams)), ks]
+             for s in (h, -h)]
+    central = (dense[0] - dense[1]) / (2.0 * h)
+    # a start block spanning the three eigenvectors nearest 0 converges at once
+    w, v = np.linalg.eigh(_dense_glued(g, g.cells(lams)))
+    start = np.take_along_axis(v, np.argsort(np.abs(w), axis=1)[:, np.newaxis, :3], axis=2)
+    _, slope, cert, *_ = mu(g, lams, ks, ks, np.ones_like(ks), 3, start)
+    assert cert.all()
+    assert np.all(np.abs(slope - central) <= 1e-5 * np.abs(central))
+
+
+@pytest.mark.parametrize("U, domain, window, levels", [
+    (make_quasiperiodic(0.0), FREE, (-0.2, 4.8), 4),
+    (make_dirichlet(1), FREE, (0.01, 4.8), 6),
+    (random_unitary(2, np.random.default_rng(1)),
+     QuantumDomain([Interval(-3.0, 3.0, "1", "x^2/2")]), (-1.0, 20.0), 12)])
+def test_newton_refines_in_few_probes(monkeypatch, U, domain, window, levels):
+    # Work guard: Newton steps on mu_k with its slope refine every level of
+    # these windows in at most 5 lockstep probes, where the Illinois secant
+    # took 11 (periodic), 8 (Dirichlet) and 6 (x**2 / 2).  In the last, a
+    # step from an end whose value is not certified took 7
+    calls = []
+    mu = spectral._mu
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return mu(*args)
+
+    monkeypatch.setattr(spectral, "_mu", counting)
+    assert len(find_eigenvalues(U, domain, window).eigs) == levels
+    assert len(calls) <= 5
 
 
 def test_count_is_zero_at_minus_infinity():
