@@ -48,6 +48,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _sample_lines(head: str, xs, values) -> str:
+    """A line ``head x re im`` per sample, from one %-format of a flat tuple;
+    "%.17g" prints a float as :func:`_fmt` does."""
+    fmt = "\n".join([head + "%.17g %.17g %.17g"] * len(xs))
+    return fmt % tuple(np.column_stack([xs, values.real, values.imag]).ravel().tolist())
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g},{z.imag:.17g}"
 
@@ -394,9 +401,8 @@ def _cmd_eigenfunctions(args) -> int:
     cfg, spectrum = _levels(args)
     lines = ["# qwire-eigenfunctions v1", "# lambda branch x re im"]
     for lam, j, e in spectrum.flat():
-        for k in range(cfg.domain.n):
-            for x, v in zip(e.xs[k], e.samples[j][k]):
-                lines.append(f"{_fmt(lam)} {j} {_fmt(x)} {_fmt(v.real)} {_fmt(v.imag)}")
+        lines += [_sample_lines("%.17g %d " % (lam, j), e.xs[k], e.samples[j][k])
+                  for k in range(cfg.domain.n)]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -429,9 +435,8 @@ def _cmd_evolve(args) -> int:
              f"# norm_drift {_fmt(report['norm_drift'])}",
              "# t x re im"]
     for i, t in enumerate(times):
-        for k in range(xs.shape[0]):
-            for x, v in zip(xs[k], report["samples"][i][k]):
-                lines.append(f"{_fmt(t)} {_fmt(x)} {_fmt(v.real)} {_fmt(v.imag)}")
+        lines += [_sample_lines("%.17g " % t, xs[k], report["samples"][i][k])
+                  for k in range(xs.shape[0])]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bc import UnitaryBC, cayley_degeneracy
 from .domain import QuantumDomain
-from .spectral import Eigenpair, SolveOptions, _quad_weights, find_eigenvalues
+from .spectral import Eigenpair, SolveOptions, _quad_weights, _spectra
 
 __all__ = ["EdgeScan", "rotate_bc", "edge_scan"]
 
@@ -63,7 +63,11 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
 
     Requires the base U to touch the Cayley subspace C- (eigenvalue -1) and
     all t in (0, pi/2].  For each t the lowest level is the first one found
-    in (-inf, 0.5), from the bottom of the spectrum; RuntimeError if none.
+    in (-inf, 0.5), from the bottom of the spectrum; RuntimeError, naming
+    the first such t, if none.  All t are solved at once, in lockstep (see
+    :mod:`qwire.spectral`): the cells of each lam serve every t, and each t
+    gets the level and eigenfunction grid that a solve of it alone gives,
+    to rounding.
     """
     t_list = [float(t) for t in t_list]
     if cayley_degeneracy(U, -1) < 1:
@@ -73,14 +77,13 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
     if sorted(t_list, reverse=True) != t_list:
         raise ValueError("t values must be given in descending order")
 
-    lam_min, grounds, collar = [], [], []
-    for t in t_list:
-        spectrum = find_eigenvalues(rotate_bc(U, t), domain, (-math.inf, 0.5), opts)
+    spectra = _spectra([rotate_bc(U, t) for t in t_list], domain, (-math.inf, 0.5), opts)
+    for t, spectrum in zip(t_list, spectra):
         if not spectrum.eigs:
             raise RuntimeError(f"no eigenvalue below 0.5 at t={t}")
-        lam_min.append(spectrum.eigs[0].lam)
-        grounds.append(spectrum.eigs[0])
-        collar.append(collar_fraction(domain, spectrum.eigs[0]))
+    grounds = [spectrum.eigs[0] for spectrum in spectra]
+    lam_min = [e.lam for e in grounds]
+    collar = [collar_fraction(domain, e) for e in grounds]
 
     return EdgeScan(
         base=U, t_values=tuple(t_list), lam_min=tuple(lam_min),

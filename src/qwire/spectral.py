@@ -34,6 +34,14 @@ A solve therefore takes two sample counts per interval (see
 highest lam it reaches needs, at least 17, and the eigenfunctions are read
 on a grid of 257 points per interval, or more where the highest level
 needs them.
+
+The cells, the pivots of the interior nodes and each interval's DtN matrix
+Lambda(lam) do not depend on U; Q, A and c(U) are the boundary part (see
+:class:`_Glued`).  Boundary conditions whose Q have one rank share the
+layout of K(lam) - A and are searched in lockstep, each count, Newton probe
+and Ritz step taking the (lam, U) pairs of all of them in one call:
+:func:`find_eigenvalues` is the case of one U, and
+:func:`qwire.edge.edge_scan` passes all its rotations e^{it} U at once.
 """
 
 from __future__ import annotations
@@ -222,34 +230,82 @@ def _inner(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> complex:
     return complex(np.sum(w * np.conj(f) * g))
 
 
+def _boundary(U: UnitaryBC):
+    """The boundary part of one boundary condition: Q, A and c(U) (see
+    :meth:`_Glued.log_det`), Q and A real where that is exact."""
+    n = U.n
+    # V: the right singular vectors of U + I whose singular value
+    # 2 |cos(phase / 2)| clears the Cayley tolerance
+    _, sv, vh = np.linalg.svd((U.matrix if U.matrix.imag.any() else U.matrix.real)
+                              + np.eye(2 * n))
+    Q = np.eye(2 * n) if sv.min() > _CAYLEY_ANGLE_TOL else vh[sv > _CAYLEY_ANGLE_TOL].conj().T
+    UV, eye = Q.conj().T @ U.matrix @ Q, np.eye(Q.shape[1])
+    A = -1j * np.linalg.solve(eye + UV, eye - UV)
+    A = 0.5 * (A + A.conj().T)
+    c = (-1) ** n * (2j) ** (2 * n - Q.shape[1]) * np.linalg.det(eye + UV)
+    if not Q.imag.any() and np.abs(A.imag).max(initial=0.0) <= 1e-14 * (
+            1.0 + np.abs(A).max(initial=0.0)):
+        return Q.real, A.real, c
+    return Q.astype(complex), A, c
+
+
+class _Boundary:
+    """The boundary part of K(lam) - A for P boundary conditions ``Us`` whose
+    Q have one rank m, stacked per problem: ``Q`` (P, 2n, m), ``Qh`` its
+    conjugate transpose, ``A`` (P, m, m), ``amax`` = max |A| and ``c`` (P,),
+    with one ``dtype``, complex where any of them is.  ``parts`` are their
+    :func:`_boundary`."""
+
+    def __init__(self, Us, parts):
+        self.Us, self.m = tuple(Us), parts[0][0].shape[1]
+        self.dtype = float if all(Q.dtype == float and A.dtype == float
+                                  for Q, A, _ in parts) else complex
+        self.Q, self.A = (np.array([p[i] for p in parts], dtype=self.dtype) for i in (0, 1))
+        self.Qh = np.ascontiguousarray(self.Q.conj().transpose(0, 2, 1))
+        self.amax = np.array([np.abs(A).max(initial=0.0) for _, A, _ in parts])
+        self.c = np.array([c for *_, c in parts])
+
+
+def _batches(Us) -> list[tuple[list[int], _Boundary]]:
+    """The boundary parts of ``Us``, one :class:`_Boundary` per rank of Q,
+    each with the indices of its problems in ``Us``."""
+    parts, ranks = [_boundary(U) for U in Us], {}
+    for i, (Q, _, _) in enumerate(parts):
+        ranks.setdefault(Q.shape[1], []).append(i)
+    return [(idx, _Boundary([Us[i] for i in idx], [parts[i] for i in idx]))
+            for idx in ranks.values()]
+
+
+def _pick(part: np.ndarray, u):
+    """The boundary part of each row's problem u from one stacked over the
+    problems: all rows share it where there is one problem."""
+    return part[0] if len(part) == 1 else part[u]
+
+
 class _Glued:
-    """K(lam) - A for one boundary condition on one domain, with ``samples``
-    nodes per interval: the unknowns are c (psi = Q c), then the interior
+    """K(lam) - A on one domain with ``samples`` nodes per interval, for the
+    boundary conditions of one :class:`_Boundary` (one U, or several whose Q
+    have one rank m).  The unknowns are c (psi = Q c), then the interior
     sample nodes in the folded order of :func:`qwire.oracle._folded_positions`,
     and ``rows`` <= ``cols`` list the entries that :meth:`_values` fills at
-    each lam."""
+    each lam.
 
-    def __init__(self, U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions,
-                 samples: int = _SAMPLES):
-        if U.n != domain.n:
-            raise ValueError(f"a U({2 * U.n}) condition needs {U.n} intervals, got {domain.n}")
+    The cells, the interior pivots of the count and each interval's DtN
+    matrix Lambda(lam) depend on the domain and lam only; Q, A and c(U) on
+    the boundary condition.  So one call serves (lam, problem) pairs of all
+    its problems: the methods take the problem ``u`` of each row, which is
+    not needed where there is one problem."""
+
+    def __init__(self, U, domain: QuantumDomain, opts: SolveOptions, samples: int = _SAMPLES):
+        bc = U if isinstance(U, _Boundary) else _batches([U])[0][1]
+        if bc.Us[0].n != domain.n:
+            n = bc.Us[0].n
+            raise ValueError(f"a U({2 * n}) condition needs {n} intervals, got {domain.n}")
         if not opts.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
-        n, N = domain.n, samples - 1
-        self.U, self.domain, self.opts, self.samples = U, domain, opts, samples
-        # V: the right singular vectors of U + I whose singular value
-        # 2 |cos(phase / 2)| clears the Cayley tolerance
-        _, sv, vh = np.linalg.svd((U.matrix if U.matrix.imag.any() else U.matrix.real)
-                                  + np.eye(2 * n))
-        Q = np.eye(2 * n) if sv.min() > _CAYLEY_ANGLE_TOL else vh[sv > _CAYLEY_ANGLE_TOL].conj().T
-        UV, eye = Q.conj().T @ U.matrix @ Q, np.eye(Q.shape[1])
-        A = -1j * np.linalg.solve(eye + UV, eye - UV)
-        A = 0.5 * (A + A.conj().T)
-        real = not Q.imag.any() and np.abs(A.imag).max(initial=0.0) <= 1e-14 * (
-            1.0 + np.abs(A).max(initial=0.0))
-        self.Q, self.A = (Q.real, A.real) if real else (Q.astype(complex), A)
-        self.dtype = float if real else complex
-        m = Q.shape[1]
+        n, N, m = domain.n, samples - 1, bc.m
+        self.bc, self.domain, self.opts, self.samples = bc, domain, opts, samples
+        self.P, self.dtype = len(bc.Us), bc.dtype
         self.pos = _folded_positions(n, N)[:, 1:N] - 2 * n + m        # interior nodes
         self.dim = m + n * (N - 1)
         self.iu = np.triu_indices(m)
@@ -271,13 +327,19 @@ class _Glued:
                  for iv in self.domain.intervals]
         return tuple(np.stack(p, axis=1) for p in zip(*parts))
 
-    def count(self, lams):
-        """N_U at every lam, and whether it is sure there; see :meth:`tree`."""
-        return self.tree(*self.cells(np.asarray(lams, dtype=float)))
+    def count(self, lams, u=None):
+        """N_U of problem u[i] at lams[i], and whether it is sure there; see
+        :meth:`tree`.  Problems that share a lam share its cells."""
+        lams = np.asarray(lams, dtype=float)
+        if self.P == 1:
+            return self.tree(*self.cells(lams))
+        uniq, at = np.unique(lams, return_inverse=True)
+        return self.tree(*self.cells(uniq), at, u)
 
-    def tree(self, alpha, beta, gamma):
+    def tree(self, alpha, beta, gamma, at=None, u=None):
         """N_U from (G, n, N) cells, and whether no pivot or boundary eigenvalue
-        is within rounding of 0, per lam.
+        is within rounding of 0, per lam, or per row i where row i takes
+        the cells at[i] and the boundary part of problem u[i].
 
         A pairwise tree eliminates the node shared by neighbouring cells with
         the pivot d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
@@ -307,32 +369,37 @@ class _Glued:
             alpha, beta, gamma, ma, mg = merged
         pivots, scales = np.concatenate(pivots, axis=-1), np.concatenate(scales, axis=-1)
         sure = ~np.any(np.abs(pivots) <= _UNSURE * scales, axis=(1, 2))
+        below = np.count_nonzero(pivots < 0.0, axis=(1, 2))
         n, k = self.domain.n, np.arange(self.domain.n)
         lam_mat = np.zeros((len(sure), 2 * n, 2 * n))
         lam_mat[:, k, k], lam_mat[:, n + k, n + k] = alpha[..., 0], gamma[..., 0]
         lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = beta[..., 0]
-        ev = np.linalg.eigvalsh(self.Q.conj().T @ lam_mat @ self.Q - self.A)
-        scale = (np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2))
-                 + np.max(np.abs(self.A), initial=0.0))
-        sure &= np.min(np.abs(ev), axis=-1, initial=np.inf) > _UNSURE * scale
-        return (np.count_nonzero(pivots < 0.0, axis=(1, 2))
-                + np.count_nonzero(ev < 0.0, axis=-1)), sure
+        scale = np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2))
+        if at is not None:
+            sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
+        bc = self.bc
+        ev = np.linalg.eigvalsh(_pick(bc.Qh, u) @ lam_mat @ _pick(bc.Q, u) - _pick(bc.A, u))
+        sure &= (np.min(np.abs(ev), axis=-1, initial=np.inf)
+                 > _UNSURE * (scale + _pick(bc.amax, u)))
+        return below + np.count_nonzero(ev < 0.0, axis=-1), sure
 
-    def _values(self, alpha, beta, gamma):
-        """Entry values in the order of ``rows``, (G, entries), from (G, n, N) cells."""
-        Qh, n, G = self.Q.conj().T, self.domain.n, len(alpha)
-        ends = (Qh * np.concatenate([alpha[..., 0], gamma[..., -1]], axis=1)[:, np.newaxis]
-                @ self.Q - self.A)
+    def _values(self, alpha, beta, gamma, u=None):
+        """Entry values in the order of ``rows``, (G, entries), from (G, n, N)
+        cells, row i for problem u[i]."""
+        Qh, Q, A = (_pick(part, u) for part in (self.bc.Qh, self.bc.Q, self.bc.A))
+        n, G = self.domain.n, len(alpha)
+        ends = Qh * np.concatenate([alpha[..., 0], gamma[..., -1]], axis=1)[:, np.newaxis] @ Q - A
         return np.concatenate([(gamma[..., :-1] + alpha[..., 1:]).reshape(G, -1),
                                beta[..., 1:-1].reshape(G, -1),
-                               (Qh[:, :n] * beta[:, np.newaxis, :, 0]).reshape(G, -1),
-                               (Qh[:, n:] * beta[:, np.newaxis, :, -1]).reshape(G, -1),
+                               (Qh[..., :n] * beta[:, np.newaxis, :, 0]).reshape(G, -1),
+                               (Qh[..., n:] * beta[:, np.newaxis, :, -1]).reshape(G, -1),
                                ends[:, self.iu[0], self.iu[1]]], axis=1)
 
-    def band(self, alpha, beta, gamma):
-        """K(lam) - A at G values of lam, from (G, n, N) cells, stacked into one
-        (3w + 1, G dim) band in LAPACK's ``gbtrf`` layout."""
-        v = self._values(alpha, beta, gamma)
+    def band(self, alpha, beta, gamma, u=None):
+        """K(lam) - A at G values of lam, from (G, n, N) cells, row i for
+        problem u[i], stacked into one (3w + 1, G dim) band in LAPACK's
+        ``gbtrf`` layout."""
+        v = self._values(alpha, beta, gamma, u)
         G, D, w = len(v), self.dim, self.w
         parts, size = (2 if self.dtype is complex else 1), (3 * w + 1) * G * D
         if G not in self._scatter:       # positions of the float parts of the entries
@@ -345,8 +412,9 @@ class _Glued:
         ab = np.bincount(self._scatter[G], v.view(float), parts * size).view(self.dtype)
         return ab.reshape(3 * w + 1, G * D)
 
-    def log_det(self, lam: float):
-        """det M(U, lam) as (phase, log|det M|), or (0, -inf) where it is 0.
+    def log_det(self, lam: float, u: int = 0):
+        """det M(U, lam) of problem u as (phase, log|det M|), or (0, -inf)
+        where it is 0.
 
         The gluing identity (R. Forman, Invent. Math. 88 (1987); Burghelea,
         Friedlander & Kappeler, J. Funct. Anal. 107 (1992)) reads
@@ -357,13 +425,10 @@ class _Glued:
         factor, times -1 per row interchange (``ipiv`` is 0-based).
         """
         cells = self.cells([lam])
-        lu, piv, info = self._gbtrf(self.band(*cells), self.w, self.w, overwrite_ab=True)
+        lu, piv, info = self._gbtrf(self.band(*cells, [u]), self.w, self.w, overwrite_ab=True)
         if info > 0:
             return 0.0, -math.inf
-        d = lu[2 * self.w]
-        n, m = self.domain.n, self.Q.shape[1]
-        c = (-1) ** n * (2j) ** (2 * n - m) * np.linalg.det(
-            np.eye(m) + self.Q.conj().T @ self.U.matrix @ self.Q)
+        d, c = lu[2 * self.w], self.bc.c[u]
         eta_a = [expr.evaluate(iv.metric, iv.a) for iv in self.domain.intervals]
         swaps = np.count_nonzero(piv != np.arange(self.dim))
         phase = complex(np.prod(d / np.abs(d))) * (-1) ** swaps * c / abs(c)
@@ -377,10 +442,11 @@ class _Glued:
             self._cold = np.linalg.qr(rng.standard_normal((p, self.dim)).T.astype(self.dtype))[0]
         return self._cold[:, :p]
 
-    def ritz(self, alpha, beta, gamma, p: int, start, read):
+    def ritz(self, alpha, beta, gamma, p: int, start, read, u=None):
         """The p eigenvalues of K(lam) - A nearest 0 at G values of lam, from
-        (G, n, N) cells: ascending (G, p), their vectors (G, dim, p), and the
-        residual norms ||(K - A - theta) v|| (G, p).
+        (G, n, N) cells, row i for problem u[i]: ascending (G, p), their
+        vectors (G, dim, p), and the residual norms ||(K - A - theta) v||
+        (G, p).
 
         Block inverse iteration steps from the orthonormal ``start`` (G, dim,
         p), or from a fixed random block where it is None, until every value
@@ -393,14 +459,16 @@ class _Glued:
         eigenvalue lies within ||r|| of theta (Parlett, The Symmetric
         Eigenvalue Problem), which :func:`_certified` reads.
 
-        The matrices of 16 lam at a time are stacked into one band for one LU,
-        each shifted by s = 1e-12 of its largest diagonal entry, so that a
-        matrix singular to the last bit still factors.
+        The matrices of 16 rows at a time, of any problems, are stacked into
+        one band for one LU, each shifted by s = 1e-12 of its largest
+        diagonal entry, so that a matrix singular to the last bit still
+        factors.
         """
         D, w, p = self.dim, self.w, min(p, self.dim)
         theta, vecs, resid = [], [], []
         for i in range(0, len(alpha), 16):
-            ab = self.band(alpha[i:i + 16], beta[i:i + 16], gamma[i:i + 16])
+            ab = self.band(alpha[i:i + 16], beta[i:i + 16], gamma[i:i + 16],
+                           None if u is None else u[i:i + 16])
             G = ab.shape[1] // D
             rows = slice(i, i + G)
             s = 1e-12 * np.abs(ab[2 * w]).reshape(G, D).max(axis=1)
@@ -455,13 +523,15 @@ def _samples(domain: QuantumDomain, lam: float) -> tuple[int, int]:
     return int(within[0]) if within.size else grid, grid
 
 
-def _solve(U: UnitaryBC, domain: QuantumDomain, opts: SolveOptions, samples: int, work):
+def _solve(U, domain: QuantumDomain, opts: SolveOptions, samples: int, work):
     """``work(g)`` on the :class:`_Glued` of ``samples`` per interval, as
-    :func:`_samples` chose them.  This loop is the safety net behind that
-    choice: where a sample cell still holds a Dirichlet level of its own at a
-    lam that ``work`` reaches, ``work`` runs again on 2S - 1 samples, up to
-    4097.  At the cap the limit is an :class:`~qwire.odesolve.OdeError` that
-    names it; every other one propagates unchanged."""
+    :func:`_samples` chose them, for one U or a :class:`_Boundary` of
+    several.  This loop is the safety net behind that choice: where a
+    sample cell still holds a Dirichlet level of its own at a lam that
+    ``work`` reaches, ``work`` runs again on 2S - 1 samples, for every
+    problem of the batch, up to 4097.  At the cap the limit is an
+    :class:`~qwire.odesolve.OdeError` that names it; every other one
+    propagates unchanged."""
     while True:
         try:
             return work(_Glued(U, domain, opts, samples))
@@ -510,6 +580,14 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     that agree to 1e-9 relative form one eigenvalue, and their number is its
     multiplicity.
     """
+    return _spectra([U], domain, lambda_range, opts)[0]
+
+
+def _spectra(Us, domain: QuantumDomain, lambda_range: tuple[float, float],
+             opts: SolveOptions) -> list[Spectrum]:
+    """:func:`find_eigenvalues` of each of ``Us`` on one window.  The Us
+    whose Q have one rank form one batch, searched in lockstep by
+    :func:`_levels`."""
     lo, hi = lambda_range
     if not lo < hi:
         raise ValueError("lambda_range must be increasing")
@@ -520,77 +598,107 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     # the highest lam of the first count: hi, or lo where a ceiling starts
     # from it, or the floor's first -1
     top = hi if hi < math.inf else max(lo, -1.0)
-    eigs = _solve(U, domain, opts, _samples(domain, top)[0], lambda g: _levels(g, lo, hi))
-    return Spectrum(eigs=tuple(eigs), lambda_range=tuple(lambda_range), options=opts)
+    eigs = [None] * len(Us)
+    for idx, bc in _batches(Us):
+        levels = _solve(bc, domain, opts, _samples(domain, top)[0], lambda g: _levels(g, lo, hi))
+        for i, e in zip(idx, levels):
+            eigs[i] = e
+    return [Spectrum(eigs=tuple(e), lambda_range=tuple(lambda_range), options=opts)
+            for e in eigs]
 
 
-def _levels(g: _Glued, lo: float, hi: float) -> list[Eigenpair]:
-    """The eigenpairs of :func:`find_eigenvalues`, searched on ``g``.
+def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
+    """The eigenpairs of :func:`find_eigenvalues` for each problem of ``g``,
+    searched on it in lockstep: each count, Newton probe and Ritz step takes
+    the (lam, problem) pairs of every problem in one call.
 
-    A floor for lo = -inf counts four candidates f, 2f, 4f, 8f per call and
-    takes the first with no level below it.  A ceiling probe for hi = inf
-    past the reach of ``g`` moves the search to the samples it needs; the
-    counts already taken stay, since N_U does not depend on the samples.
-    The eigenpairs are read on the grid of :func:`_samples` at the highest
-    level found, so the grid follows the levels, not the ceiling's probes.
+    A floor for lo = -inf counts four candidates f, 2f, 4f, 8f per call,
+    for every problem that has none yet, and each takes its first with no
+    level below it.  A ceiling probe for hi = inf past the reach of ``g``
+    moves the search of every problem to the samples it needs; the counts
+    already taken stay, since N_U does not depend on the samples.  Each
+    problem's eigenpairs are read on the grid of :func:`_samples` at its
+    highest level found, so the grid follows its levels, not the ceiling's
+    probes or the other problems.
     """
-    n_lo = None
+    P, opts = g.P, g.opts
+    u = np.arange(P)
+    los, his, n_lo = np.full(P, float(lo)), np.full(P, float(hi)), None
     if lo == -math.inf:
-        floors = (min(0.0, hi) - 1.0) * np.array([1.0, 2.0, 4.0, 8.0])
-        empty = g.count(floors)[0] == 0
-        while not empty.any():
-            floors *= 16.0
-            empty = g.count(floors)[0] == 0
-        lo, n_lo = float(floors[np.argmax(empty)]), 0
+        floors, todo = (min(0.0, hi) - 1.0) * np.array([1.0, 2.0, 4.0, 8.0]), u
+        while todo.size:
+            empty = (g.count(np.tile(floors, todo.size), np.repeat(todo, 4))[0] == 0).reshape(-1, 4)
+            hit = empty.any(axis=1)
+            los[todo[hit]] = floors[np.argmax(empty[hit], axis=1)]
+            todo, floors = todo[~hit], 16.0 * floors
+        n_lo = np.zeros(P, dtype=int)
     if hi == math.inf:               # hi: fewer than max_eigs levels above lo
         if n_lo is None:
-            n_lo = g.count([lo])[0][0]
-        hi, step = lo, max(1.0, abs(lo))
-        while True:
-            samples = _samples(g.domain, hi + step)[0]
+            n_lo = g.count(los, u)[0]
+        his, step, todo = los.copy(), np.maximum(1.0, np.abs(los)), u
+        while todo.size:
+            probes = his[todo] + step[todo]
+            samples = _samples(g.domain, probes.max())[0]
             if samples > g.samples:
-                g = _Glued(g.U, g.domain, g.opts, samples)
-            if g.count([hi + step])[0][0] - n_lo >= g.opts.max_eigs:
-                break
-            hi, step = hi + step, 2.0 * step
-        hi += step
-    ends = np.array([lo, hi], dtype=float)
-    (n_lo, n_hi), sure = g.count(ends)
-    step = _ISOLATE * max(1.0, abs(lo), abs(hi))
+                g = _Glued(g.bc, g.domain, opts, samples)
+            todo = todo[g.count(probes, todo)[0] - n_lo[todo] < opts.max_eigs]
+            his[todo] += step[todo]
+            step[todo] *= 2.0
+        his += step
+    ends = np.stack([los, his], axis=1)
+    counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
+    step = _ISOLATE * np.maximum(1.0, np.max(np.abs(ends), axis=1))[:, np.newaxis]
     while not sure.all():              # an end on a level moves out past it
-        ends += np.where(sure, 0.0, [-step, step])
-        (n_lo, n_hi), sure = g.count(ends)
+        ends += np.where(sure, 0.0, step * [-1.0, 1.0])
+        counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
         step *= 2.0
-    top = n_hi if g.opts.max_eigs is None else min(n_hi, n_lo + g.opts.max_eigs)
-    roots, vecs = _refine(g, _isolate(g, *ends, n_lo, n_hi, top))
+    n_lo, n_hi = counts.T
+    top = n_hi if opts.max_eigs is None else np.minimum(n_hi, n_lo + opts.max_eigs)
+    roots, vecs, ru = _refine(g, _isolate(g, *ends.T, n_lo, n_hi, top))
+    found = [[] for _ in range(P)]
     if not roots.size:
-        return []
-    cut = 1 + np.flatnonzero(np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:])))
-    levels = np.split(roots, cut)
-    lams, mults = [float(np.mean(v)) for v in levels], [len(v) for v in levels]
-    start = vecs[np.concatenate([[0], cut])]
+        return found
+    # roots of one problem that agree to 1e-9 relative form one level
+    cut = 1 + np.flatnonzero((np.diff(roots) > _MERGE * np.maximum(1.0, np.abs(roots[1:])))
+                             | (np.diff(ru) != 0))
+    first = np.concatenate([[0], cut])
+    lams = np.array([np.mean(v) for v in np.split(roots, cut)])
+    mults, lu, start = np.diff(np.append(first, len(roots))), ru[first], vecs[first]
+    # each problem's grid, at its highest root: the last, as roots ascend
+    highest = dict(zip(ru.tolist(), roots.tolist()))
+    grid = {v: _samples(g.domain, r)[1] for v, r in highest.items()}
+    grids = np.array([grid[v] for v in lu.tolist()])
+    pairs = [None] * len(lams)
+    for S in set(grids.tolist()):
+        sel = np.flatnonzero(grids == S)
 
-    def read(h):                     # the search's vectors live on g only
-        return _eigenpairs(h, lams, mults, start.shape[2], start if h is g else None)
-    grid = _samples(g.domain, roots[-1])[1]
-    return read(g) if grid == g.samples else _solve(g.U, g.domain, g.opts, grid, read)
+        def read(h, sel=sel):            # the search's vectors live on g only
+            return _eigenpairs(h, lams[sel], mults[sel], start.shape[2],
+                               start[sel] if h is g else None, lu[sel])
+        for i, e in zip(sel, read(g) if S == g.samples else _solve(g.bc, g.domain, opts, S, read)):
+            pairs[i] = e
+    for v, e in zip(lu, pairs):
+        found[v].append(e)
+    return found
 
 
-def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
-    """Brackets (a, b, N(a), N(b)) with N(a) < top, each holding one level or
-    1e-7 relative wide.  Each round counts at the quarter points of every
-    bracket in one call.  A point whose count is not sure does not split, so
-    every bracket end but the window's has a sure count."""
-    todo, done = [(lo, hi, n_lo, n_hi)], []
+def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
+    """Brackets (a, b, N(a), N(b), u) of problem u with N(a) < top[u], each
+    holding one level or 1e-7 relative wide, from each problem's window
+    (lo[u], hi[u]) and its counts.  Each round counts at the quarter points
+    of every bracket of every problem in one call.  A point whose count is
+    not sure does not split, so every bracket end but the window's has a
+    sure count."""
+    todo, done = list(zip(lo, hi, n_lo, n_hi, range(len(lo)))), []
     while todo:
         split = [t for t in todo if t[3] - t[2] > 1
                  and t[1] - t[0] > _ISOLATE * max(1.0, abs(t[0]), abs(t[1]))]
         done += [t for t in todo if t not in split]
         if not split:
             break
-        a, b, na, nb = (np.array(v) for v in zip(*split))
+        a, b, na, nb, u = (np.array(v) for v in zip(*split))
         c = a[:, np.newaxis] + (b - a)[:, np.newaxis] * np.array([0.25, 0.5, 0.75])
-        nc, sure = (v.reshape(c.shape) for v in g.count(c.ravel()))
+        nc, sure = (v.reshape(c.shape) for v in g.count(c.ravel(), np.repeat(u, 3)))
         todo = []
         for i, t in enumerate(split):
             if not sure[i].any():
@@ -598,8 +706,8 @@ def _isolate(g: _Glued, lo: float, hi: float, n_lo: int, n_hi: int, top: int):
                 continue
             ends = [a[i], *c[i][sure[i]], b[i]]
             counts = np.clip(np.maximum.accumulate([na[i], *nc[i][sure[i]], nb[i]]), na[i], nb[i])
-            todo += [u for u in zip(ends[:-1], ends[1:], counts[:-1], counts[1:])
-                     if u[3] > u[2] and u[2] < top]
+            todo += [(*v, t[4]) for v in zip(ends[:-1], ends[1:], counts[:-1], counts[1:])
+                     if v[3] > v[2] and v[2] < top[t[4]]]
     return sorted(done)
 
 
@@ -628,12 +736,12 @@ def _column(theta, count, sure, k, k0, m):
     return np.where((j >= 0) & (j < theta.shape[1]), j, -1)
 
 
-def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None):
+def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1
-    (see :func:`_column`), nan where the Ritz block misses it; its slope
-    mu_k'(lam); whether mu_k is certified; the count at lam and whether it is
-    sure; the largest Ritz value in magnitude; and the p Ritz vectors at lam
-    (len(lams), dim, p).
+    of problem u (see :func:`_column`), nan where the Ritz block misses it;
+    its slope mu_k'(lam); whether mu_k is certified; the count at lam and
+    whether it is sure; the largest Ritz value in magnitude; and the p Ritz
+    vectors at lam (len(lams), dim, p).
 
     ``start`` (len(lams), dim, p) holds a warm start per probe; the Ritz
     steps at lam end once the value of every k probed there is certified.
@@ -644,30 +752,40 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None):
     it is good to about sqrt(eps) relative; it only chooses the next probe
     of :func:`_refine`.
     """
-    uniq, first, inv = np.unique(np.asarray(lams, dtype=float), return_index=True,
-                                 return_inverse=True)
+    lams, at, pu = np.asarray(lams, dtype=float), None, None
+    if g.P == 1:
+        uniq, first, inv = np.unique(lams, return_index=True, return_inverse=True)
+    else:
+        # a Ritz row per distinct (lam, problem), complex keys sorting by lam
+        # then problem, and a cell per distinct lam
+        keys, first, inv = np.unique(lams + 1j * u, return_index=True, return_inverse=True)
+        uniq, at = np.unique(keys.real, return_inverse=True)
+        pu = keys.imag.astype(int)
     G = len(uniq)
     delta = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(uniq))
     both = g.cells(np.concatenate([uniq, uniq - delta]))
     cells = tuple(c[:G] for c in both)
-    counts, sure = g.tree(*cells)
+    counts, sure = g.tree(*cells, at, pu)
+    # K' entry-wise: _values of the cells' difference subtracts A once, from
+    # the boundary block's entries, which come last
+    slopes = tuple((c[:G] - c[G:]) / delta[:, np.newaxis, np.newaxis] for c in both)
+    if at is not None:
+        cells, slopes = (tuple(c[at] for c in v) for v in (cells, slopes))
 
     def read(rows, theta):
-        at = np.flatnonzero((inv >= rows.start) & (inv < rows.stop))
-        u = inv[at] - rows.start
-        j = _column(theta[u], counts[inv[at]], sure[inv[at]], ks[at], k0s[at], ms[at])
+        sel = np.flatnonzero((inv >= rows.start) & (inv < rows.stop))
+        r = inv[sel] - rows.start
+        j = _column(theta[r], counts[inv[sel]], sure[inv[sel]], ks[sel], k0s[sel], ms[sel])
         mask = np.zeros(theta.shape, dtype=bool)
-        mask[u[j >= 0], j[j >= 0]] = True
+        mask[r[j >= 0], j[j >= 0]] = True
         return mask
 
-    theta, vecs, resid = g.ritz(*cells, p, None if start is None else start[first], read)
+    theta, vecs, resid = g.ritz(*cells, p, None if start is None else start[first], read, pu)
     theta, cert, vecs = theta[inv], _certified(theta, resid)[inv], vecs[inv]
     j = _column(theta, counts[inv], sure[inv], ks, k0s, ms)
     rows, hit = np.arange(len(inv)), j >= 0
-    # K' entry-wise: _values of the cells' difference subtracts A once, from
-    # the boundary block's entries, which come last
-    dk = g._values(*((c[:G] - c[G:]) / delta[:, np.newaxis, np.newaxis] for c in both))
-    dk[:, len(g.rows) - len(g.iu[0]):] += g.A[g.iu]
+    dk = g._values(*slopes, pu)
+    dk[:, len(g.rows) - len(g.iu[0]):] += _pick(g.bc.A, pu)[..., g.iu[0], g.iu[1]]
     x = vecs[rows, :, j]
     terms = dk[inv] * x[:, g.rows].conj() * x[:, g.cols]
     slope = np.sum(np.where(g.off, 2.0 * terms.real, terms.real), axis=1)
@@ -689,15 +807,18 @@ def _refine(g: _Glued, brackets):
     the count where it is not; the slope only chooses the probe.  The root
     is the probe where |mu_k| is below 1e-12 of the largest Ritz value, else
     the midpoint of a bracket 1e-12 relative wide.  Each probe of a level
-    starts from the Ritz vectors of the level's last probe."""
-    items = [(a, b, k, na, nb - na) for a, b, na, nb in brackets for k in range(na, nb)]
+    starts from the Ritz vectors of the level's last probe.  The levels of
+    every problem are refined together, ordered by problem, then k, which
+    is returned with them."""
+    items = [(a, b, k, na, nb - na, u) for a, b, na, nb, u in brackets for k in range(na, nb)]
     if not items:
-        return np.empty(0), np.empty((0, g.dim, 0))
-    a, b, k, k0, m = (np.array(v) for v in zip(*items))
+        return np.empty(0), np.empty((0, g.dim, 0)), np.empty(0, dtype=int)
+    a, b, k, k0, m, u = (np.array(v) for v in zip(*items))
     a, b = a.astype(float), b.astype(float)
     p = int(np.max(m)) + 2
     f, df, cert, _, _, _, vecs = _mu(g, np.concatenate([a, b]),
-                                     *(np.tile(v, 2) for v in (k, k0, m)), p)
+                                     *(np.tile(v, 2) for v in (k, k0, m)), p, None,
+                                     np.tile(u, 2))
     fa, fb = np.split(np.where(cert, f, np.nan), 2)
     fa[fa < 0.0], fb[fb >= 0.0] = np.nan, np.nan
     at_a = np.isnan(fb) | (fa <= -fb)      # the known end nearer its root, if any
@@ -718,7 +839,7 @@ def _refine(g: _Glued, brackets):
         step[act] = np.where(newton, np.abs(c - x[act]), 0.5 * (B - A))
         c = np.clip(c, A + 0.25 * xtol[act], B - 0.25 * xtol[act])
         fc, dfc, cert, nc, sure, scale, vecs[act] = _mu(g, c, k[act], k0[act], m[act], p,
-                                                      vecs[act])
+                                                      vecs[act], u[act])
         x[act], fx[act], dfx[act] = c, np.where(cert, fc, np.nan), dfc
         # the root lies left of c: by the sign of a certified mu_k, else by a
         # sure count, else by the sign of mu_k where it has one
@@ -729,8 +850,8 @@ def _refine(g: _Glued, brackets):
         b[act[left]], a[act[~left]] = c[left], c[~left]
     else:
         raise RuntimeError("the Newton refinement of a level did not converge")
-    order = np.argsort(k, kind="stable")
-    return 0.5 * (a + b)[order], vecs[order]
+    order = np.lexsort((k, u))
+    return 0.5 * (a + b)[order], vecs[order], u[order]
 
 
 def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
@@ -744,16 +865,17 @@ def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
     return list(eigs)
 
 
-def _eigenpairs(g: _Glued, lams, mults, p: int, start) -> list[Eigenpair]:
-    """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0,
-    which hold psi = Q c and the interior nodes: the eigenfunction at every
-    sample.  The p-vector Ritz steps start from ``start`` (len(lams), dim,
-    p), the vectors of each level's last Newton probe on the same ``g``, or
-    from the fixed random block where it is None, and end once those
-    ``mult`` pairs are certified.  The vectors are orthonormalised in
-    L2(sqrt(eta) dx) by Simpson quadrature, each with its largest sample
-    real positive, and dpsi comes from the end cells' DtN rows."""
-    domain, S, m = g.domain, g.samples, g.Q.shape[1]
+def _eigenpairs(g: _Glued, lams, mults, p: int, start, u=None) -> list[Eigenpair]:
+    """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0 of
+    problem u, which hold psi = Q c and the interior nodes: the
+    eigenfunction at every sample.  The p-vector Ritz steps start from
+    ``start`` (len(lams), dim, p), the vectors of each level's last Newton
+    probe on the same ``g``, or from the fixed random block where it is
+    None, and end once those ``mult`` pairs are certified.  The vectors are
+    orthonormalised in L2(sqrt(eta) dx) by Simpson quadrature, each with its
+    largest sample real positive, and dpsi comes from the end cells' DtN
+    rows."""
+    domain, S, m = g.domain, g.samples, g.bc.m
     n = domain.n
     xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
     w = _quad_weights(domain, xs)
@@ -764,11 +886,12 @@ def _eigenpairs(g: _Glued, lams, mults, p: int, start) -> list[Eigenpair]:
         return (np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
                 < mults[rows, np.newaxis])
 
-    theta, vecs, _ = g.ritz(*cells, p, start, read)
+    theta, vecs, _ = g.ritz(*cells, p, start, read, u)
     pairs = []
-    for lam, mult, th, x, alpha, beta, gamma in zip(lams, mults, theta, vecs, *cells):
+    us = np.zeros(len(mults), dtype=int) if u is None else u
+    for lam, mult, v, th, x, alpha, beta, gamma in zip(lams, mults, us, theta, vecs, *cells):
         x = x[:, np.argsort(np.abs(th))[:mult]]
-        ends = g.Q @ x[:m]                                           # (2n, mult)
+        ends = g.bc.Q[v] @ x[:m]                                     # (2n, mult)
         members = []
         for f in np.concatenate([ends[np.newaxis, :n], x[g.pos].transpose(1, 0, 2),
                                  ends[np.newaxis, n:]]).transpose(2, 1, 0):   # (n, S) each
@@ -777,15 +900,15 @@ def _eigenpairs(g: _Glued, lams, mults, p: int, start) -> list[Eigenpair]:
             f = f / math.sqrt(_inner(w, f, f).real)
             peak = f.flat[int(np.argmax(np.abs(f)))]
             members.append(f * (abs(peak) / peak))
-        u = np.array(members)
-        psi = np.concatenate([u[:, :, 0], u[:, :, -1]], axis=1)
-        dpsi = np.concatenate([alpha[:, 0] * u[:, :, 0] + beta[:, 0] * u[:, :, 1],
-                               beta[:, -1] * u[:, :, -2] + gamma[:, -1] * u[:, :, -1]], axis=1)
-        residual = max(np.linalg.norm((p - 1j * d) - g.U.matrix @ (p + 1j * d))
+        fs = np.array(members)
+        psi = np.concatenate([fs[:, :, 0], fs[:, :, -1]], axis=1)
+        dpsi = np.concatenate([alpha[:, 0] * fs[:, :, 0] + beta[:, 0] * fs[:, :, 1],
+                               beta[:, -1] * fs[:, :, -2] + gamma[:, -1] * fs[:, :, -1]], axis=1)
+        residual = max(np.linalg.norm((p - 1j * d) - g.bc.Us[v].matrix @ (p + 1j * d))
                        / (np.linalg.norm(p) + np.linalg.norm(d)) for p, d in zip(psi, dpsi))
         pairs.append(Eigenpair(
             lam=float(lam), multiplicity=int(mult), residual=float(residual),
-            xs=xs, samples=u, psi=psi, dpsi=dpsi))
+            xs=xs, samples=fs, psi=psi, dpsi=dpsi))
     return pairs
 
 

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from qwire.bc import make_dirichlet, make_neumann
+from qwire import spectral
+from qwire.bc import UnitaryBC, cayley_degeneracy, make_dirichlet, make_neumann, random_unitary
 from qwire.domain import Interval, QuantumDomain
 from qwire.edge import collar_fraction, edge_scan, rotate_bc
 from qwire.oracle import robin_edge_groundstate
 from qwire.spectral import SolveOptions, find_eigenvalues
 
 DOM = QuantumDomain([Interval(0.0, math.pi, "1", "0")])
+TWO = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3)])
 
 
 def test_rotate_bc_is_phase_multiplication():
@@ -64,3 +66,71 @@ def test_edge_scan_input_validation():
         edge_scan(make_dirichlet(1), DOM, [2.0])        # t outside (0, pi/2]
     with pytest.raises(ValueError):
         edge_scan(make_dirichlet(1), DOM, [0.2, 0.5])   # not descending
+
+
+def _one_t_at_a_time(U, domain, t_list):
+    return [find_eigenvalues(rotate_bc(U, t), domain, (-math.inf, 0.5)).eigs[0] for t in t_list]
+
+
+def _assert_scan_matches(scan, want, domain, rel):
+    assert [e.multiplicity for e in scan.ground_states] == [e.multiplicity for e in want]
+    assert [e.xs.shape for e in scan.ground_states] == [e.xs.shape for e in want]
+    lams = np.array([e.lam for e in want])
+    assert np.all(np.abs(np.array(scan.lam_min) - lams) <= rel * np.abs(lams))
+    collar = [collar_fraction(domain, e) for e in want]
+    assert np.all(np.abs(np.array(scan.collar_mass) - collar) <= rel)
+
+
+@pytest.mark.parametrize("U, domain, t_list, rel", [
+    (make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1], 1e-12),
+    (make_dirichlet(2), TWO, [1.2, 0.8, 0.5, 0.3, 0.15], 1e-11)])
+def test_edge_scan_matches_one_solve_per_t(U, domain, t_list, rel):
+    # The scan solves its t values in lockstep, and its Ritz blocks mix
+    # them, so a level moves within the eps ||K|| / |mu_k'| rounding floor
+    # of find_eigenvalues, ~1e-11 relative on two intervals
+    scan = edge_scan(U, domain, t_list)
+    _assert_scan_matches(scan, _one_t_at_a_time(U, domain, t_list), domain, rel)
+
+
+def test_edge_scan_of_mixed_rank():
+    # U(0.3) has the eigenvalue -1, so its Q has rank 3 and it is searched
+    # in a batch of its own; the other three share one
+    V = random_unitary(4, np.random.default_rng(11)).matrix
+    U = UnitaryBC(V @ np.diag(np.exp(1j * np.array([math.pi, math.pi - 0.3, 0.4, -1.1])))
+                  @ V.conj().T)
+    t_list = [1.0, 0.6, 0.3, 0.1]
+    Us = [rotate_bc(U, t) for t in t_list]
+    assert [cayley_degeneracy(Ut, -1) for Ut in Us] == [0, 0, 1, 0]
+    assert sorted(idx for idx, _ in spectral._batches(Us)) == [[0, 1, 3], [2]]
+    scan = edge_scan(U, TWO, t_list)
+    assert scan.lam_min == pytest.approx([-3.3427, -21.8533, -21.8505, -199.667], rel=1e-5)
+    _assert_scan_matches(scan, _one_t_at_a_time(U, TWO, t_list), TWO, 1e-11)
+
+
+def test_edge_scan_of_no_t():
+    scan = edge_scan(make_dirichlet(1), DOM, [])
+    assert scan.t_values == scan.lam_min == scan.ground_states == scan.collar_mass == ()
+    assert scan.all_negative and scan.monotone_decreasing
+
+
+def test_edge_scan_names_the_first_t_without_a_level():
+    # Dirichlet at 0 and e^{2i} at 0.2: e^{it} U has a level below 0.5 at
+    # t = 1.5 and 0.7, and none at 1.1 and 0.9
+    U = UnitaryBC(np.diag([-1.0, np.exp(2j)]))
+    with pytest.raises(RuntimeError, match=r"^no eigenvalue below 0.5 at t=1.1$"):
+        edge_scan(U, QuantumDomain([Interval(0.0, 0.2)]), [1.5, 1.1, 0.9, 0.7])
+
+
+def test_edge_scan_shares_its_cells_calls(monkeypatch):
+    # Work guard: the benchmark's scan made 64 cell_dtn calls with one
+    # find_eigenvalues per t, and makes 23 with its t values in lockstep
+    calls = []
+    cell_dtn = spectral.cell_dtn
+
+    def counting(iv, lams, *args):
+        calls.append(len(lams))
+        return cell_dtn(iv, lams, *args)
+
+    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    edge_scan(make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1])
+    assert len(calls) <= 30

@@ -477,6 +477,36 @@ def _haar_with_kernel(size, rank, rng):
     return UnitaryBC(v @ np.diag(phases) @ v.conj().T)
 
 
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), variable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_batched_counts_equal_counts_one_u_at_a_time(n, variable, seed, data):
+    # Haar U(2n) with a drawn number of eigenvalues -1 each, so that Q has
+    # any rank from 0 to 2n, and the last interval variable if drawn.  The
+    # Us form one batch per rank of Q, and one count of a batch over
+    # (lam, U) pairs, some sharing a lam, equals count_eigenvalues of each U
+    rng = np.random.default_rng(seed)
+    kernels = data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=4))
+    Us = [_haar_with_kernel(2 * n, k, rng) for k in kernels]
+    ivs = [Interval(0.0, L) for L in LENGTHS[:n]]
+    if variable:
+        ivs[-1] = Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")
+    dom = QuantumDomain(ivs)
+    lams = np.repeat(rng.uniform(-20.0, 60.0, 6), 2)
+    u = rng.integers(len(Us), size=len(lams))
+    samples = spectral._samples(dom, lams.max())[0]
+    batches = spectral._batches(Us)
+    assert sorted(i for idx, _ in batches for i in idx) == list(range(len(Us)))
+    got = np.full(len(lams), -1)
+    for idx, bc in batches:
+        assert {2 * n - kernels[i] for i in idx} == {bc.m}
+        rows = np.isin(u, idx)
+        g = spectral._Glued(bc, dom, SolveOptions(), samples)
+        got[rows] = g.count(lams[rows], np.searchsorted(idx, u[rows]))[0]
+    for i, U in enumerate(Us):
+        assert got[u == i].tolist() == count_eigenvalues(U, dom, lams[u == i]).tolist()
+
+
 def _old_det(U, dom, lam):
     # det M from the canonical pair's endpoint data, without the storage scale
     sm = spectral_matrix(U, [fundamental_solutions(iv, lam, rel_tol=1e-11)
@@ -961,7 +991,7 @@ def test_levels_do_not_depend_on_the_search_samples(n, variable, seed, reach, wh
     window = ((1.0 - width) * hi, hi)
     assert spectral._samples(dom, hi)[0] < 257
     got = find_eigenvalues(U, dom, window).eigs
-    want = spectral._levels(spectral._Glued(U, dom, SolveOptions()), *window)
+    want = spectral._levels(spectral._Glued(U, dom, SolveOptions()), *window)[0]
     assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
     assert [e.xs.shape for e in got] == [e.xs.shape for e in want]
     lams, ref = np.array([e.lam for e in got]), np.array([e.lam for e in want])
