@@ -298,8 +298,8 @@ class _Glued:
 
     def __init__(self, U, domain: QuantumDomain, opts: SolveOptions, samples: int = _SAMPLES):
         bc = U if isinstance(U, _Boundary) else _batches([U])[0][1]
-        if bc.Us[0].n != domain.n:
-            n = bc.Us[0].n
+        n = bc.Us[0].n
+        if n != domain.n:
             raise ValueError(f"a U({2 * n}) condition needs {n} intervals, got {domain.n}")
         if not opts.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
