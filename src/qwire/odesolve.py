@@ -566,8 +566,8 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
                              f"inside one of the {samples - 1} sample cells of "
                              f"[{interval.a:g}, {interval.b:g}]")
         parts.append(np.array([t00, -np.exp(-fine_logs), t11]) / t01)
-    cells = np.concatenate(parts, axis=1) if parts else np.empty((3, 0, 1))
-    alpha, beta, gamma = np.broadcast_to(cells, (3, len(lams), samples - 1))
+    alpha, beta, gamma = np.broadcast_to(np.concatenate(parts, axis=1),
+                                         (3, len(lams), samples - 1))
     return alpha, beta, gamma
 
 

@@ -175,14 +175,6 @@ def test_cell_dtn_refuses_a_cell_with_its_own_level():
         cell_dtn(Interval(0.0, 2.0 * math.pi, "1", "0.01*x"), [8300.0])
 
 
-@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")],
-                         ids=["constant", "variable"])
-def test_cell_dtn_of_no_lam_is_empty(iv):
-    # a batch of the count may hold no row: its cells are (0, samples - 1)
-    for entry in cell_dtn(iv, [], samples=17):
-        assert entry.shape == (0, 16)
-
-
 def test_exponential_basis_change():
     # [psi_exp^1, psi_exp^2] = [psi_can^1, psi_can^2] T with
     # T = [[1, 1], [i k, -i k]], k = sqrt(2 lam), in the data at both ends.

@@ -501,6 +501,8 @@ def test_batched_counts_equal_counts_one_u_at_a_time(n, variable, seed, data):
     for idx, bc in batches:
         assert {2 * n - kernels[i] for i in idx} == {bc.m}
         rows = np.isin(u, idx)
+        if not rows.any():
+            continue
         g = spectral._Glued(bc, dom, SolveOptions(), samples)
         got[rows] = g.count(lams[rows], np.searchsorted(idx, u[rows]))[0]
     for i, U in enumerate(Us):
