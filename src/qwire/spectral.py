@@ -399,17 +399,18 @@ class _Glued:
         problem u[i], stacked into one (3w + 1, G dim) band in LAPACK's
         ``gbtrf`` layout."""
         v = self._values(alpha, beta, gamma, u)
-        G, D, w = len(v), self.dim, self.w
-        parts, size = (2 if self.dtype is complex else 1), (3 * w + 1) * G * D
+        G, D, R = len(v), self.dim, 3 * self.w + 1
+        parts, diag = (2 if self.dtype is complex else 1), 2 * self.w
         if G not in self._scatter:       # positions of the float parts of the entries
-            flat = np.concatenate([(2 * w + self.rows - self.cols) * G * D + self.cols,
-                                   ((2 * w + self.cols - self.rows) * G * D + self.rows)[self.off]])
-            flat = (flat + D * np.arange(G)[:, np.newaxis]).ravel()
+            flat = np.concatenate([self.cols * R + diag + self.rows - self.cols,
+                                   (self.rows * R + diag + self.cols - self.rows)[self.off]])
+            flat = (flat + R * D * np.arange(G)[:, np.newaxis]).ravel()
             self._scatter[G] = (parts * flat[:, np.newaxis] + np.arange(parts)).ravel()
-        # bincount adds up entries that coincide (at a single interior node)
+        # bincount adds up entries that coincide (at a single interior node);
+        # in Fortran order gbtrf factors the band in place
         v = np.concatenate([v, v[:, self.off].conj()], axis=1).ravel()
-        ab = np.bincount(self._scatter[G], v.view(float), parts * size).view(self.dtype)
-        return ab.reshape(3 * w + 1, G * D)
+        ab = np.bincount(self._scatter[G], v.view(float), parts * R * G * D).view(self.dtype)
+        return ab.reshape(R, G * D, order="F")
 
     def log_det(self, lam: float, u: int = 0):
         """det M(U, lam) of problem u as (phase, log|det M|), or (0, -inf)
