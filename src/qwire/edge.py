@@ -67,7 +67,10 @@ def edge_scan(U: UnitaryBC, domain: QuantumDomain, t_list,
     the first such t, if none.  All t are solved at once, in lockstep (see
     :mod:`qwire.spectral`): the cells of each lam serve every t, and each t
     gets the level and eigenfunction grid that a solve of it alone gives,
-    to rounding.
+    to rounding.  Every t is solved before any is checked, so where a t
+    needs more than 4097 samples the solve's OdeError is raised even if
+    an earlier t has no level; and where one t needs more samples than
+    the search started on, every t of its batch is searched on them.
     """
     t_list = [float(t) for t in t_list]
     if cayley_degeneracy(U, -1) < 1:
