@@ -329,17 +329,17 @@ class _Glued:
 
     def count(self, lams, u=None):
         """N_U of problem u[i] at lams[i], and whether it is sure there; see
-        :meth:`tree`.  Problems that share a lam share its cells, computed
-        in the order the lams first appear."""
+        :meth:`tree`.  Problems that share a lam share its cells."""
         lams = np.asarray(lams, dtype=float)
-        _, first, at = np.unique(lams, return_index=True, return_inverse=True)
-        keep = np.sort(first)
-        return self.tree(*self.cells(lams[keep]), np.searchsorted(keep, first[at]), u)
+        if self.P == 1:      # deduping and gathering cost one U ~5% of its solve
+            return self.tree(*self.cells(lams))
+        uniq, at = np.unique(lams, return_inverse=True)
+        return self.tree(*self.cells(uniq), at, u)
 
-    def tree(self, alpha, beta, gamma, at, u=None):
+    def tree(self, alpha, beta, gamma, at=None, u=None):
         """N_U from (G, n, N) cells, and whether no pivot or boundary eigenvalue
-        is within rounding of 0, per row i, which takes the cells at[i] and
-        the boundary part of problem u[i].
+        is within rounding of 0, per lam, or per row i where row i takes
+        the cells at[i] and the boundary part of problem u[i].
 
         A pairwise tree eliminates the node shared by neighbouring cells with
         the pivot d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
@@ -375,7 +375,8 @@ class _Glued:
         lam_mat[:, k, k], lam_mat[:, n + k, n + k] = alpha[..., 0], gamma[..., 0]
         lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = beta[..., 0]
         scale = np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2))
-        sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
+        if at is not None:
+            sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
         bc = self.bc
         ev = np.linalg.eigvalsh(_pick(bc.Qh, u) @ lam_mat @ _pick(bc.Q, u) - _pick(bc.A, u))
         sure &= (np.min(np.abs(ev), axis=-1, initial=np.inf)
@@ -738,10 +739,10 @@ def _column(theta, count, sure, k, k0, m):
 
 def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     """mu_k(lam) per (lam, k) for level k of a bracket of levels k0 .. k0+m-1
-    of problem u, 0 where None (see :func:`_column`), nan where the Ritz
-    block misses it; its slope mu_k'(lam); whether mu_k is certified; the
-    count at lam and whether it is sure; the largest Ritz value in
-    magnitude; and the p Ritz vectors at lam (len(lams), dim, p).
+    of problem u (see :func:`_column`), nan where the Ritz block misses it;
+    its slope mu_k'(lam); whether mu_k is certified; the count at lam and
+    whether it is sure; the largest Ritz value in magnitude; and the p Ritz
+    vectors at lam (len(lams), dim, p).
 
     ``start`` (len(lams), dim, p) holds a warm start per probe; the Ritz
     steps at lam end once the value of every k probed there is certified.
@@ -752,13 +753,15 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     it is good to about sqrt(eps) relative; it only chooses the next probe
     of :func:`_refine`.
     """
-    lams = np.asarray(lams, dtype=float)
-    # a Ritz row per distinct (lam, problem), complex keys sorting by lam
-    # then problem, and a cell per distinct lam
-    keys, first, inv = np.unique(lams + 1j * (0 if u is None else u), return_index=True,
-                                 return_inverse=True)
-    uniq, at = np.unique(keys.real, return_inverse=True)
-    pu = keys.imag.astype(int)
+    lams, at, pu = np.asarray(lams, dtype=float), None, None
+    if g.P == 1:                     # as in _Glued.count: no (lam, problem) keys
+        uniq, first, inv = np.unique(lams, return_index=True, return_inverse=True)
+    else:
+        # a Ritz row per distinct (lam, problem), complex keys sorting by lam
+        # then problem, and a cell per distinct lam
+        keys, first, inv = np.unique(lams + 1j * u, return_index=True, return_inverse=True)
+        uniq, at = np.unique(keys.real, return_inverse=True)
+        pu = keys.imag.astype(int)
     G = len(uniq)
     delta = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(uniq))
     both = g.cells(np.concatenate([uniq, uniq - delta]))
@@ -767,7 +770,8 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     # K' entry-wise: _values of the cells' difference subtracts A once, from
     # the boundary block's entries, which come last
     slopes = tuple((c[:G] - c[G:]) / delta[:, np.newaxis, np.newaxis] for c in both)
-    cells, slopes = (tuple(c[at] for c in v) for v in (cells, slopes))
+    if at is not None:
+        cells, slopes = (tuple(c[at] for c in v) for v in (cells, slopes))
 
     def read(rows, theta):
         sel = np.flatnonzero((inv >= rows.start) & (inv < rows.stop))
