@@ -31,9 +31,15 @@ Every cell is exact, so N_U and the roots of mu_k do not depend on how many
 sample cells there are, as long as none holds a Dirichlet level of its own.
 A solve therefore takes two sample counts per interval (see
 :func:`_samples`): the search counts and refines on the fewest that the
-highest lam it reaches needs, at least 17, and the eigenfunctions are read
-on a grid of 257 points per interval, or more where the highest level
-needs them.
+highest lam it reaches needs, at least 17, and the eigenfunctions are
+given on a grid of 257 points per interval, or more where the highest
+level needs them.  They are read from the search's own null vectors: a
+finer grid's other points follow from its cells by one tridiagonal solve
+per search cell, and a coarser grid takes every r-th search sample (see
+:func:`_on_grid`).  The multisection stops at a bracket of several levels
+once it is tight, a quarter as wide as its distance to any other level, and
+Newton's method finds each of its roots, so a level that symmetry makes
+degenerate costs no rounds of its own (see :func:`_isolate`).
 
 The cells, the pivots of the interior nodes and each interval's DtN matrix
 Lambda(lam) do not depend on U; Q, A and c(U) are the boundary part (see
@@ -64,9 +70,10 @@ __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_
            "spectral_function", "boundary_wronskian", "count_eigenvalues", "find_eigenvalues",
            "eigenfunctions", "evolve", "deficiency_indices"]
 
-# relative widths: brackets isolate levels to _ISOLATE, roots agreeing to
-# _MERGE form one level, and Newton's method refines to _REFINE, or stops
-# where mu_k is below _REFINE of the largest Ritz value beside it
+# relative widths: brackets that are not tight isolate levels to _ISOLATE
+# (see _isolate), roots agreeing to _MERGE form one level, and Newton's
+# method refines to _REFINE, or stops where mu_k is below _REFINE of the
+# largest Ritz value beside it
 _ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
 # a pivot or boundary eigenvalue this small relative to the terms it came
 # from makes a count unsure
@@ -321,9 +328,10 @@ class _Glued:
         self._gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(
             ("gbtrf", "gbtrs"), (np.empty(0, self.dtype),))
 
-    def cells(self, lams):
-        """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, samples - 1)."""
-        parts = [cell_dtn(iv, lams, self.opts.rel_tol, self.samples)
+    def cells(self, lams, samples: int | None = None):
+        """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, S - 1),
+        on S = ``samples`` nodes per interval, or the search's."""
+        parts = [cell_dtn(iv, lams, self.opts.rel_tol, samples or self.samples)
                  for iv in self.domain.intervals]
         return tuple(np.stack(p, axis=1) for p in zip(*parts))
 
@@ -573,13 +581,15 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     The search takes the fewest samples per interval that the top needs,
     and the eigenfunctions are read on 257, or more where the top needs them
     (see :func:`_samples`).  The count at the ends gives the levels;
-    multisection on the count isolates them, one per bracket or to 1e-7
-    relative; level k is the root of mu_k, found by a safeguarded Newton
-    iteration whose slope mu_k' comes from the probe's own Ritz vector, to
-    1e-12 relative.  A level's accuracy is floored by rounding at about
-    eps ||K|| / |mu_k'|, ~1e-11 relative on multi-interval problems.  Roots
-    that agree to 1e-9 relative form one eigenvalue, and their number is its
-    multiplicity.
+    multisection on the count isolates them, one per bracket, several in a
+    bracket a quarter as wide as its distance to every other level, or to
+    1e-7 relative; level k is the root of mu_k, found by a safeguarded
+    Newton iteration whose slope mu_k' comes from the probe's own Ritz
+    vector, to 1e-12 relative.  The eigenfunctions are the search's null
+    vectors, moved to the grid (see :func:`_on_grid`).  A level's accuracy
+    is floored by rounding at about eps ||K|| / |mu_k'|, ~1e-11 relative on
+    multi-interval problems.  Roots that agree to 1e-9 relative form one
+    eigenvalue, and their number is its multiplicity.
     """
     return _spectra([U], domain, lambda_range, opts)[0]
 
@@ -617,10 +627,11 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     for every problem that has none yet, and each takes its first with no
     level below it.  A ceiling probe for hi = inf past the reach of ``g``
     moves the search of every problem to the samples it needs; the counts
-    already taken stay, since N_U does not depend on the samples.  Each
-    problem's eigenpairs are read on the grid of :func:`_samples` at its
-    highest level found, so the grid follows its levels, not the ceiling's
-    probes or the other problems.
+    already taken stay, since N_U does not depend on the samples.  The
+    eigenpairs of all problems are read on ``g`` in one call, from the
+    vectors of each level's last Newton probe, and each problem's are moved
+    to the grid of :func:`_samples` at its highest level found, so the grid
+    follows its levels, not the ceiling's probes or the other problems.
     """
     P, opts = g.P, g.opts
     u = np.arange(P)
@@ -664,35 +675,40 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
                              | (np.diff(ru) != 0))
     first = np.concatenate([[0], cut])
     lams = np.array([np.mean(v) for v in np.split(roots, cut)])
-    mults, lu, start = np.diff(np.append(first, len(roots))), ru[first], vecs[first]
+    mults, lu = np.diff(np.append(first, len(roots))), ru[first]
     # each problem's grid, at its highest root: the last, as roots ascend
     highest = dict(zip(ru.tolist(), roots.tolist()))
     grid = {v: _samples(g.domain, r)[1] for v, r in highest.items()}
-    grids = np.array([grid[v] for v in lu.tolist()])
-    pairs = [None] * len(lams)
-    for S in set(grids.tolist()):
-        sel = np.flatnonzero(grids == S)
-
-        def read(h, sel=sel):            # the search's vectors live on g only
-            return _eigenpairs(h, lams[sel], mults[sel], start.shape[2],
-                               start[sel] if h is g else None, lu[sel])
-        for i, e in zip(sel, read(g) if S == g.samples else _solve(g.bc, g.domain, opts, S, read)):
-            pairs[i] = e
-    for v, e in zip(lu, pairs):
+    for v, e in zip(lu, _eigenpairs(g, lams, mults, vecs[first], lu,
+                                     np.array([grid[v] for v in lu.tolist()]))):
         found[v].append(e)
     return found
 
 
 def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
-    """Brackets (a, b, N(a), N(b), u) of problem u with N(a) < top[u], each
-    holding one level or 1e-7 relative wide, from each problem's window
-    (lo[u], hi[u]) and its counts.  Each round counts at the quarter points
-    of every bracket of every problem in one call.  A point whose count is
-    not sure does not split, so every bracket end but the window's has a
-    sure count."""
-    todo, done = list(zip(lo, hi, n_lo, n_hi, range(len(lo)))), []
+    """Brackets (a, b, N(a), N(b), u) of problem u with N(a) < top[u], from
+    each problem's window (lo[u], hi[u]) and its counts.  Each holds one
+    level, or several in a bracket that is tight: at most a quarter as wide
+    as its distance to the nearest other bracket of its problem that holds
+    a level, or to the window's end where there is none, or 1e-7 relative
+    wide.  In a tight bracket the m values mu_k of its levels are the
+    eigenvalues of K(lam) - A nearest 0, and :func:`_refine` finds each
+    root there, so a degenerate level costs no rounds of its own.  Each
+    round counts at the quarter points of every bracket of every problem in
+    one call.  A point whose count is not sure does not split, so every
+    bracket end but the window's has a sure count."""
+    todo, done, held = list(zip(lo, hi, n_lo, n_hi, range(len(lo)))), [], []
     while todo:
-        split = [t for t in todo if t[3] - t[2] > 1
+        # each bracket's nearest neighbours among all of its problem's
+        # brackets that hold levels (held: those past top), or the window
+        every = todo + done + held
+        a, b, u = (np.array([t[i] for t in every]) for i in (0, 1, 4))
+        order = np.lexsort((a, u))
+        left, right = np.asarray(lo, dtype=float)[u], np.asarray(hi, dtype=float)[u]
+        same = u[order[1:]] == u[order[:-1]]
+        left[order[1:][same]], right[order[:-1][same]] = b[order[:-1][same]], a[order[1:][same]]
+        tight = b - a <= 0.25 * np.minimum(a - left, right - b)
+        split = [t for t, close in zip(todo, tight) if t[3] - t[2] > 1 and not close
                  and t[1] - t[0] > _ISOLATE * max(1.0, abs(t[0]), abs(t[1]))]
         done += [t for t in todo if t not in split]
         if not split:
@@ -707,8 +723,9 @@ def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
                 continue
             ends = [a[i], *c[i][sure[i]], b[i]]
             counts = np.clip(np.maximum.accumulate([na[i], *nc[i][sure[i]], nb[i]]), na[i], nb[i])
-            todo += [(*v, t[4]) for v in zip(ends[:-1], ends[1:], counts[:-1], counts[1:])
-                     if v[3] > v[2] and v[2] < top[t[4]]]
+            for v in zip(ends[:-1], ends[1:], counts[:-1], counts[1:]):
+                if v[3] > v[2]:
+                    (todo if v[2] < top[t[4]] else held).append((*v, t[4]))
     return sorted(done)
 
 
@@ -866,20 +883,21 @@ def eigenfunctions(U: UnitaryBC, domain: QuantumDomain, lam: float,
     return list(eigs)
 
 
-def _eigenpairs(g: _Glued, lams, mults, p: int, start, u=None) -> list[Eigenpair]:
+def _eigenpairs(g: _Glued, lams, mults, start, u, grids) -> list[Eigenpair]:
     """Eigenpairs from the ``mult`` Ritz vectors of K(lam) - A nearest 0 of
-    problem u, which hold psi = Q c and the interior nodes: the
-    eigenfunction at every sample.  The p-vector Ritz steps start from
-    ``start`` (len(lams), dim, p), the vectors of each level's last Newton
-    probe on the same ``g``, or from the fixed random block where it is
-    None, and end once those ``mult`` pairs are certified.  The vectors are
-    orthonormalised in L2(sqrt(eta) dx) by Simpson quadrature, each with its
-    largest sample real positive, and dpsi comes from the end cells' DtN
-    rows."""
-    domain, S, m = g.domain, g.samples, g.bc.m
-    n = domain.n
-    xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
-    w = _quad_weights(domain, xs)
+    problem u on the search's own ``g``, which hold psi = Q c and the
+    interior nodes: the eigenfunction at every sample node of the search.
+    The Ritz steps start from ``start`` (len(lams), dim, p), the vectors of
+    each level's last Newton probe, and end once those ``mult`` pairs are
+    certified.  dpsi comes from the end cells' DtN rows, and the samples
+    move to each level's grid of ``grids[i]`` points per interval (see
+    :func:`_on_grid`).  The members of a level are orthonormalised in
+    L2(sqrt(eta) dx) by Simpson quadrature, in order, and each takes the
+    phase that makes its first sample (interval, then x) whose modulus is
+    within 1e-6 of its largest real positive: where samples tie in modulus,
+    as the peaks of sin(kx) and a plane wave's do, rounding does not decide
+    the phase."""
+    domain, m, n = g.domain, g.bc.m, g.domain.n
     cells = g.cells(lams)
     mults = np.asarray(mults)
 
@@ -887,30 +905,90 @@ def _eigenpairs(g: _Glued, lams, mults, p: int, start, u=None) -> list[Eigenpair
         return (np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
                 < mults[rows, np.newaxis])
 
-    theta, vecs, _ = g.ritz(*cells, p, start, read, u)
-    pairs = []
-    us = np.zeros(len(mults), dtype=int) if u is None else u
-    for lam, mult, v, th, x, alpha, beta, gamma in zip(lams, mults, us, theta, vecs, *cells):
-        x = x[:, np.argsort(np.abs(th))[:mult]]
-        ends = g.bc.Q[v] @ x[:m]                                     # (2n, mult)
-        members = []
-        for f in np.concatenate([ends[np.newaxis, :n], x[g.pos].transpose(1, 0, 2),
-                                 ends[np.newaxis, n:]]).transpose(2, 1, 0):   # (n, S) each
-            for h in members:
-                f = f - _inner(w, h, f) * h
-            f = f / math.sqrt(_inner(w, f, f).real)
-            peak = f.flat[int(np.argmax(np.abs(f)))]
-            members.append(f * (abs(peak) / peak))
-        fs = np.array(members)
-        psi = np.concatenate([fs[:, :, 0], fs[:, :, -1]], axis=1)
-        dpsi = np.concatenate([alpha[:, 0] * fs[:, :, 0] + beta[:, 0] * fs[:, :, 1],
-                               beta[:, -1] * fs[:, :, -2] + gamma[:, -1] * fs[:, :, -1]], axis=1)
-        residual = max(np.linalg.norm((p - 1j * d) - g.bc.Us[v].matrix @ (p + 1j * d))
-                       / (np.linalg.norm(p) + np.linalg.norm(d)) for p, d in zip(psi, dpsi))
-        pairs.append(Eigenpair(
-            lam=float(lam), multiplicity=int(mult), residual=float(residual),
-            xs=xs, samples=fs, psi=psi, dpsi=dpsi))
+    theta, vecs, _ = g.ritz(*cells, start.shape[2], start, read, u)
+    # one row per member: member j of level lev, the vector of its j-th
+    # Ritz value nearest 0; a level's members are consecutive rows
+    lev = np.repeat(np.arange(len(mults)), mults)
+    j = np.arange(len(lev)) - np.repeat(np.cumsum(mults) - mults, mults)
+    x = vecs[lev, :, np.argsort(np.abs(theta), axis=1)[lev, j]]                 # (R, dim)
+    us = np.asarray(u)[lev]
+    ends = (_pick(g.bc.Q, us) @ x[:, :m, np.newaxis])[..., 0]                    # (R, 2n)
+    f = np.concatenate([ends[:, :n, np.newaxis], x[:, g.pos], ends[:, n:, np.newaxis]], axis=2)
+    alpha, beta, gamma = (c[lev] for c in cells)
+    dpsi = np.concatenate([alpha[..., 0] * f[..., 0] + beta[..., 0] * f[..., 1],
+                           beta[..., -1] * f[..., -2] + gamma[..., -1] * f[..., -1]], axis=1)
+    umat = np.array([U.matrix for U in g.bc.Us])
+    pairs = [None] * len(mults)
+    for S in np.unique(grids).tolist():
+        at, rows = np.flatnonzero(grids == S), np.flatnonzero(grids[lev] == S)
+        fs = _on_grid(g, lams[at], f[rows], np.searchsorted(at, lev[rows]), S)
+        xs = np.array([np.linspace(iv.a, iv.b, S) for iv in domain.intervals])
+        # the samples, then dpsi, which the quadrature weighs 0: one linear
+        # map orthonormalises both
+        w = np.concatenate([_quad_weights(domain, xs).ravel(), np.zeros(2 * n)])
+        v = np.concatenate([fs.reshape(len(rows), -1), dpsi[rows]], axis=1)
+        for k in range(int(mults[at].max())):
+            r = np.flatnonzero(j[rows] == k)
+            for h in range(k):                          # Gram-Schmidt on the members before
+                prev = v[r - k + h]
+                v[r] -= np.sum(w * prev.conj() * v[r], axis=1)[:, np.newaxis] * prev
+            v[r] /= np.sqrt(np.sum(w * np.abs(v[r]) ** 2, axis=1))[:, np.newaxis]
+            mag = np.abs(v[r, :-2 * n])
+            peak = v[r, np.argmax(mag >= (1.0 - 1e-6) * mag.max(axis=1, keepdims=True), axis=1)]
+            v[r] *= (np.abs(peak) / peak)[:, np.newaxis]
+        samples, dp = v[:, :-2 * n].reshape(fs.shape), v[:, -2 * n:]
+        psi = np.concatenate([samples[..., 0], samples[..., -1]], axis=1)
+        res = (np.linalg.norm((psi - 1j * dp)[..., np.newaxis]
+                              - _pick(umat, us[rows]) @ (psi + 1j * dp)[..., np.newaxis],
+                              axis=(1, 2))
+               / (np.linalg.norm(psi, axis=1) + np.linalg.norm(dp, axis=1)))
+        starts = np.flatnonzero(j[rows] == 0)
+        for i, lo, hi, residual in zip(at, starts, np.append(starts[1:], len(rows)),
+                                       np.maximum.reduceat(res, starts)):
+            pairs[i] = Eigenpair(lam=float(lams[i]), multiplicity=int(mults[i]),
+                                 residual=float(residual), xs=xs, samples=samples[lo:hi],
+                                 psi=psi[lo:hi], dpsi=dp[lo:hi])
     return pairs
+
+
+def _on_grid(g: _Glued, lams, f, at, S: int):
+    """Samples f (R, n, g.samples) of solutions at lams[at] on S points per
+    interval.
+
+    Where the search ran on more samples, every r-th.  Where the grid is
+    finer, each search cell holds r grid cells, whose DtN entries at lams
+    give the values at its r - 1 interior points: they solve the grid
+    cells' interior rows of K with the search cell's end values as
+    Dirichlet data, one tridiagonal system per search cell and lam, solved
+    for the unit data at either end.  That system is the search cell's
+    Dirichlet problem, positive definite because the cell holds no
+    Dirichlet level of its own (its turn at lam is below pi, and at most
+    3 pi / 4 at the search's top), and a grid cell, at most half of it,
+    holds none either.
+    """
+    N = g.samples - 1
+    if S <= g.samples:
+        return f[..., ::N // (S - 1)]
+    cells = g.cells(lams, S)
+    r = (S - 1) // N
+    alpha, beta, gamma = (c.reshape(c.shape[:2] + (N, r)) for c in cells)
+    # interior point i = 1 .. r - 1: the diagonal gamma_(i-1) + alpha_i, the
+    # couplings beta_1 .. beta_(r-2), and the data -beta_0, -beta_(r-1)
+    piv, e = gamma[..., :-1] + alpha[..., 1:], beta[..., 1:-1]
+    y = np.zeros(piv.shape + (2,))
+    y[..., 0, 0], y[..., -1, 1] = -beta[..., 0], -beta[..., -1]
+    for i in range(1, r - 1):                      # LDL^T elimination
+        ratio = e[..., i - 1] / piv[..., i - 1]
+        piv[..., i] -= ratio * e[..., i - 1]
+        y[..., i, :] -= ratio[..., np.newaxis] * y[..., i - 1, :]
+    y[..., -1, :] /= piv[..., -1, np.newaxis]
+    for i in range(r - 3, -1, -1):                 # back substitution
+        y[..., i, :] = (y[..., i, :] - e[..., i, np.newaxis] * y[..., i + 1, :]) \
+            / piv[..., i, np.newaxis]
+    y = y[at]
+    inner = f[..., :-1, np.newaxis] * y[..., 0] + f[..., 1:, np.newaxis] * y[..., 1]
+    fine = np.concatenate([f[..., :-1, np.newaxis], inner], axis=-1)
+    return np.concatenate([fine.reshape(f.shape[:2] + (N * r,)), f[..., -1:]], axis=-1)
 
 
 def boundary_wronskian(fp: FundamentalPair, x: str, y: str, s1: str, s2: str) -> complex:

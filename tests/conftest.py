@@ -28,3 +28,16 @@ def free_pi() -> QuantumDomain:
 def random_hermitian(m: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return scale * 0.5 * (Z + Z.conj().T)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` (a module function or a method) for the test and
+    return the list that each call appends its positional arguments to."""
+    calls, f = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from qwire import spectral
 from qwire.bc import UnitaryBC, cayley_degeneracy, make_dirichlet, make_neumann, random_unitary
 from qwire.domain import Interval, QuantumDomain
@@ -123,14 +124,9 @@ def test_edge_scan_names_the_first_t_without_a_level():
 
 def test_edge_scan_shares_its_cells_calls(monkeypatch):
     # Work guard: the benchmark's scan made 64 cell_dtn calls with one
-    # find_eigenvalues per t, and makes 23 with its t values in lockstep
-    calls = []
-    cell_dtn = spectral.cell_dtn
-
-    def counting(iv, lams, *args):
-        calls.append(len(lams))
-        return cell_dtn(iv, lams, *args)
-
-    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    # find_eigenvalues per t and 23 with its t values in lockstep; it makes
+    # 15 now that its twin edge levels skip isolation and the eigenfunctions
+    # are read from the search's own vectors
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     edge_scan(make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1])
-    assert len(calls) <= 30
+    assert len(calls) <= 20

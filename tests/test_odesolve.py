@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import airy
 
+from conftest import count_calls
 from qwire import expr, odesolve
 from qwire.bc import make_dirichlet
 from qwire.domain import Interval, QuantumDomain
@@ -372,20 +373,13 @@ def test_cp_cells_converge_against_airy():
 def test_coefficients_evaluated_once_per_level(monkeypatch):
     # Each level evaluates the coefficients once, at the Gauss points of its
     # cells, and later calls on the same interval evaluate nothing.
-    points = []
-    evaluate = expr.evaluate
+    calls = count_calls(monkeypatch, expr, "evaluate")
     iv = Interval(0.0, 2.0 * math.pi, "1", "x^2/2 + 0.1*sin(3*x)")
-
-    def counting(e, x):
-        if e is iv.potential:
-            points.append(np.size(x))
-        return evaluate(e, x)
-
-    monkeypatch.setattr(expr, "evaluate", counting)
     odesolve._mesh.cache_clear()
     lams = np.linspace(-1.0, 6.0, 20)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)
+    points = [np.size(x) for e, x in calls if e is iv.potential]
     levels = sorted(odesolve._mesh(iv, 257).levels)
     assert len(levels) >= 2 and levels == list(range(len(levels)))
     assert len(points) == len(levels)                                     # one pass per level
@@ -393,7 +387,7 @@ def test_coefficients_evaluated_once_per_level(monkeypatch):
     evaluated = sum(points)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)
-    assert sum(points) == evaluated
+    assert sum(np.size(x) for e, x in calls if e is iv.potential) == evaluated
 
 
 def _mp_transfer(a, b, sqrt_eta, pot, lam):
@@ -517,18 +511,11 @@ def test_cell_dtn_builds_two_levels_per_lam(monkeypatch):
     # Work guard: at rel_tol 1e-11 on x^2/2 over [-6, 6] the 256 sample
     # cells agree with their 512 halves, so cell_dtn builds at most
     # 256 + 512 cells per lam, from a cold mesh and on later calls.
-    built = []
-    cell_matrices = odesolve._cell_matrices
-
-    def counting(cells, lam):
-        built.append(np.size(cells[0]) * np.size(lam))
-        return cell_matrices(cells, lam)
-
-    monkeypatch.setattr(odesolve, "_cell_matrices", counting)
+    calls = count_calls(monkeypatch, odesolve, "_cell_matrices")
     odesolve._mesh.cache_clear()
     iv = Interval(-6.0, 6.0, "1", "x^2/2")
     lams = np.linspace(0.1, 60.0, 40)
     for block in (lams, lams[:1], lams[10:14]):
-        built.clear()
+        calls.clear()
         cell_dtn(iv, block, rel_tol=1e-11)
-        assert sum(built) <= 768 * len(block)
+        assert sum(np.size(cells[0]) * np.size(lam) for cells, lam in calls) <= 768 * len(block)

@@ -10,6 +10,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_calls
 from qwire import oracle
 from qwire.bc import (
     CayleySingular,
@@ -290,16 +291,10 @@ def test_seeded_search_gives_the_cold_levels(case, data):
 def test_fine_search_starts_from_the_coarse_brackets(monkeypatch, U, domain, N):
     # Work guard: seeded with the brackets found at N, the search at 2N
     # needs at most 3 counts; from the Gershgorin bound it takes 13 to 20.
-    calls = []
-    count = oracle._count
-
-    def counting(disc, A, lams):
-        calls.append(disc[4].size)
-        return count(disc, A, lams)
-
-    monkeypatch.setattr(oracle, "_count", counting)
+    calls = count_calls(monkeypatch, oracle, "_count")
     fd_spectrum(U, domain, N=N, k=5)
-    assert 0 < calls.count(domain.n * (2 * N + 1)) <= 3
+    nodes = [disc[4].size for disc, *_ in calls]
+    assert 0 < nodes.count(domain.n * (2 * N + 1)) <= 3
 
 
 @pytest.mark.parametrize("domain", [FREE, QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")])])
@@ -307,16 +302,9 @@ def test_the_upper_end_doubles_four_times_per_count(monkeypatch, domain):
     # Work guard: at N = 1200 the upper end of the first count is doubled
     # four times before it holds k + 1 = 6 levels; those four doublings take
     # one count, where one count per doubling took four.
-    calls = []
-    count = oracle._count
-
-    def counting(disc, A, lams):
-        calls.append((disc[4].size, len(lams)))
-        return count(disc, A, lams)
-
-    monkeypatch.setattr(oracle, "_count", counting)
+    calls = count_calls(monkeypatch, oracle, "_count")
     fd_spectrum(make_dirichlet(1), domain, N=1200, k=5)
-    first = [size for nodes, size in calls if nodes == 1201]
+    first = [len(lams) for disc, _, lams in calls if disc[4].size == 1201]
     assert first[:2] == [1, 4] and first.count(1) == 1 and 4 not in first[2:]
 
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import count_calls
 from qwire import expr, spectral
 from qwire.bc import (
     UnitaryBC,
@@ -342,20 +343,14 @@ def test_the_search_takes_the_fewest_samples_its_top_needs(monkeypatch):
     # the margin 3 pi / 4) and 1.24 for 33, at 530 it is 3.20 for 65 and 1.60
     # for 129.  At 8000 the margin would take 513, more than the grid's 257,
     # so the search takes 257.  The eigenfunctions keep 257 points.
-    seen = []
-    cell_dtn = spectral.cell_dtn
-
-    def recording(iv, lams, rel_tol, samples):
-        seen.append(samples)
-        return cell_dtn(iv, lams, rel_tol, samples)
-
-    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     for U, window, search in ((make_dirichlet(1), (0.01, 4.8), 17),
                               (make_dirichlet(1), (0.01, 20.0), 33),
                               (make_quasiperiodic(0.0), (-0.5, 530.0), 129),
                               (make_dirichlet(1), (0.01, 8000.0), 257)):
-        seen.clear()
+        calls.clear()
         spectrum = find_eigenvalues(U, FREE, window)
+        seen = [samples for *_, samples in calls]
         assert seen[0] == search and set(seen) == {search, 257}
         assert spectrum.eigs[0].xs.shape == (1, 257)
 
@@ -364,18 +359,12 @@ def test_the_floor_counts_four_candidates_at_a_time(monkeypatch):
     # V = -15 on [0, 1]: the lowest Dirichlet level is pi**2 / 2 - 15 = -10.07,
     # so of -1, -2, .. the first floor with no level below is -16, as when
     # the floors are counted one at a time
-    calls = []
-    cell_dtn = spectral.cell_dtn
-
-    def recording(iv, lams, *args):
-        calls.append(list(lams))
-        return cell_dtn(iv, lams, *args)
-
-    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     dom = QuantumDomain([Interval(0.0, 1.0, "1", "-15")])
     spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, 0.0))
     assert spectrum.lams == pytest.approx([math.pi ** 2 / 2.0 - 15.0], rel=1e-10)
-    assert calls[:3] == [[-1.0, -2.0, -4.0, -8.0], [-16.0, -32.0, -64.0, -128.0], [-16.0, 0.0]]
+    assert [list(lams) for _, lams, *_ in calls[:3]] == [
+        [-1.0, -2.0, -4.0, -8.0], [-16.0, -32.0, -64.0, -128.0], [-16.0, 0.0]]
 
 
 def test_the_ceiling_moves_to_more_samples_without_counting_again(monkeypatch):
@@ -383,15 +372,9 @@ def test_the_ceiling_moves_to_more_samples_without_counting_again(monkeypatch):
     # reach of 17, 33, .. 257 samples; each probe is counted once, and the
     # counts before it are kept.  The probes are the one-lam counts between
     # the floor's four-lam count and the two-lam count at the window's ends.
-    calls = []
-    cell_dtn = spectral.cell_dtn
-
-    def recording(iv, lams, rel_tol, samples):
-        calls.append((samples, list(lams)))
-        return cell_dtn(iv, lams, rel_tol, samples)
-
-    monkeypatch.setattr(spectral, "cell_dtn", recording)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     find_eigenvalues(make_dirichlet(1), FREE, (-math.inf, math.inf), SolveOptions(max_eigs=300))
+    calls = [(samples, list(lams)) for _, lams, _, samples in calls]
     sizes = [len(lams) for _, lams in calls]
     assert sizes[0] == 4
     probes = calls[1:sizes.index(2)]
@@ -631,18 +614,11 @@ def test_evolve_matches_per_interval_loops():
 def test_count_is_batched(monkeypatch):
     # The periodic circle over (-0.5, 530): the count at every multisection
     # point of a round, over all brackets, is one call per interval.
-    calls = []
-    cell_dtn = spectral.cell_dtn
-
-    def counting(iv, lams, *args):
-        calls.append(len(lams))
-        return cell_dtn(iv, lams, *args)
-
-    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.5, 530.0))
     assert [e.multiplicity for e in spectrum.eigs] == [1] + [2] * 32
     assert len(calls) <= 40
-    assert max(calls) >= 64
+    assert max(len(lams) for _, lams, *_ in calls) >= 64
 
 
 def test_refinement_solves_fewer_than_twice_per_factorisation(monkeypatch):
@@ -810,14 +786,7 @@ def test_newton_refines_in_few_probes(monkeypatch, U, domain, window, levels):
     # these windows in at most 5 lockstep probes, where the Illinois secant
     # took 11 (periodic), 8 (Dirichlet) and 6 (x**2 / 2).  In the last, a
     # step from an end whose value is not certified took 7
-    calls = []
-    mu = spectral._mu
-
-    def counting(*args):
-        calls.append(len(args[1]))
-        return mu(*args)
-
-    monkeypatch.setattr(spectral, "_mu", counting)
+    calls = count_calls(monkeypatch, spectral, "_mu")
     assert len(find_eigenvalues(U, domain, window).eigs) == levels
     assert len(calls) <= 5
 
@@ -874,17 +843,10 @@ def test_dirichlet_unit_interval_on_any_grid():
 def test_empty_window_counts_only_its_ends(monkeypatch):
     # x^2/2 under Dirichlet on [0, 2 pi] has no level in (-0.6, 0.4); the
     # launch switch of the old basis put a spurious sigma_min minimum there
-    calls = []
-    cell_dtn = spectral.cell_dtn
-
-    def counting(iv, lams, *args):
-        calls.append(list(lams))
-        return cell_dtn(iv, lams, *args)
-
-    monkeypatch.setattr(spectral, "cell_dtn", counting)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
     dom = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
     assert find_eigenvalues(make_dirichlet(1), dom, (-0.6, 0.4)).eigs == ()
-    assert calls == [[-0.6, 0.4]]
+    assert [list(lams) for _, lams, *_ in calls] == [[-0.6, 0.4]]
 
 
 def test_deprecated_options_warn_once_each():
@@ -998,3 +960,161 @@ def test_levels_do_not_depend_on_the_search_samples(n, variable, seed, reach, wh
     assert [e.xs.shape for e in got] == [e.xs.shape for e in want]
     lams, ref = np.array([e.lam for e in got]), np.array([e.lam for e in want])
     assert np.all(np.abs(lams - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+# Tight brackets: several levels that no other level comes near skip isolation.
+
+def test_levels_2e_7_apart_come_back_as_two():
+    # Dirichlet on [0, pi] and [0, pi (1 + 1e-7)]: each pair k**2 / 2,
+    # k**2 / (2 (1 + 1e-7)**2) lies in one tight bracket, where Newton's
+    # method finds both roots, 2e-7 apart
+    s = 1.0 + 1e-7
+    dom = QuantumDomain([Interval(0.0, math.pi), Interval(0.0, math.pi * s)])
+    spectrum = find_eigenvalues(make_dirichlet(2), dom, (0.1, 20.0))
+    k = np.repeat(np.arange(1, 7), 2)
+    want = k * k / 2.0 / np.tile([s * s, 1.0], 6)
+    assert [e.multiplicity for e in spectrum.eigs] == [1] * 12
+    assert np.all(np.abs(spectrum.lams - want) <= 1e-11 * want)
+
+
+def test_three_equal_dirichlet_links():
+    dom = QuantumDomain([Interval(0.0, math.pi)] * 3)
+    spectrum = find_eigenvalues(make_dirichlet(3), dom, (0.1, 20.0))
+    assert [e.multiplicity for e in spectrum.eigs] == [3] * 6
+    assert spectrum.lams == pytest.approx(np.arange(1, 7) ** 2 / 2.0, rel=1e-11)
+
+
+def test_degenerate_levels_cost_no_rounds_of_their_own(monkeypatch):
+    # Work guard: the periodic circle on (-0.2, 4.8) holds the pairs at 1/2,
+    # 2 and 9/2.  Isolating each pair to 1e-7 relative took 14 counts; with
+    # tight brackets 5 suffice: the ends and four rounds
+    calls = count_calls(monkeypatch, spectral._Glued, "count")
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.2, 4.8))
+    assert [e.multiplicity for e in spectrum.eigs] == [1, 2, 2, 2]
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("U, dom, window", [
+    (make_quasiperiodic(0.0), FREE, (-0.2, 4.8)),
+    (make_dirichlet(3), QuantumDomain([Interval(0.0, math.pi)] * 3), (0.1, 20.0)),
+    (make_dirichlet(2), QuantumDomain([Interval(0.0, math.pi), Interval(0.0, math.pi * 1.01)]),
+     (0.1, 20.0))])
+def test_brackets_of_several_levels_are_tight(U, dom, window):
+    # every bracket of several levels is at most a quarter as wide as its
+    # distance to the other brackets and the window's ends
+    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, window[1])[0])
+    (n_lo, n_hi), _ = g.count(window)
+    brackets = spectral._isolate(g, [window[0]], [window[1]], [n_lo], [n_hi], [n_hi])
+    assert sum(nb - na for _, _, na, nb, _ in brackets) == n_hi - n_lo
+    edges = [window[0]] + [x for a, b, *_ in brackets for x in (a, b)] + [window[1]]
+    for i, (a, b, na, nb, _) in enumerate(brackets):
+        if nb - na > 1:
+            assert b - a <= 0.25 * min(a - edges[2 * i], edges[2 * i + 3] - b)
+
+
+# The eigenfunctions are read from the search's own vectors.
+
+def _phased(f):
+    """f times the phase that makes its first sample within 1e-6 of its
+    largest modulus real positive."""
+    mag = np.abs(f).ravel()
+    peak = f.ravel()[np.argmax(mag >= (1.0 - 1e-6) * mag.max())]
+    return f * abs(peak) / peak
+
+
+def test_the_phase_rule_ignores_ties():
+    # sin(x) on [0, 2 pi] peaks at pi / 2 and 3 pi / 2, both samples of the
+    # grid, and ties there in modulus: the first is positive
+    e = find_eigenvalues(make_dirichlet(1), FREE, (0.4, 0.6)).eigs[0]
+    assert e.lam == pytest.approx(0.5, rel=1e-12)
+    assert e.samples[0, 0, 64] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-10)
+    # a plane wave has one modulus everywhere: its first sample is real positive
+    for e in find_eigenvalues(make_quasiperiodic(1.1), FREE, (-0.1, 12.0)).eigs:
+        first = e.samples[0, 0, 0]
+        assert first.real > 0.0 and abs(first.imag) <= 1e-12
+        assert abs(first) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-10)
+
+
+@pytest.mark.parametrize("U, dom, window", [
+    (make_quasiperiodic(0.0), FREE, (-0.2, 4.8)),
+    (make_dirichlet(3), QuantumDomain([Interval(0.0, math.pi)] * 3), (0.1, 5.0)),
+    (random_unitary(4, np.random.default_rng(2)),
+     QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3)]), (-math.inf, 30.0))])
+def test_members_are_normalised_as_one_at_a_time(monkeypatch, U, dom, window):
+    # the members of every level, orthonormalised in lockstep over the
+    # levels, equal those of Gram-Schmidt run one member at a time on the
+    # grid samples (multiplicities 2, 3 and complex levels)
+    raw = []
+    on_grid = spectral._on_grid
+
+    def recording(*args):
+        raw.append(on_grid(*args))
+        return raw[-1]
+
+    monkeypatch.setattr(spectral, "_on_grid", recording)
+    eigs = find_eigenvalues(U, dom, window).eigs
+    assert len(raw) == 1 and len(raw[0]) == sum(e.multiplicity for e in eigs)
+    rows = iter(raw[0])
+    for e in eigs:
+        w, members = spectral._quad_weights(dom, e.xs), []
+        for _ in range(e.multiplicity):
+            f = next(rows)
+            for h in members:
+                f = f - spectral._inner(w, h, f) * h
+            members.append(_phased(f / math.sqrt(spectral._inner(w, f, f).real)))
+        assert np.max(np.abs(e.samples - np.array(members))) <= 1e-12
+
+
+def test_dirichlet_eigenfunctions_prolonged_from_17_samples(monkeypatch):
+    # the search on [0, 2 pi] up to 4.8 runs on 17 samples; the grid's 257
+    # points come from the grid cells' interior rows
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
+    eigs = find_eigenvalues(make_dirichlet(1), FREE, (0.01, 4.8)).eigs
+    assert calls[0][3] == 17
+    assert len(eigs) == 6
+    for k, e in enumerate(eigs, start=1):
+        assert e.xs.shape == (1, 257)
+        want = _phased(np.sin(0.5 * k * e.xs) / math.sqrt(math.pi))
+        sign = want[0, 1] / (math.sin(0.5 * k * e.xs[0, 1]) / math.sqrt(math.pi))
+        dpsi = sign * 0.5 * k / math.sqrt(math.pi) * np.array([-1.0, math.cos(k * math.pi)])
+        assert np.max(np.abs(e.samples[0] - want)) <= 1e-10
+        assert np.max(np.abs(e.dpsi[0] - dpsi)) <= 1e-10
+
+
+@pytest.mark.parametrize("U, dom, window", [
+    (make_dirichlet(1), QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")]),
+     (0.0, 12.0)),
+    (random_unitary(4, np.random.default_rng(7)), QuantumDomain([Interval(0.0, 1.0),
+                                                                  Interval(0.0, 1.3)]),
+     (-math.inf, 40.0))])
+def test_prolonged_samples_equal_a_read_on_the_grid(U, dom, window):
+    # the search's samples prolonged to the grid equal the samples of a
+    # search forced onto the grid's 257
+    assert spectral._samples(dom, window[1])[0] < 257
+    got = find_eigenvalues(U, dom, window).eigs
+    want = spectral._levels(spectral._Glued(U, dom, SolveOptions(), 257), *window)[0]
+    assert [e.multiplicity for e in got] == [e.multiplicity for e in want] == [1] * len(got)
+    for e, ref in zip(got, want):
+        assert e.xs.shape == ref.xs.shape == (dom.n, 257)
+        assert np.max(np.abs(e.samples - ref.samples)) <= 1e-10
+        assert np.max(np.abs(e.dpsi - ref.dpsi)) <= 1e-10 * np.max(np.abs(ref.dpsi))
+
+
+def test_a_ceiling_past_the_grid_is_subsampled(monkeypatch):
+    # The 231 lowest Dirichlet levels of [0, 1]: the ceiling's last probe,
+    # 2**19 - 2, needs 513 samples, while the top level (231 pi)**2 / 2 is
+    # read on 257 points, every other sample of the search
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
+    dom = QuantumDomain([Interval(0.0, 1.0)])
+    eigs = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, math.inf),
+                            SolveOptions(max_eigs=231)).eigs
+    assert max(samples for *_, samples in calls) == 513
+    k = np.arange(1, 232)
+    assert np.array([e.lam for e in eigs]) == pytest.approx((k * math.pi) ** 2 / 2.0, rel=1e-10)
+    w = spectral._quad_weights(dom, eigs[0].xs)
+    for k, e in zip(k, eigs):
+        assert e.xs.shape == (1, 257)
+        # normalised by the grid's Simpson rule, which k = 128 aliases
+        want = np.sin(k * math.pi * e.xs)
+        want = _phased(want / math.sqrt(np.sum(w * want * want)))
+        assert np.max(np.abs(e.samples[0] - want)) <= 1e-9
