@@ -914,9 +914,10 @@ def _eigenpairs(g: _Glued, lams, mults, start, u, grids) -> list[Eigenpair]:
     us = np.asarray(u)[lev]
     ends = (_pick(g.bc.Q, us) @ x[:, :m, np.newaxis])[..., 0]                    # (R, 2n)
     f = np.concatenate([ends[:, :n, np.newaxis], x[:, g.pos], ends[:, n:, np.newaxis]], axis=2)
-    alpha, beta, gamma = (c[lev] for c in cells)
-    dpsi = np.concatenate([alpha[..., 0] * f[..., 0] + beta[..., 0] * f[..., 1],
-                           beta[..., -1] * f[..., -2] + gamma[..., -1] * f[..., -1]], axis=1)
+    alpha, beta, gamma = cells
+    dpsi = np.concatenate([alpha[lev, :, 0] * f[..., 0] + beta[lev, :, 0] * f[..., 1],
+                           beta[lev, :, -1] * f[..., -2] + gamma[lev, :, -1] * f[..., -1]],
+                          axis=1)
     umat = np.array([U.matrix for U in g.bc.Us])
     pairs = [None] * len(mults)
     for S in np.unique(grids).tolist():
