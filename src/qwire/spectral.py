@@ -37,9 +37,10 @@ level needs them.  They are read from the search's own null vectors: a
 finer grid's other points follow from its cells by one tridiagonal solve
 per search cell, and a coarser grid takes every r-th search sample (see
 :func:`_on_grid`).  The multisection stops at a bracket of several levels
-once it is tight, a quarter as wide as its distance to any other level, and
-Newton's method finds each of its roots, so a level that symmetry makes
-degenerate costs no rounds of its own (see :func:`_isolate`).
+once it is tight, a quarter as wide as its distance to any other level,
+and below the max_eigs cutoff; Newton's method finds each of its roots,
+so a level that symmetry makes degenerate costs no rounds of its own (see
+:func:`_isolate`).
 
 The cells, the pivots of the interior nodes and each interval's DtN matrix
 Lambda(lam) do not depend on U; Q, A and c(U) are the boundary part (see
@@ -582,13 +583,13 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     and the eigenfunctions are read on 257, or more where the top needs them
     (see :func:`_samples`).  The count at the ends gives the levels;
     multisection on the count isolates them, one per bracket, several in a
-    bracket a quarter as wide as its distance to every other level, or to
-    1e-7 relative; level k is the root of mu_k, found by a safeguarded
-    Newton iteration whose slope mu_k' comes from the probe's own Ritz
-    vector, to 1e-12 relative.  The eigenfunctions are the search's null
-    vectors, moved to the grid (see :func:`_on_grid`).  A level's accuracy
-    is floored by rounding at about eps ||K|| / |mu_k'|, ~1e-11 relative on
-    multi-interval problems.  Roots that agree to 1e-9 relative form one
+    bracket below the ``max_eigs`` cutoff a quarter as wide as its distance
+    to every other level, or to 1e-7 relative; level k is the root of mu_k,
+    found by a safeguarded Newton iteration whose slope mu_k' comes from the
+    probe's own Ritz vector, to 1e-12 relative.  The eigenfunctions are the
+    search's null vectors, moved to the grid (see :func:`_on_grid`).  A
+    level's accuracy is floored by rounding at about eps ||K|| / |mu_k'|,
+    ~1e-11 relative on multi-interval problems.  Roots that agree to 1e-9 relative form one
     eigenvalue, and their number is its multiplicity.
     """
     return _spectra([U], domain, lambda_range, opts)[0]
@@ -688,15 +689,15 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
 def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
     """Brackets (a, b, N(a), N(b), u) of problem u with N(a) < top[u], from
     each problem's window (lo[u], hi[u]) and its counts.  Each holds one
-    level, or several in a bracket that is tight: at most a quarter as wide
+    level, or several in a bracket that is tight (at most a quarter as wide
     as its distance to the nearest other bracket of its problem that holds
-    a level, or to the window's end where there is none, or 1e-7 relative
-    wide.  In a tight bracket the m values mu_k of its levels are the
-    eigenvalues of K(lam) - A nearest 0, and :func:`_refine` finds each
-    root there, so a degenerate level costs no rounds of its own.  Each
-    round counts at the quarter points of every bracket of every problem in
-    one call.  A point whose count is not sure does not split, so every
-    bracket end but the window's has a sure count."""
+    a level, or to the window's end where there is none, and holding no
+    level past top[u]) or 1e-7 relative wide.  In a tight bracket the m
+    values mu_k of its levels are the eigenvalues of K(lam) - A nearest 0,
+    and :func:`_refine` finds each root there, so a degenerate level costs
+    no rounds of its own.  Each round counts at the quarter points of every
+    bracket of every problem in one call.  A point whose count is not sure
+    does not split, so every bracket end but the window's has a sure count."""
     todo, done, held = list(zip(lo, hi, n_lo, n_hi, range(len(lo)))), [], []
     while todo:
         # each bracket's nearest neighbours among all of its problem's
@@ -708,7 +709,10 @@ def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
         same = u[order[1:]] == u[order[:-1]]
         left[order[1:][same]], right[order[:-1][same]] = b[order[:-1][same]], a[order[1:][same]]
         tight = b - a <= 0.25 * np.minimum(a - left, right - b)
-        split = [t for t, close in zip(todo, tight) if t[3] - t[2] > 1 and not close
+        # a bracket past top splits as one that is not tight, so no more
+        # than top levels come back but degenerate ones
+        split = [t for t, close in zip(todo, tight) if t[3] - t[2] > 1
+                 and not (close and t[3] <= top[t[4]])
                  and t[1] - t[0] > _ISOLATE * max(1.0, abs(t[0]), abs(t[1]))]
         done += [t for t in todo if t not in split]
         if not split:

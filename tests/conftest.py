@@ -30,13 +30,29 @@ def random_hermitian(m: int, rng: np.random.Generator, scale: float = 1.0) -> np
     return scale * 0.5 * (Z + Z.conj().T)
 
 
+class Call(tuple):
+    """One call's positional arguments, with its keyword arguments as
+    ``kwargs``; array arguments are copies taken at the call."""
+
+    def __new__(cls, args, kwargs):
+        call = super().__new__(cls, (_snapshot(a) for a in args))
+        call.kwargs = {k: _snapshot(v) for k, v in kwargs.items()}
+        return call
+
+
+def _snapshot(value):
+    return np.array(value) if isinstance(value, np.ndarray) else value
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Wrap ``owner.name`` (a module function or a method) for the test and
-    return the list that each call appends its positional arguments to."""
+    return the list that each call appends its :class:`Call` to, made before
+    the call runs, so a caller that later changes an array in place does
+    not change what was recorded."""
     calls, f = [], getattr(owner, name)
 
     def recording(*args, **kwargs):
-        calls.append(args)
+        calls.append(Call(args, kwargs))
         return f(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recording)

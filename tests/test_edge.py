@@ -42,6 +42,15 @@ def test_edge_scan_matches_robin_oracle():
     assert scan.collar_mass[1] > scan.collar_mass[0] > 0.5
 
 
+def test_edge_scan_meets_the_closed_form_to_rounding():
+    # the edge level of the Robin interval solves c tanh(c pi/2) = cot(t/2),
+    # lam = -c^2/2; references solved to 40 digits with mpmath.findroot
+    ref = [-1.696043027188712712109324, -7.668909976991891755750697,
+           -49.66700052984724345193362, -199.6667500330803609018363]
+    scan = edge_scan(make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1])
+    assert scan.lam_min == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
 def test_collar_fraction_of_interior_mode():
     # the Dirichlet ground state sin(x) on [0, pi] carries little mass in
     # the outer 10% collars: 2 * int_0^{pi/10} sin^2 / (pi/2) ~ 2.6%

@@ -263,6 +263,19 @@ def test_max_eigs_truncates(free_2pi):
     assert sum(e.multiplicity for e in spectrum.eigs) == 3
 
 
+@pytest.mark.parametrize("window", [(0.1, 20.0), (0.1, math.inf), (-math.inf, math.inf)])
+def test_max_eigs_cuts_between_close_levels(window):
+    # Dirichlet on [0, pi] and [0, 1.01 pi]: 1/(2 * 1.01^2) and 1/2 are 2%
+    # apart, so a bracket holding both is tight long before it holds one;
+    # it must still split, or both come back where one was asked for
+    dom = QuantumDomain([Interval(0.0, math.pi), Interval(0.0, 1.01 * math.pi)])
+    for n in (1, 2, 3):
+        spectrum = find_eigenvalues(make_dirichlet(2), dom, window, SolveOptions(max_eigs=n))
+        want = sorted(k * k / d for k in (1, 2) for d in (2.0, 2.0 * 1.01 ** 2))[:n]
+        assert [e.multiplicity for e in spectrum.eigs] == [1] * n
+        assert spectrum.lams == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_open_lower_end_is_the_bottom_of_the_spectrum():
     # Robin A = 3 I on [0, pi]: two edge levels near -4.5 lie far below -1
     dom = QuantumDomain([Interval(0.0, math.pi, "1", "0")])
