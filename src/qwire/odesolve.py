@@ -44,9 +44,13 @@ formed in one pass) to a per-cell tolerance relative to its own largest
 entry, a test that a single cell passes near eigenvalues too.  A tolerance
 below the rounding floor of that comparison raises :class:`OdeError` at the
 first halving that does not lower the difference.  The next call with the
-same tolerance on the same interval starts at the level last accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
-lam, into Dirichlet-to-Neumann matrices; the count, the roots and the
-spectral determinant of :mod:`qwire.spectral` are built on those.
+same tolerance on the same interval starts at the level last accepted.
+:func:`cell_dtn` turns the finer sample cells, for an array of lam, into
+Dirichlet-to-Neumann matrices; the count, the roots and the spectral
+determinant of :mod:`qwire.spectral` are built on those.  A sample cell
+that holds a Dirichlet level of its own has no such matrix, and
+:func:`cell_dtn` raises :class:`OdeError` there; a solve of
+:mod:`qwire.spectral` picks its samples so that no cell it reaches does.
 :func:`fundamental_solutions` gives the canonical pair's endpoint data, an
 independent reference for them: it takes the per-cell tolerance rel_tol /
 (samples - 1) and multiplies the finer cells pairwise into the endpoint
@@ -88,10 +92,6 @@ _SERIES_TERMS = 12
 
 class OdeError(Exception):
     """Integration failure (non-positive metric, mesh that does not converge)."""
-
-
-class _TurnLimit(OdeError):
-    """A sample cell of :func:`cell_dtn` holds a Dirichlet level of its own."""
 
 
 @dataclass(frozen=True)
@@ -545,8 +545,9 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     costs 3 (samples - 1) CP cells.  A constant interval's one exact cell is
     broadcast to every sample cell.  A cell must hold no Dirichlet level of
     its own (t01 > 0, and the exact turns l sqrt(2 (lam - Vbar))+ of its
-    reference cells sum to less than pi), else :class:`OdeError`; the turns
-    grow with lam, so a ``samples`` that passes at lam passes below it.
+    reference cells sum to less than pi), else :class:`OdeError`, a guard
+    that the sample counts of :mod:`qwire.spectral` keep from firing; the
+    turns grow with lam, so a ``samples`` that passes at lam passes below it.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
     mesh = _mesh(interval, samples)
@@ -562,9 +563,9 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         t00, t01, _, t11 = fine
         ok = (t01 > 0.0) & (turn.reshape(len(block), mesh.cells0, -1).sum(axis=-1) < math.pi)
         if not ok.all():
-            raise _TurnLimit(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
-                             f"inside one of the {samples - 1} sample cells of "
-                             f"[{interval.a:g}, {interval.b:g}]")
+            raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
+                           f"inside one of the {samples - 1} sample cells of "
+                           f"[{interval.a:g}, {interval.b:g}]")
         parts.append(np.array([t00, -np.exp(-fine_logs), t11]) / t01)
     alpha, beta, gamma = np.broadcast_to(np.concatenate(parts, axis=1),
                                          (3, len(lams), samples - 1))

@@ -63,8 +63,7 @@ import scipy.linalg
 from . import expr
 from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _reference_cells, _TurnLimit,
-                       cell_dtn)
+from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, _reference_cells, cell_dtn
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -86,12 +85,19 @@ _LEAST, _SAMPLES, _MAX_SAMPLES = 17, 257, 4097
 # grid's samples: it keeps the cells' DtN entries off their pole at pi;
 # measured on free-spectra, pi / 2 was slower and pi no faster
 _MARGIN = 0.75 * math.pi
+# the largest turn at the top of a search on the grid's samples or more.
+# The turns of the reference cells locate a CP cell's own Dirichlet level
+# (t01 <= 0 in cell_dtn) only roughly: it lies up to 2e-9 (257 samples) and
+# 7e-12 (1025) relative below the lam where they reach pi for x^2/2 on
+# [0, 2 pi], and up to 5e-6 and 2e-8 for 50 sin 3x on [0, 10].  0.99 pi
+# leaves about 2% in lam.
+_HEADROOM = 0.99 * math.pi
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``rel_tol`` is the per-cell mesh-halving tolerance; the solver picks
-    the sample nodes per interval (see :func:`_solve`).  ``grid`` and
+    the sample nodes per interval (see :func:`_samples`).  ``grid`` and
     ``sigma_tol`` belonged to the sigma_min scan that exact counting
     replaced: a set value warns, once, and has no effect."""
 
@@ -168,11 +174,10 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
     The value carries the positive factor exp(-s), s = max(0, log|det M| -
     log 1e100), which caps its modulus at 1e100 however deep lam lies below
     the potential; its zeros are the eigenvalues of H_U.  The samples follow
-    lam (see :func:`_samples`); past the reach of 4097 samples it raises
+    lam (see :func:`_samples`); where 4097 samples turn by 0.99 pi it raises
     :class:`~qwire.odesolve.OdeError`.
     """
-    phase, log_mod = _solve(U, domain, opts, _samples(domain, lam)[0],
-                            lambda g: g.log_det(lam))
+    phase, log_mod = _Glued(U, domain, opts, _samples(domain, lam)[0]).log_det(lam)
     return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
@@ -504,16 +509,21 @@ class _Glued:
 
 def _samples(domain: QuantumDomain, lam: float) -> tuple[int, int]:
     """The samples per interval of a solve whose highest lam is ``lam``: the
-    search's, the fewest S = 2**j + 1 >= 17 at which every sample cell turns
-    by at most 3 pi / 4 there, and the eigenfunction grid's, the fewest
-    S >= 257 at which every one turns by less than pi.  The search takes
-    the grid's S where that is fewer: a search on twice the samples costs
-    more than one that probes next to a cell's pole.
+    search's and the eigenfunction grid's.  The grid takes the fewest
+    S >= 257 at which every sample cell turns by less than pi at lam.  The
+    search takes the fewest S = 2**j + 1 >= 17 at which every one turns by
+    at most 3 pi / 4 there, or, where that is more than the grid's, the
+    fewest S at least the grid's at which every one turns by less than
+    0.99 pi: a search on twice the samples costs more than one that probes
+    next to a cell's pole.  Every lam that the solve passes to
+    :func:`~qwire.odesolve.cell_dtn` lies at or below ``lam``, where the
+    turns are smaller, so no cell of the search holds a Dirichlet level of
+    its own.
 
     A sample cell's turn is the one that :func:`~qwire.odesolve.cell_dtn`
     checks, l sqrt(2 (lam - Vbar))+ summed over its reference cells, here
     the 4096 of equal width per interval.  A lam at which 4097 samples turn
-    by pi is beyond the cap, an :class:`~qwire.odesolve.OdeError`.
+    by 0.99 pi is beyond the cap, an :class:`~qwire.odesolve.OdeError`.
     """
     counts = 2 ** np.arange(4, 13) + 1                      # 17, 33, .., 4097
     turns = np.zeros(len(counts))
@@ -523,32 +533,14 @@ def _samples(domain: QuantumDomain, lam: float) -> tuple[int, int]:
         while t.size >= _LEAST - 1:                         # 4096 cells, then 2048, ..
             top.append(t.max())
             t = t[0::2] + t[1::2]
-        if top[0] >= math.pi:
-            raise OdeError(f"lam={lam:.6g} puts a Dirichlet level inside one of the "
-                           f"{_MAX_SAMPLES - 1} sample cells of [{iv.a:g}, {iv.b:g}], "
+        if top[0] >= _HEADROOM:
+            raise OdeError(f"lam={lam:.6g} turns a sample cell of [{iv.a:g}, {iv.b:g}] "
+                           f"by {top[0] / math.pi:.3g} pi, past {_HEADROOM / math.pi:g} pi "
                            f"at the cap of {_MAX_SAMPLES} samples")
         turns = np.maximum(turns, top[::-1])
     grid = max(int(counts[turns < math.pi][0]), _SAMPLES)
-    within = counts[(turns <= _MARGIN) & (counts < grid)]
-    return int(within[0]) if within.size else grid, grid
-
-
-def _solve(U, domain: QuantumDomain, opts: SolveOptions, samples: int, work):
-    """``work(g)`` on the :class:`_Glued` of ``samples`` per interval, as
-    :func:`_samples` chose them, for one U or a :class:`_Boundary` of
-    several.  This loop is the safety net behind that choice: where a
-    sample cell still holds a Dirichlet level of its own at a lam that
-    ``work`` reaches, ``work`` runs again on 2S - 1 samples, for every
-    problem of the batch, up to 4097.  At the cap the limit is an
-    :class:`~qwire.odesolve.OdeError` that names it; every other one
-    propagates unchanged."""
-    while True:
-        try:
-            return work(_Glued(U, domain, opts, samples))
-        except _TurnLimit as err:
-            if samples >= _MAX_SAMPLES:
-                raise OdeError(f"{err}, at the cap of {_MAX_SAMPLES} samples") from err
-            samples = 2 * samples - 1
+    search = counts[(turns <= _MARGIN) | ((counts >= grid) & (turns < _HEADROOM))]
+    return int(search[0]), grid
 
 
 def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
@@ -556,19 +548,18 @@ def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
     """N_U(lam), the number of eigenvalues below lam with multiplicity, for
     each lam: exact unless lam is within sqrt(eps) of a level.  The count
     takes the search's samples at the largest lam (see :func:`_samples`);
-    past the reach of 4097 samples it raises
+    where 4097 samples turn by 0.99 pi it raises
     :class:`~qwire.odesolve.OdeError`.  N_U(-inf) is 0; lam = +inf or nan is
     a ``ValueError``."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(lams < math.inf):
         raise ValueError("count_eigenvalues needs lam below +inf and not nan")
 
-    def count(g):
-        counts, finite = np.zeros(lams.shape, dtype=int), lams > -math.inf
-        if finite.any():
-            counts[finite] = g.count(lams[finite])[0]
-        return counts
-    return _solve(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf))[0], count)
+    g = _Glued(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf))[0])
+    counts, finite = np.zeros(lams.shape, dtype=int), lams > -math.inf
+    if finite.any():
+        counts[finite] = g.count(lams[finite])[0]
+    return counts
 
 
 def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
@@ -612,7 +603,7 @@ def _spectra(Us, domain: QuantumDomain, lambda_range: tuple[float, float],
     top = hi if hi < math.inf else max(lo, -1.0)
     eigs = [None] * len(Us)
     for idx, bc in _batches(Us):
-        levels = _solve(bc, domain, opts, _samples(domain, top)[0], lambda g: _levels(g, lo, hi))
+        levels = _levels(_Glued(bc, domain, opts, _samples(domain, top)[0]), lo, hi)
         for i, e in zip(idx, levels):
             eigs[i] = e
     return [Spectrum(eigs=tuple(e), lambda_range=tuple(lambda_range), options=opts)
@@ -628,7 +619,9 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     for every problem that has none yet, and each takes its first with no
     level below it.  A ceiling probe for hi = inf past the reach of ``g``
     moves the search of every problem to the samples it needs; the counts
-    already taken stay, since N_U does not depend on the samples.  The
+    already taken stay, since N_U does not depend on the samples.  An end
+    whose count is not sure moves out past the level there in steps of its
+    own, 1e-7 max(1, |end|), doubling: a far lo does not move hi.  The
     eigenpairs of all problems are read on ``g`` in one call, from the
     vectors of each level's last Newton probe, and each problem's are moved
     to the grid of :func:`_samples` at its highest level found, so the grid
@@ -660,7 +653,7 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
         his += step
     ends = np.stack([los, his], axis=1)
     counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
-    step = _ISOLATE * np.maximum(1.0, np.max(np.abs(ends), axis=1))[:, np.newaxis]
+    step = _ISOLATE * np.maximum(1.0, np.abs(ends))
     while not sure.all():              # an end on a level moves out past it
         ends += np.where(sure, 0.0, step * [-1.0, 1.0])
         counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
@@ -770,9 +763,9 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     The slope is x^H K'(lam) x for the Ritz vector x of mu_k (Hellmann-
     Feynman), with K' differenced backward over delta = sqrt(eps) max(1,
     |lam|) in the same cells call: the turns grow with lam, so lam - delta
-    passes the turn limit wherever lam does.  From a converged Ritz vector
-    it is good to about sqrt(eps) relative; it only chooses the next probe
-    of :func:`_refine`.
+    passes the turn check of :func:`~qwire.odesolve.cell_dtn` wherever lam
+    does.  From a converged Ritz vector it is good to about sqrt(eps)
+    relative; it only chooses the next probe of :func:`_refine`.
     """
     lams, at, pu = np.asarray(lams, dtype=float), None, None
     if g.P == 1:                     # as in _Glued.count: no (lam, problem) keys

@@ -51,6 +51,23 @@ def test_edge_scan_meets_the_closed_form_to_rounding():
     assert scan.lam_min == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
+def test_edge_scan_at_tiny_t(monkeypatch):
+    # Near the Cayley surface the edge level runs to -inf as -2 / t^2.  It
+    # still solves c tanh(c pi/2) = cot(t/2), lam = -c^2/2, with the
+    # references solved to 50 digits with mpmath.findroot.  The window's
+    # top stays at 0.5 however deep the floor, so the search keeps few
+    # samples and the grid 257 points.  The rounding floor eps ||K|| /
+    # |mu_k'| grows as sqrt(|lam|) relative: ~1e-12 at t = 1e-7
+    calls = count_calls(monkeypatch, spectral._Glued, "count")
+    for t, ref, rel in ((1e-6, -1999999999999.666666666667, 2e-13),
+                        (1e-7, -199999999999999.6666666667, 2e-12)):
+        calls.clear()
+        scan = edge_scan(make_dirichlet(1), DOM, [t])
+        assert scan.lam_min[0] == pytest.approx(ref, rel=rel, abs=0.0)
+        assert scan.ground_states[0].xs.shape == (1, 257)
+        assert len(calls) <= 20
+
+
 def test_collar_fraction_of_interior_mode():
     # the Dirichlet ground state sin(x) on [0, pi] carries little mass in
     # the outer 10% collars: 2 * int_0^{pi/10} sin^2 / (pi/2) ~ 2.6%

@@ -8,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+import scipy.optimize
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import count_calls
 from qwire import expr, spectral
@@ -26,7 +27,9 @@ from qwire.bc import (
     random_unitary,
 )
 from qwire.domain import Interval, QuantumDomain, lagrange_form
-from qwire.odesolve import OdeError, free_exponential_basis, fundamental_solutions
+from qwire.edge import rotate_bc
+from qwire.odesolve import (OdeError, _reference_cells, free_exponential_basis,
+                            fundamental_solutions)
 from qwire.oracle import fd_spectrum
 from qwire.spectral import (
     SolveOptions,
@@ -326,8 +329,109 @@ def test_samples_follow_the_window():
         count_eigenvalues(make_dirichlet(1), QuantumDomain([Interval(0.0, 1.0, "1", "0")]), 1e10)
 
 
-def test_only_the_turn_limit_adds_samples(monkeypatch):
-    # any other OdeError of a cell propagates as it is, from the search's 17
+def test_a_top_just_below_the_reach_of_257_samples_builds_one_glued_matrix(monkeypatch):
+    # 257 samples of x^2/2 on [0, 2 pi] turn by pi at 8192.0001, and a CP
+    # cell holds a Dirichlet level of its own up to ~2e-9 relative below
+    # that.  A top 1e-12 to 1e-3 below it is searched on 513 samples from
+    # the start: one glued matrix per solve, for the window and the count
+    dom = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
+    built = count_calls(monkeypatch, spectral, "_Glued")
+    for top in 8192.0001 * (1.0 - 10.0 ** -np.arange(3.0, 12.5, 0.5)):
+        built.clear()
+        find_eigenvalues(make_dirichlet(1), dom, (top - 1.0, top))
+        count_eigenvalues(make_dirichlet(1), dom, top)
+        assert [call[3] for call in built] == [513, 513], top
+
+
+INTERVALS = (Interval(0.0, 2.0 * math.pi), Interval(0.0, 1.3),
+             Interval(0.0, 2.0 * math.pi, "1", "x^2/2"),
+             Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2"),
+             Interval(0.0, 10.0, "1", "50*sin(3*x)"))
+
+
+def _turn_reach(iv, samples):
+    """The lam at which a sample cell of ``samples`` per interval turns by pi,
+    its turn summed over the 4096 reference cells."""
+    ell, vbar = _reference_cells(iv, 4096)
+
+    def turn(lam):
+        t = ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0))
+        return t.reshape(samples - 1, -1).sum(axis=1).max() - math.pi
+
+    lo, hi = float(vbar.min()), abs(float(vbar.min())) + 1.0
+    while turn(hi) < 0.0:
+        hi *= 2.0
+    return scipy.optimize.brentq(turn, lo, hi, xtol=1e-14, rtol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(iv=st.sampled_from(INTERVALS), samples=st.sampled_from([17, 33, 65, 129, 257, 513,
+                                                               1025, 2049]),
+       below=st.floats(-12.0, -3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_tops_just_below_each_counts_reach_raise_nothing(iv, samples, below, seed):
+    # No cell that a solve reaches holds a Dirichlet level of its own, so a
+    # top 1e-12 to 1e-3 relative below the lam where a count's cells turn by
+    # pi raises nothing, whichever count the search takes there
+    dom = QuantumDomain([iv])
+    reach = _turn_reach(iv, samples)
+    top = reach - 10.0 ** below * abs(reach)
+    U = random_unitary(2, np.random.default_rng(seed))
+    count_eigenvalues(U, dom, top)
+    find_eigenvalues(U, dom, (top - 2e-3 * abs(top), top))
+
+
+@settings(max_examples=16, deadline=None)
+@example(L=math.pi, k=1, variable=False, far=9.0, edge=False, seed=0)
+@given(L=st.floats(0.5, 3.0), k=st.integers(1, 6), variable=st.booleans(),
+       far=st.floats(3.0, 12.0), edge=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
+    # hi on the Dirichlet level k^2 pi^2 / (2 L^2) of a free interval, where
+    # the count is not sure and the end moves out by 1e-7 max(1, |hi|); lo
+    # far below: -10^far, or -inf above an edge state near -2 / t^2 of the
+    # rotated Dirichlet condition e^{it}, t = 10^(-far / 2).  A level comes
+    # back only inside [lo, hi], up to each end's own nudge of two moves,
+    # 1 + 2 steps.  A far lo once moved hi too: (-1e9, 0.5) on [0, pi]
+    # returned 0.5 and the 13 above it.  A variable interval goes to 1e9
+    # only: near -1e11 its cells' mesh halving meets its rounding floor
+    # (OdeError), whatever the window
+    assume(not variable or far <= 9.0)
+    ivs = [Interval(0.0, L)] + ([Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")] if variable else [])
+    dom, n = QuantumDomain(ivs), len(ivs)
+    hi = (k * math.pi / L) ** 2 / 2.0
+    if edge:
+        lo, U = -math.inf, rotate_bc(make_dirichlet(n), 10.0 ** (-far / 2.0))
+    else:
+        lo = -10.0 ** far
+        U = random_unitary(2 * n, np.random.default_rng(seed)) if seed % 2 else make_dirichlet(n)
+    lams = find_eigenvalues(U, dom, (lo, hi)).lams
+    nudge = 3.0 * spectral._ISOLATE * np.maximum(1.0, np.abs([lo, hi]))
+    assert np.all(lams <= hi + nudge[1])
+    if lo > -math.inf:
+        assert np.all(lams >= lo - nudge[0])
+
+
+def test_counts_interlace_with_the_dirichlet_counts():
+    # The form domain of H_U holds H^1_0 with codimension rank Q, and the
+    # forms agree on it, so min-max gives N_D <= N_U <= N_D + rank Q at every
+    # lam.  Haar U(6) on three free intervals, lam up to 2e6, kept 1e-6
+    # relative away from the Dirichlet levels k^2 pi^2 / (2 L^2), where the
+    # count is good to sqrt(eps) only
+    lengths = np.array([1.0, 1.3, 0.7])
+    dom = QuantumDomain([Interval(0.0, L) for L in lengths])
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        U = random_unitary(6, rng)
+        lams = 10.0 ** rng.uniform(0.0, math.log10(2e6), 8)
+        k = lengths * np.sqrt(2.0 * lams[:, np.newaxis]) / math.pi
+        keep = ~np.any(np.abs(k - np.round(k)) <= 1e-6 * k, axis=1)
+        n_d = np.sum(np.floor(k[keep]), axis=1).astype(int)
+        n_u = count_eigenvalues(U, dom, lams[keep])
+        assert np.all(n_d <= n_u) and np.all(n_u <= n_d + 6), (n_d, n_u)
+
+
+def test_a_cell_ode_error_propagates_from_the_search_samples(monkeypatch):
+    # an OdeError of a cell propagates as it is, from the search's 17
+    # samples: no solve runs again on more
     seen = []
 
     def failing(iv, lams, rel_tol, samples):
@@ -355,16 +459,20 @@ def test_the_search_takes_the_fewest_samples_its_top_needs(monkeypatch):
     # at 4.8 that is 1.22 for S = 17, at 20 it is 2.48 for 17 (below pi, past
     # the margin 3 pi / 4) and 1.24 for 33, at 530 it is 3.20 for 65 and 1.60
     # for 129.  At 8000 the margin would take 513, more than the grid's 257,
-    # so the search takes 257.  The eigenfunctions keep 257 points.
+    # and 257 turn by 0.988 pi, below the headroom of 0.99 pi, so the search
+    # takes 257.  At 8100 they turn by 0.994 pi, so it takes 513.  The
+    # eigenfunctions keep 257 points, read from the search's cells where it
+    # ran on fewer.
     calls = count_calls(monkeypatch, spectral, "cell_dtn")
     for U, window, search in ((make_dirichlet(1), (0.01, 4.8), 17),
                               (make_dirichlet(1), (0.01, 20.0), 33),
                               (make_quasiperiodic(0.0), (-0.5, 530.0), 129),
-                              (make_dirichlet(1), (0.01, 8000.0), 257)):
+                              (make_dirichlet(1), (0.01, 8000.0), 257),
+                              (make_dirichlet(1), (8050.0, 8100.0), 513)):
         calls.clear()
         spectrum = find_eigenvalues(U, FREE, window)
         seen = [samples for *_, samples in calls]
-        assert seen[0] == search and set(seen) == {search, 257}
+        assert seen[0] == search and set(seen) == {search, max(search, 257)}
         assert spectrum.eigs[0].xs.shape == (1, 257)
 
 
