@@ -43,14 +43,11 @@ every sample cell's transfer matrix agrees between levels j and j + 1 (both
 formed in one pass) to a per-cell tolerance relative to its own largest
 entry, a test that a single cell passes near eigenvalues too.  A tolerance
 below the rounding floor of that comparison raises :class:`OdeError` at the
-first halving that does not lower the difference.  The next call with the
-same tolerance on the same interval starts at the level last accepted.
-:func:`cell_dtn` turns the finer sample cells, for an array of lam, into
-Dirichlet-to-Neumann matrices; the count, the roots and the spectral
-determinant of :mod:`qwire.spectral` are built on those.  A sample cell
-that holds a Dirichlet level of its own has no such matrix, and
-:func:`cell_dtn` raises :class:`OdeError` there; a solve of
-:mod:`qwire.spectral` picks its samples so that no cell it reaches does.
+first halving that does not lower a difference below sqrt(eps).  The next
+call with the same tolerance on the same interval starts at the level last
+accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
+lam, into Dirichlet-to-Neumann matrices; the count, the roots and the
+spectral determinant of :mod:`qwire.spectral` are built on those.
 :func:`fundamental_solutions` gives the canonical pair's endpoint data, an
 independent reference for them: it takes the per-cell tolerance rel_tol /
 (samples - 1) and multiplies the finer cells pairwise into the endpoint
@@ -436,9 +433,10 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
     """Sample cells of levels j - 1 and j, halving the mesh from the level last
     accepted at ``cell_tol`` until every cell agrees between the two levels to
     ``cell_tol`` of its own largest entry.  A constant mesh's one cell is
-    exact and serves as both levels.  Once a halving no longer lowers the
-    difference, it has reached its rounding floor and :class:`OdeError` is
-    raised, as it is at ``_MAX_LEVEL``.
+    exact and serves as both levels.  Once a halving no longer lowers a
+    difference below sqrt(eps) (above it, truncation on cells too coarse for
+    V), it has reached its rounding floor and :class:`OdeError` is raised,
+    as it is at ``_MAX_LEVEL``.
 
     Returns (j, coarse, coarse logs, fine, fine logs).
     """
@@ -457,7 +455,7 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
             mesh.cell_start[cell_tol] = level
             return level + 1, coarse, coarse_logs, fine, fine_logs
         level += 1
-        if level >= _MAX_LEVEL or error >= previous:
+        if level >= _MAX_LEVEL or 1.5e-8 > error >= previous:
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
         previous = error
@@ -529,6 +527,16 @@ def fundamental_solutions(
 _BATCH_CELLS = 1 << 14
 
 
+def _cells_free(mesh: _Mesh, lams: np.ndarray, rel_tol: float):
+    """The converged sample cells at each of the (G, 1) ``lams``, their log
+    factors, and whether each holds no Dirichlet level of its own, (G, cells)."""
+    level, _, _, fine, fine_logs = _converged_cells(mesh, lams, rel_tol)
+    two_l2, vbar = mesh.cells(level)[:2]
+    turn = np.sqrt(np.maximum(two_l2 * (lams - vbar), 0.0))
+    ok = (fine[1] > 0.0) & (turn.reshape(len(lams), mesh.cells0, -1).sum(axis=-1) < math.pi)
+    return fine, fine_logs, ok
+
+
 def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257):
     """Dirichlet-to-Neumann matrices [[alpha, beta], [beta, gamma]] of the
     ``samples - 1`` sample cells, each of alpha, beta, gamma a read-only
@@ -545,9 +553,8 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     costs 3 (samples - 1) CP cells.  A constant interval's one exact cell is
     broadcast to every sample cell.  A cell must hold no Dirichlet level of
     its own (t01 > 0, and the exact turns l sqrt(2 (lam - Vbar))+ of its
-    reference cells sum to less than pi), else :class:`OdeError`, a guard
-    that the sample counts of :mod:`qwire.spectral` keep from firing; the
-    turns grow with lam, so a ``samples`` that passes at lam passes below it.
+    reference cells sum to less than pi), else :class:`OdeError`; the turns
+    grow with lam, so a ``samples`` that passes at lam passes below it.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
     mesh = _mesh(interval, samples)
@@ -557,11 +564,8 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         pair = 3 * (mesh.cells0 << mesh.cell_start.get(rel_tol, 0))
         block = lams[start:start + max(1, _BATCH_CELLS // pair)]
         start += len(block)
-        level, _, _, fine, fine_logs = _converged_cells(mesh, block, rel_tol)
-        two_l2, vbar = mesh.cells(level)[:2]
-        turn = np.sqrt(np.maximum(two_l2 * (block - vbar), 0.0))
+        fine, fine_logs, ok = _cells_free(mesh, block, rel_tol)
         t00, t01, _, t11 = fine
-        ok = (t01 > 0.0) & (turn.reshape(len(block), mesh.cells0, -1).sum(axis=-1) < math.pi)
         if not ok.all():
             raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
                            f"inside one of the {samples - 1} sample cells of "

@@ -63,7 +63,8 @@ import scipy.linalg
 from . import expr
 from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import _SCALE_LOG, FundamentalPair, OdeError, _reference_cells, cell_dtn
+from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _cells_free, _mesh,
+                       _reference_cells, cell_dtn)
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -85,13 +86,7 @@ _LEAST, _SAMPLES, _MAX_SAMPLES = 17, 257, 4097
 # grid's samples: it keeps the cells' DtN entries off their pole at pi;
 # measured on free-spectra, pi / 2 was slower and pi no faster
 _MARGIN = 0.75 * math.pi
-# the largest turn at the top of a search on the grid's samples or more.
-# The turns of the reference cells locate a CP cell's own Dirichlet level
-# (t01 <= 0 in cell_dtn) only roughly: it lies up to 2e-9 (257 samples) and
-# 7e-12 (1025) relative below the lam where they reach pi for x^2/2 on
-# [0, 2 pi], and up to 5e-6 and 2e-8 for 50 sin 3x on [0, 10].  0.99 pi
-# leaves about 2% in lam.
-_HEADROOM = 0.99 * math.pi
+_COUNTS = 2 ** np.arange(4, 13) + 1                         # 17, 33, .., 4097
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,10 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
     The value carries the positive factor exp(-s), s = max(0, log|det M| -
     log 1e100), which caps its modulus at 1e100 however deep lam lies below
     the potential; its zeros are the eigenvalues of H_U.  The samples follow
-    lam (see :func:`_samples`); where 4097 samples turn by 0.99 pi it raises
+    lam (see :func:`_samples`); past the cap of 4097 they raise
     :class:`~qwire.odesolve.OdeError`.
     """
-    phase, log_mod = _Glued(U, domain, opts, _samples(domain, lam)[0]).log_det(lam)
+    phase, log_mod = _Glued(U, domain, opts, _samples(domain, lam, opts.rel_tol)[0]).log_det(lam)
     return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
@@ -507,40 +502,48 @@ class _Glued:
         return np.concatenate(theta), np.concatenate(vecs), np.concatenate(resid)
 
 
-def _samples(domain: QuantumDomain, lam: float) -> tuple[int, int]:
-    """The samples per interval of a solve whose highest lam is ``lam``: the
-    search's and the eigenfunction grid's.  The grid takes the fewest
-    S >= 257 at which every sample cell turns by less than pi at lam.  The
-    search takes the fewest S = 2**j + 1 >= 17 at which every one turns by
-    at most 3 pi / 4 there, or, where that is more than the grid's, the
-    fewest S at least the grid's at which every one turns by less than
-    0.99 pi: a search on twice the samples costs more than one that probes
-    next to a cell's pole.  Every lam that the solve passes to
-    :func:`~qwire.odesolve.cell_dtn` lies at or below ``lam``, where the
-    turns are smaller, so no cell of the search holds a Dirichlet level of
-    its own.
-
-    A sample cell's turn is the one that :func:`~qwire.odesolve.cell_dtn`
-    checks, l sqrt(2 (lam - Vbar))+ summed over its reference cells, here
-    the 4096 of equal width per interval.  A lam at which 4097 samples turn
-    by 0.99 pi is beyond the cap, an :class:`~qwire.odesolve.OdeError`.
-    """
-    counts = 2 ** np.arange(4, 13) + 1                      # 17, 33, .., 4097
-    turns = np.zeros(len(counts))
+def _grid(domain: QuantumDomain, lam: float) -> tuple[int, np.ndarray]:
+    """The eigenfunction grid's samples per interval at ``lam``, the fewest
+    S >= 257 at which every sample cell turns by less than pi, and the
+    largest turn at each of ``_COUNTS``: l sqrt(2 (lam - Vbar))+ summed over
+    the cell's reference cells, of 4096 per interval.  Where 4097 samples
+    turn by pi, the cap's :class:`~qwire.odesolve.OdeError`."""
+    turns = np.zeros(len(_COUNTS))
     for iv in domain.intervals:
         ell, vbar = _reference_cells(iv, _MAX_SAMPLES - 1)
         t, top = ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0)), []
         while t.size >= _LEAST - 1:                         # 4096 cells, then 2048, ..
             top.append(t.max())
             t = t[0::2] + t[1::2]
-        if top[0] >= _HEADROOM:
+        if top[0] >= math.pi:
             raise OdeError(f"lam={lam:.6g} turns a sample cell of [{iv.a:g}, {iv.b:g}] "
-                           f"by {top[0] / math.pi:.3g} pi, past {_HEADROOM / math.pi:g} pi "
-                           f"at the cap of {_MAX_SAMPLES} samples")
+                           f"by pi at the cap of {_MAX_SAMPLES} samples")
         turns = np.maximum(turns, top[::-1])
-    grid = max(int(counts[turns < math.pi][0]), _SAMPLES)
-    search = counts[(turns <= _MARGIN) | ((counts >= grid) & (turns < _HEADROOM))]
-    return int(search[0]), grid
+    return max(int(_COUNTS[turns < math.pi][0]), _SAMPLES), turns
+
+
+def _samples(domain: QuantumDomain, lam: float,
+             rel_tol: float = SolveOptions.rel_tol) -> tuple[int, int]:
+    """The search's and the eigenfunction grid's samples per interval for a
+    solve whose highest lam is ``lam`` (see :func:`_grid`).  The search takes
+    the fewest S >= 17 at which every cell turns by at most 3 pi / 4, or
+    else S at least the grid's (a search on twice the samples costs more
+    than one that probes next to a cell's pole), whose cells hold no
+    Dirichlet level of their own an end nudge above lam, checked on the
+    cells: the turns place those levels only roughly.  Such a cell holds
+    none at a lower lam, nor does a part of it, so no lam of the solve meets
+    one; an end nudged further plans again.  Else the cap's OdeError.
+    """
+    if lam == -math.inf:
+        return _LEAST, _SAMPLES
+    grid, turns = _grid(domain, lam)
+    above = np.array([[lam + _ISOLATE * max(1.0, abs(lam))]])
+    for s, turn in zip(_COUNTS.tolist(), turns.tolist()):
+        if (turn <= _MARGIN or s >= grid) and all(
+                _cells_free(_mesh(iv, s), above, rel_tol)[2].all() for iv in domain.intervals):
+            return s, grid
+    raise OdeError(f"lam={lam:.6g} puts a Dirichlet level inside a sample cell "
+                   f"at the cap of {_MAX_SAMPLES} samples")
 
 
 def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
@@ -548,14 +551,13 @@ def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
     """N_U(lam), the number of eigenvalues below lam with multiplicity, for
     each lam: exact unless lam is within sqrt(eps) of a level.  The count
     takes the search's samples at the largest lam (see :func:`_samples`);
-    where 4097 samples turn by 0.99 pi it raises
-    :class:`~qwire.odesolve.OdeError`.  N_U(-inf) is 0; lam = +inf or nan is
-    a ``ValueError``."""
+    past the cap of 4097 they raise :class:`~qwire.odesolve.OdeError`.
+    N_U(-inf) is 0; lam = +inf or nan is a ``ValueError``."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(lams < math.inf):
         raise ValueError("count_eigenvalues needs lam below +inf and not nan")
 
-    g = _Glued(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf))[0])
+    g = _Glued(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf), opts.rel_tol)[0])
     counts, finite = np.zeros(lams.shape, dtype=int), lams > -math.inf
     if finite.any():
         counts[finite] = g.count(lams[finite])[0]
@@ -603,7 +605,7 @@ def _spectra(Us, domain: QuantumDomain, lambda_range: tuple[float, float],
     top = hi if hi < math.inf else max(lo, -1.0)
     eigs = [None] * len(Us)
     for idx, bc in _batches(Us):
-        levels = _levels(_Glued(bc, domain, opts, _samples(domain, top)[0]), lo, hi)
+        levels = _levels(_Glued(bc, domain, opts, _samples(domain, top, opts.rel_tol)[0]), lo, hi)
         for i, e in zip(idx, levels):
             eigs[i] = e
     return [Spectrum(eigs=tuple(e), lambda_range=tuple(lambda_range), options=opts)
@@ -621,7 +623,7 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     moves the search of every problem to the samples it needs; the counts
     already taken stay, since N_U does not depend on the samples.  An end
     whose count is not sure moves out past the level there in steps of its
-    own, 1e-7 max(1, |end|), doubling: a far lo does not move hi.  The
+    own, 1e-7 max(1, |end|), doubling, and plans again as a probe does.  The
     eigenpairs of all problems are read on ``g`` in one call, from the
     vectors of each level's last Newton probe, and each problem's are moved
     to the grid of :func:`_samples` at its highest level found, so the grid
@@ -644,9 +646,7 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
         his, step, todo = los.copy(), np.maximum(1.0, np.abs(los)), u
         while todo.size:
             probes = his[todo] + step[todo]
-            samples = _samples(g.domain, probes.max())[0]
-            if samples > g.samples:
-                g = _Glued(g.bc, g.domain, opts, samples)
+            g = _reaching(g, probes.max())
             todo = todo[g.count(probes, todo)[0] - n_lo[todo] < opts.max_eigs]
             his[todo] += step[todo]
             step[todo] *= 2.0
@@ -656,6 +656,7 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     step = _ISOLATE * np.maximum(1.0, np.abs(ends))
     while not sure.all():              # an end on a level moves out past it
         ends += np.where(sure, 0.0, step * [-1.0, 1.0])
+        g = _reaching(g, ends.max())
         counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
         step *= 2.0
     n_lo, n_hi = counts.T
@@ -672,11 +673,17 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     mults, lu = np.diff(np.append(first, len(roots))), ru[first]
     # each problem's grid, at its highest root: the last, as roots ascend
     highest = dict(zip(ru.tolist(), roots.tolist()))
-    grid = {v: _samples(g.domain, r)[1] for v, r in highest.items()}
+    grid = {v: _grid(g.domain, r)[0] for v, r in highest.items()}
     for v, e in zip(lu, _eigenpairs(g, lams, mults, vecs[first], lu,
                                      np.array([grid[v] for v in lu.tolist()]))):
         found[v].append(e)
     return found
+
+
+def _reaching(g: _Glued, lam: float) -> _Glued:
+    """``g``, or its problems on the samples that ``lam`` needs if more."""
+    samples = _samples(g.domain, lam, g.opts.rel_tol)[0]
+    return g if samples <= g.samples else _Glued(g.bc, g.domain, g.opts, samples)
 
 
 def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):
@@ -763,9 +770,9 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     The slope is x^H K'(lam) x for the Ritz vector x of mu_k (Hellmann-
     Feynman), with K' differenced backward over delta = sqrt(eps) max(1,
     |lam|) in the same cells call: the turns grow with lam, so lam - delta
-    passes the turn check of :func:`~qwire.odesolve.cell_dtn` wherever lam
-    does.  From a converged Ritz vector it is good to about sqrt(eps)
-    relative; it only chooses the next probe of :func:`_refine`.
+    passes the turn check wherever lam does.  From a converged Ritz vector
+    it is good to about sqrt(eps) relative; it only chooses the next probe
+    of :func:`_refine`.
     """
     lams, at, pu = np.asarray(lams, dtype=float), None, None
     if g.P == 1:                     # as in _Glued.count: no (lam, problem) keys

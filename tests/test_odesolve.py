@@ -351,6 +351,17 @@ def test_halving_stops_at_the_rounding_floor():
         assert max(odesolve._mesh(iv, samples).levels) <= finest
 
 
+def test_halving_goes_on_past_a_rising_truncation_error():
+    # 17 sample cells of 12800 sin 48x on [0, 10] span 4.8 periods each: the
+    # first halvings raise the level difference from ~2 to ~2e3 before it
+    # falls, which is truncation on cells too coarse for V, not rounding
+    odesolve._mesh.cache_clear()
+    iv = Interval(0.0, 10.0, "1", "12800*sin(48*x)")
+    alpha, beta, gamma = cell_dtn(iv, [-12000.0], rel_tol=1e-11, samples=17)
+    assert np.all(np.isfinite(alpha)) and np.all(beta < 0.0)
+    assert max(odesolve._mesh(iv, 17).levels) > 4
+
+
 def test_cp_cells_converge_against_airy():
     # With the second-order corrections a cell's error is third order in
     # l**2 (V - Vbar), about l**9 for V = x, so halving the mesh of 4 sample

@@ -324,29 +324,38 @@ def test_samples_follow_the_window():
     for hi, samples in ((8000.0, 257), (8300.0, 513)):
         spectrum = find_eigenvalues(make_dirichlet(1), FREE, (0.01, hi))
         assert spectrum.eigs[0].xs.shape == (1, samples)
-    # 4097 samples on [0, 1] reach about 8.3e7: the cap raises, naming it
-    with pytest.raises(OdeError, match="cap of 4097 samples"):
-        count_eigenvalues(make_dirichlet(1), QuantumDomain([Interval(0.0, 1.0, "1", "0")]), 1e10)
+    # 4097 samples on [0, 1] turn by pi at (4096 pi)**2 / 2 = 8.28e7: a
+    # count at 8.2e7 takes them, and past that the cap raises, naming it
+    unit = QuantumDomain([Interval(0.0, 1.0, "1", "0")])
+    want = math.floor(math.sqrt(2.0 * 8.2e7) / math.pi)
+    assert count_eigenvalues(make_dirichlet(1), unit, 8.2e7).tolist() == [want]
+    for lam in (8.3e7, 1e10):
+        with pytest.raises(OdeError, match="cap of 4097 samples"):
+            count_eigenvalues(make_dirichlet(1), unit, lam)
 
 
 def test_a_top_just_below_the_reach_of_257_samples_builds_one_glued_matrix(monkeypatch):
     # 257 samples of x^2/2 on [0, 2 pi] turn by pi at 8192.0001, and a CP
     # cell holds a Dirichlet level of its own up to ~2e-9 relative below
-    # that.  A top 1e-12 to 1e-3 below it is searched on 513 samples from
-    # the start: one glued matrix per solve, for the window and the count
+    # that.  A top 1e-12 to 1e-3 below it is searched on the samples its
+    # cells allow from the start, 513 where 257 hold a level a nudge above
+    # it: one glued matrix per solve, for the window and the count
     dom = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
     built = count_calls(monkeypatch, spectral, "_Glued")
     for top in 8192.0001 * (1.0 - 10.0 ** -np.arange(3.0, 12.5, 0.5)):
         built.clear()
         find_eigenvalues(make_dirichlet(1), dom, (top - 1.0, top))
         count_eigenvalues(make_dirichlet(1), dom, top)
-        assert [call[3] for call in built] == [513, 513], top
+        samples = [call[3] for call in built]
+        assert samples in ([257, 257], [513, 513]), top
+        assert samples == [513, 513] or top < 8192.0001 * (1.0 - 1e-8), top
 
 
 INTERVALS = (Interval(0.0, 2.0 * math.pi), Interval(0.0, 1.3),
              Interval(0.0, 2.0 * math.pi, "1", "x^2/2"),
              Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2"),
-             Interval(0.0, 10.0, "1", "50*sin(3*x)"))
+             Interval(0.0, 10.0, "1", "50*sin(3*x)"),
+             Interval(0.0, 10.0, "1", "12800*sin(48*x)"))
 
 
 def _turn_reach(iv, samples):
@@ -365,13 +374,19 @@ def _turn_reach(iv, samples):
 
 
 @settings(max_examples=30, deadline=None)
+@example(iv=INTERVALS[-1], samples=257, below=-1.0, seed=0)
+@example(iv=INTERVALS[-1], samples=17, below=-1.0, seed=0)
 @given(iv=st.sampled_from(INTERVALS), samples=st.sampled_from([17, 33, 65, 129, 257, 513,
                                                                1025, 2049]),
-       below=st.floats(-12.0, -3.0), seed=st.integers(0, 2 ** 32 - 1))
+       below=st.floats(-12.0, -0.7), seed=st.integers(0, 2 ** 32 - 1))
 def test_tops_just_below_each_counts_reach_raise_nothing(iv, samples, below, seed):
     # No cell that a solve reaches holds a Dirichlet level of its own, so a
-    # top 1e-12 to 1e-3 relative below the lam where a count's cells turn by
-    # pi raises nothing, whichever count the search takes there
+    # top 1e-12 to 0.2 relative below the lam where a count's cells turn by
+    # pi raises nothing, whichever count the search takes there.  The
+    # reference turns place a CP cell's own level only roughly: 12800
+    # sin 48x on [0, 10] is 50 sin 3x with lam scaled by 256, and its
+    # 257-sample cells, those of 50 sin 3x at 17, hold a level of their own
+    # up to 17% of |reach| below the reach, -7531
     dom = QuantumDomain([iv])
     reach = _turn_reach(iv, samples)
     top = reach - 10.0 ** below * abs(reach)
@@ -393,7 +408,7 @@ def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
     # 1 + 2 steps.  A far lo once moved hi too: (-1e9, 0.5) on [0, pi]
     # returned 0.5 and the 13 above it.  A variable interval goes to 1e9
     # only: near -1e11 its cells' mesh halving meets its rounding floor
-    # (OdeError), whatever the window
+    # (OdeError), whatever the window; the xfail test below keeps that seen
     assume(not variable or far <= 9.0)
     ivs = [Interval(0.0, L)] + ([Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")] if variable else [])
     dom, n = QuantumDomain(ivs), len(ivs)
@@ -408,6 +423,17 @@ def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
     assert np.all(lams <= hi + nudge[1])
     if lo > -math.inf:
         assert np.all(lams >= lo - nudge[0])
+
+
+@pytest.mark.xfail(raises=OdeError, strict=True,
+                   reason="mesh halving of a variable interval meets its rounding floor "
+                          "near lam = -1e11 (odesolve._converged_cells)")
+def test_a_variable_window_down_to_minus_1e12():
+    # the window that test_every_level_lies_in_its_window does not draw: a
+    # variable interval with lo = -1e12
+    dom = QuantumDomain([Interval(0.0, math.pi), Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")])
+    lams = find_eigenvalues(make_dirichlet(2), dom, (-1e12, 0.5)).lams
+    assert np.all(lams >= -1e12) and np.all(lams <= 0.5 + 3e-7)
 
 
 def test_counts_interlace_with_the_dirichlet_counts():
@@ -458,19 +484,22 @@ def test_the_search_takes_the_fewest_samples_its_top_needs(monkeypatch):
     # a sample cell of free [0, 2 pi] turns by (2 pi / (S - 1)) sqrt(2 lam):
     # at 4.8 that is 1.22 for S = 17, at 20 it is 2.48 for 17 (below pi, past
     # the margin 3 pi / 4) and 1.24 for 33, at 530 it is 3.20 for 65 and 1.60
-    # for 129.  At 8000 the margin would take 513, more than the grid's 257,
-    # and 257 turn by 0.988 pi, below the headroom of 0.99 pi, so the search
-    # takes 257.  At 8100 they turn by 0.994 pi, so it takes 513.  The
-    # eigenfunctions keep 257 points, read from the search's cells where it
-    # ran on fewer.
+    # for 129.  At 8000 and 8100 the margin would take 513, more than the
+    # grid's 257, which turn by 0.988 pi and 0.994 pi; the exact free cells
+    # hold no level of their own below pi, so the search takes 257.  Cells
+    # of x^2/2 do at 257 samples a nudge above 8192, so that search takes
+    # 513.  The eigenfunctions keep 257 points, read from the search's cells
+    # where it ran on fewer.
     calls = count_calls(monkeypatch, spectral, "cell_dtn")
-    for U, window, search in ((make_dirichlet(1), (0.01, 4.8), 17),
-                              (make_dirichlet(1), (0.01, 20.0), 33),
-                              (make_quasiperiodic(0.0), (-0.5, 530.0), 129),
-                              (make_dirichlet(1), (0.01, 8000.0), 257),
-                              (make_dirichlet(1), (8050.0, 8100.0), 513)):
+    x2 = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
+    for U, dom, window, search in ((make_dirichlet(1), FREE, (0.01, 4.8), 17),
+                                   (make_dirichlet(1), FREE, (0.01, 20.0), 33),
+                                   (make_quasiperiodic(0.0), FREE, (-0.5, 530.0), 129),
+                                   (make_dirichlet(1), FREE, (0.01, 8000.0), 257),
+                                   (make_dirichlet(1), FREE, (8050.0, 8100.0), 257),
+                                   (make_dirichlet(1), x2, (8100.0, 8192.0), 513)):
         calls.clear()
-        spectrum = find_eigenvalues(U, FREE, window)
+        spectrum = find_eigenvalues(U, dom, window)
         seen = [samples for *_, samples in calls]
         assert seen[0] == search and set(seen) == {search, max(search, 257)}
         assert spectrum.eigs[0].xs.shape == (1, 257)
