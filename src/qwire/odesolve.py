@@ -82,9 +82,14 @@ _MAX_LEVEL = 10
 # Legendre moments of V - Vbar kept per cell, and Gauss points per cell
 _MOMENTS = 4
 _GAUSS = 8
+# the rounding of a cell's log factor, relative to it, in the mesh comparison
+_LOG_ROUNDING = 4.0 * np.finfo(float).eps
 # |z| below which the eta functions come from Taylor series of this many terms
 _SERIES_Z = 5.0
 _SERIES_TERMS = 12
+# Taylor coefficients of eta_1, to 1e-17 for |z| < 1
+_ETA1_SERIES = np.array([1.0 / (2 ** k * math.factorial(k) * math.prod(range(2 * k + 3, 0, -2)))
+                         for k in range(10)])
 
 
 class OdeError(Exception):
@@ -293,8 +298,8 @@ def _correction_tables():
     """The first- and second-order corrections to the reference cell of a
     cell with l = 1, as coefficients of eta_-1 .. eta_M: first (4, M+2, N)
     per q_k = l**2 V_k and second (4, M+2, N, N) per q_k q_j, for the entries
-    (t00, t01, t10, t11); and the Taylor coefficients (terms, 2) of eta_M-1
-    and eta_M.
+    (t00, t01, t10, t11); and the Taylor coefficients (terms, 3) of eta_M-1,
+    eta_M and eta_M+1.
 
     In the cell's variable tau = s / l the reference solutions are
     u0 = xi = tau F_-1 and v0 = F_0, and each order solves
@@ -312,9 +317,10 @@ def _correction_tables():
     top = max(max(c) for c in (u1, v1, u2, v2))
     first = np.array([*_at_one(u1, top), *_at_one(v1, top)])[[0, 2, 1, 3]]
     second = np.array([*_at_one(u2, top), *_at_one(v2, top)])[[0, 2, 1, 3]]
-    # eta_m(z) = sum_k z**k / (2**k k! (2m + 2k + 1)!!)
+    # eta_m(z) = sum_k z**k / (2**k k! (2m + 2k + 1)!!), up to one order
+    # above the tables' for the lam-derivatives
     series = np.array([[1.0 / (2 ** k * math.factorial(k) * math.prod(range(2 * (m + k) + 1, 0, -2)))
-                        for m in (top - 1, top)] for k in range(_SERIES_TERMS)])
+                        for m in (top - 1, top, top + 1)] for k in range(_SERIES_TERMS)])
     return first, second, series
 
 
@@ -331,66 +337,97 @@ def _reference(z: np.ndarray):
     return xi, eta0, np.where(grow, r, 0.0)
 
 
-def _etas(z: np.ndarray):
+def _eta1(z: np.ndarray, xi: np.ndarray, eta0: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """eta_1 = (xi - eta_0) / z beside xi and eta_0 of :func:`_reference`, and
+    scaled like them; where |z| < 1, whose difference cancels, from its
+    Taylor series sum_k z**k / (2**k k! (2k + 3)!!)."""
+    small = np.abs(z) < 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eta1 = (xi - eta0) / z
+    if small.any():
+        series = _ETA1_SERIES[-1]
+        for c in _ETA1_SERIES[-2::-1]:
+            series = series * z + c
+        eta1 = np.where(small, series * np.exp(-log), eta1)
+    return eta1
+
+
+def _etas(z: np.ndarray, slopes: bool = False):
     """eta_-1 .. eta_M at z stacked on a new first axis, times exp(-sqrt z)
-    where z >= _SERIES_Z, and that log factor.
+    where z >= _SERIES_Z, and that log factor; with ``slopes`` one order
+    more, eta_M+1, for the lam-derivatives (eta_m' = eta_(m+1) / 2).
 
     For |z| of at least _SERIES_Z they come from xi and eta_0 by the
     recurrence eta_m = (eta_(m-2) - (2m - 1) eta_(m-1)) / z upwards; below it
-    that loses digits, and eta_M-1, eta_M come from their Taylor series and
-    the others from the recurrence downwards (:func:`_etas_down`).
+    that loses digits, and eta_M-1 .. eta_M+1 come from their Taylor series
+    and the others from the recurrence downwards (:func:`_etas_down`).
     """
     small = np.abs(z) < _SERIES_Z
     if small.all():
-        return _etas_down(z), np.zeros(z.shape)
+        return _etas_down(z, slopes), np.zeros(z.shape)
     xi, eta0, log = _reference(z)
     up = [xi, eta0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for m in range(1, len(_correction_tables()[0][0]) - 1):
+        for m in range(1, len(_correction_tables()[0][0]) - 1 + slopes):
             up.append((up[m - 1] - (2 * m - 1) * up[m]) / z)
     if not small.any():
         return np.array(up), log
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(small, _etas_down(z), np.array(up)), np.where(small, 0.0, log)
+        return np.where(small, _etas_down(z, slopes), np.array(up)), np.where(small, 0.0, log)
 
 
-def _etas_down(z: np.ndarray) -> np.ndarray:
-    """eta_-1 .. eta_M for small |z|: eta_M-1 and eta_M by Horner's rule,
-    then eta_(m-2) = z eta_m + (2m - 1) eta_(m-1) downwards, unscaled."""
+def _etas_down(z: np.ndarray, slopes: bool = False) -> np.ndarray:
+    """eta_-1 .. eta_M, or eta_M+1 with ``slopes``, for small |z|:
+    eta_M-1 .. eta_M+1 by Horner's rule, then eta_(m-2) = z eta_m +
+    (2m - 1) eta_(m-1) downwards, unscaled."""
     first, _, series = _correction_tables()
-    acc = series[-1].reshape((2,) + (1,) * z.ndim)
+    acc = series[-1].reshape((3,) + (1,) * z.ndim)
     for c in series[-2::-1]:
         acc = acc * z + c.reshape(acc.shape[:1] + (1,) * z.ndim)
     top = len(first[0]) - 2
-    etas = {top - 1: acc[0], top: acc[1]}
+    etas = {top - 1: acc[0], top: acc[1], top + 1: acc[2]}
     for m in range(top, 0, -1):
         etas[m - 2] = z * etas[m] + (2 * m - 1) * etas[m - 1]
-    return np.array([etas[m] for m in range(-1, top + 1)])
+    return np.array([etas[m] for m in range(-1, top + 1 + slopes)])
 
 
-def _cell_matrices(cells, lam):
+def _cell_matrices(cells, lam, slopes: bool = False):
     """Transfer matrices of the cells as rows (t00, t01, t10, t11), shape
     (4, N) or (4, G, N) for a column of G values of lam, and their log
-    factors (growing cells are stored times exp(-sqrt z)).
+    factors (growing cells are stored times exp(-sqrt z)).  With ``slopes``
+    the rows of their lam-derivatives T' follow, (8, ...), scaled like T.
 
     Without corrections a cell is its reference cell [[xi, l eta_0],
     [z eta_0 / l, xi]]; with them, its coefficients hold the reference's
-    xi and l eta_0 terms too.
+    xi and l eta_0 terms too.  The coefficients do not depend on lam, and
+    dz/dlam = -2 l**2, so T' is the same contraction one order up:
+    d eta_m / dlam = -l**2 eta_(m+1).
     """
     two_l2, vbar, ell, coeffs = cells
     z = two_l2 * (vbar - lam)
     if coeffs is None:
         xi, eta0, log = _reference(z)
         m = np.array([xi, ell * eta0, z * eta0 / ell, xi])
+        if not slopes:
+            return m, log
+        # (z eta_0)' = eta_0 + z eta_1 / 2 = (xi + eta_0) / 2
+        dm = np.array([eta0, ell * _eta1(z, xi, eta0, log), (xi + eta0) / ell, eta0])
     else:
-        etas, log = _etas(z)
-        m = np.einsum("emc,m...c->e...c", coeffs, etas)
+        etas, log = _etas(z, slopes)
+        m = np.einsum("emc,m...c->e...c", coeffs, etas[:coeffs.shape[1]])
         m[2] += z * etas[1] / ell
-    return m, log
+        if not slopes:
+            return m, log
+        dm = np.einsum("emc,m...c->e...c", coeffs, etas[1:])
+        dm[2] += (etas[0] + etas[1]) / ell
+    return np.concatenate([m, -0.5 * two_l2 * dm]), log
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cellwise 2x2 products a @ b of (4, N) row-stacked matrices."""
+    """Cellwise 2x2 products a @ b of (4, N) row-stacked matrices, or of
+    (8, N) stacks of matrices and their lam-derivatives: (ab)' = a'b + ab'."""
+    if len(a) == 8:
+        return np.concatenate([_mul(a[:4], b[:4]), _mul(a[4:], b[:4]) + _mul(a[:4], b[4:])])
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
     return np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
@@ -398,7 +435,8 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _normalised(m: np.ndarray, logs: np.ndarray):
-    peak = np.abs(m).max(axis=0)
+    """m divided by the largest entry of each matrix, derivatives by the same."""
+    peak = np.abs(m[:4]).max(axis=0)
     return m / peak, logs + np.log(peak)
 
 
@@ -429,28 +467,33 @@ def _sample_cells(m: np.ndarray, logs: np.ndarray, n: int):
     return _product(m.reshape(m.shape[:-1] + (n, -1)), logs.reshape(logs.shape[:-1] + (n, -1)))
 
 
-def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
+def _converged_cells(mesh: _Mesh, lam, cell_tol: float, slopes: bool = False):
     """Sample cells of levels j - 1 and j, halving the mesh from the level last
     accepted at ``cell_tol`` until every cell agrees between the two levels to
-    ``cell_tol`` of its own largest entry.  A constant mesh's one cell is
-    exact and serves as both levels.  Once a halving no longer lowers a
-    difference below sqrt(eps) (above it, truncation on cells too coarse for
-    V), it has reached its rounding floor and :class:`OdeError` is raised,
-    as it is at ``_MAX_LEVEL``.
+    ``cell_tol`` of its own largest entry, beyond the rounding of its log
+    factor: that factor, ~l sqrt(2 |lam|) deep below V, is rounded to about
+    eps of itself, which the comparison's exp(fine logs - coarse logs) reads
+    as a relative difference.  A constant mesh's one cell is exact and
+    serves as both levels.  Once a halving no longer lowers a difference
+    below sqrt(eps) (above it, truncation on cells too coarse for V), it has
+    reached its rounding floor and :class:`OdeError` is raised, as it is at
+    ``_MAX_LEVEL``.  With ``slopes`` the fine cells carry their
+    lam-derivatives (see :func:`_cell_matrices`).
 
     Returns (j, coarse, coarse logs, fine, fine logs).
     """
     if mesh.constant:
-        cell, logs = _cell_matrices(mesh.cells(0), lam)
-        return 0, cell, logs, cell, logs
+        cell, logs = _cell_matrices(mesh.cells(0), lam, slopes=slopes)
+        return 0, cell[:4], logs, cell, logs
     level = mesh.cell_start.get(cell_tol, 0)
-    m, logs = _cell_matrices(mesh.pair(level), lam)
+    m, logs = _cell_matrices(mesh.pair(level), lam, slopes=slopes)
     n = mesh.cells0 << level
-    coarse, coarse_logs = _sample_cells(m[..., :n], logs[..., :n], mesh.cells0)
+    coarse, coarse_logs = _sample_cells(m[:4, ..., :n], logs[..., :n], mesh.cells0)
     fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], mesh.cells0)
     previous = math.inf
     while True:
-        error = np.max(np.abs(fine * np.exp(fine_logs - coarse_logs) - coarse))
+        error = np.max(np.abs(fine[:4] * np.exp(fine_logs - coarse_logs) - coarse).max(axis=0)
+                       - _LOG_ROUNDING * np.abs(fine_logs))
         if error <= cell_tol:
             mesh.cell_start[cell_tol] = level
             return level + 1, coarse, coarse_logs, fine, fine_logs
@@ -459,8 +502,9 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float):
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
         previous = error
-        coarse, coarse_logs = fine, fine_logs
-        fine, fine_logs = _sample_cells(*_cell_matrices(mesh.cells(level + 1), lam), mesh.cells0)
+        coarse, coarse_logs = fine[:4], fine_logs
+        fine, fine_logs = _sample_cells(
+            *_cell_matrices(mesh.cells(level + 1), lam, slopes=slopes), mesh.cells0)
 
 
 def _distance(t, t_log: float, ref, ref_log: float) -> float:
@@ -527,20 +571,23 @@ def fundamental_solutions(
 _BATCH_CELLS = 1 << 14
 
 
-def _cells_free(mesh: _Mesh, lams: np.ndarray, rel_tol: float):
-    """The converged sample cells at each of the (G, 1) ``lams``, their log
-    factors, and whether each holds no Dirichlet level of its own, (G, cells)."""
-    level, _, _, fine, fine_logs = _converged_cells(mesh, lams, rel_tol)
+def _cells_free(mesh: _Mesh, lams: np.ndarray, rel_tol: float, slopes: bool = False):
+    """The converged sample cells at each of the (G, 1) ``lams``, with their
+    lam-derivatives where ``slopes``, their log factors, and whether each
+    holds no Dirichlet level of its own, (G, cells)."""
+    level, _, _, fine, fine_logs = _converged_cells(mesh, lams, rel_tol, slopes)
     two_l2, vbar = mesh.cells(level)[:2]
     turn = np.sqrt(np.maximum(two_l2 * (lams - vbar), 0.0))
     ok = (fine[1] > 0.0) & (turn.reshape(len(lams), mesh.cells0, -1).sum(axis=-1) < math.pi)
     return fine, fine_logs, ok
 
 
-def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257):
+def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257,
+             slopes: bool = False):
     """Dirichlet-to-Neumann matrices [[alpha, beta], [beta, gamma]] of the
     ``samples - 1`` sample cells, each of alpha, beta, gamma a read-only
-    (G, cells) array.
+    (G, cells) array; with ``slopes``, their exact lam-derivatives alpha',
+    beta', gamma' follow, six arrays in all.
 
     A cell maps its end values to the outward derivatives: with T the cell's
     transfer matrix of y = (u, eta**-0.5 u'), alpha = t00/t01, gamma = t11/t01
@@ -555,6 +602,14 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     its own (t01 > 0, and the exact turns l sqrt(2 (lam - Vbar))+ of its
     reference cells sum to less than pi), else :class:`OdeError`; the turns
     grow with lam, so a ``samples`` that passes at lam passes below it.
+
+    The derivatives follow from T' (see :func:`_cell_matrices`), carried
+    through the products by (AB)' = A'B + AB' with the normalising factors
+    of T: alpha' = (t00' - alpha t01') / t01, beta' = -beta t01' / t01 and
+    gamma' = (t11' - gamma t01') / t01.  The matrix [[alpha', beta'],
+    [beta', gamma']] is -2 times the Gram matrix, in L2(sqrt(eta) dx), of the
+    cell's solutions with unit end values (Green's identity), so it is
+    negative definite.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
     mesh = _mesh(interval, samples)
@@ -564,16 +619,19 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         pair = 3 * (mesh.cells0 << mesh.cell_start.get(rel_tol, 0))
         block = lams[start:start + max(1, _BATCH_CELLS // pair)]
         start += len(block)
-        fine, fine_logs, ok = _cells_free(mesh, block, rel_tol)
-        t00, t01, _, t11 = fine
+        fine, fine_logs, ok = _cells_free(mesh, block, rel_tol, slopes)
+        t00, t01, _, t11 = fine[:4]
         if not ok.all():
             raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
                            f"inside one of the {samples - 1} sample cells of "
                            f"[{interval.a:g}, {interval.b:g}]")
-        parts.append(np.array([t00, -np.exp(-fine_logs), t11]) / t01)
-    alpha, beta, gamma = np.broadcast_to(np.concatenate(parts, axis=1),
-                                         (3, len(lams), samples - 1))
-    return alpha, beta, gamma
+        dtn = np.array([t00, -np.exp(-fine_logs), t11]) / t01
+        if slopes:
+            d00, d01, _, d11 = fine[4:] / t01
+            dtn = np.concatenate([dtn, [d00 - dtn[0] * d01, -dtn[1] * d01, d11 - dtn[2] * d01]])
+        parts.append(dtn)
+    return tuple(np.broadcast_to(np.concatenate(parts, axis=1),
+                                 (len(parts[0]), len(lams), samples - 1)))
 
 
 def free_exponential_basis(interval: Interval, lam: float) -> FundamentalPair:

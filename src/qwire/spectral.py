@@ -22,10 +22,11 @@ FD oracle's folded node order this is one banded Hermitian matrix.  While no
 cell holds a Dirichlet level of its own, its number of negative eigenvalues
 is N_U(lam), the number of levels below lam; its k-th smallest eigenvalue
 mu_k(lam) decreases through 0 exactly at the k-th level, with the slope
-x^H K'(lam) x < 0 of its unit eigenvector x (Hellmann-Feynman), which
-Newton's method follows to the level; and its null vector there holds the
-eigenfunction at the sample nodes (DtN bracketing: L. Friedlander, Arch.
-Rational Mech. Anal. 116 (1991)).
+x^H K'(lam) x < 0 of its unit eigenvector x (Hellmann-Feynman), K' from the
+cells' exact lam-derivatives, which Newton's method follows to the level,
+taking its last step unprobed where the quadratic model certifies it; and
+its null vector there holds the eigenfunction at the sample nodes (DtN
+bracketing: L. Friedlander, Arch. Rational Mech. Anal. 116 (1991)).
 
 Every cell is exact, so N_U and the roots of mu_k do not depend on how many
 sample cells there are, as long as none holds a Dirichlet level of its own.
@@ -74,8 +75,10 @@ __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_
 # relative widths: brackets that are not tight isolate levels to _ISOLATE
 # (see _isolate), roots agreeing to _MERGE form one level, and Newton's
 # method refines to _REFINE, or stops where mu_k is below _REFINE of the
-# largest Ritz value beside it
+# largest Ritz value beside it, or takes a step unprobed whose predicted
+# error is below _ACCEPT * _REFINE (see _refine)
 _ISOLATE, _MERGE, _REFINE = 1e-7, 1e-9, 1e-12
+_ACCEPT = 0.25
 # a pivot or boundary eigenvalue this small relative to the terms it came
 # from makes a count unsure
 _UNSURE = 1e6 * np.finfo(float).eps
@@ -329,10 +332,11 @@ class _Glued:
         self._gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(
             ("gbtrf", "gbtrs"), (np.empty(0, self.dtype),))
 
-    def cells(self, lams, samples: int | None = None):
+    def cells(self, lams, samples: int | None = None, slopes: bool = False):
         """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, S - 1),
-        on S = ``samples`` nodes per interval, or the search's."""
-        parts = [cell_dtn(iv, lams, self.opts.rel_tol, samples or self.samples)
+        on S = ``samples`` nodes per interval, or the search's; with
+        ``slopes``, their lam-derivatives follow."""
+        parts = [cell_dtn(iv, lams, self.opts.rel_tol, samples or self.samples, slopes=slopes)
                  for iv in self.domain.intervals]
         return tuple(np.stack(p, axis=1) for p in zip(*parts))
 
@@ -579,7 +583,9 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     bracket below the ``max_eigs`` cutoff a quarter as wide as its distance
     to every other level, or to 1e-7 relative; level k is the root of mu_k,
     found by a safeguarded Newton iteration whose slope mu_k' comes from the
-    probe's own Ritz vector, to 1e-12 relative.  The eigenfunctions are the
+    probe's own Ritz vector and the cells' exact lam-derivatives, to 1e-12
+    relative, its last step taken unprobed where the quadratic model puts
+    it within that (see :func:`_refine`).  The eigenfunctions are the
     search's null vectors, moved to the grid (see :func:`_on_grid`).  A
     level's accuracy is floored by rounding at about eps ||K|| / |mu_k'|,
     ~1e-11 relative on multi-interval problems.  Roots that agree to 1e-9 relative form one
@@ -768,11 +774,11 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     ``start`` (len(lams), dim, p) holds a warm start per probe; the Ritz
     steps at lam end once the value of every k probed there is certified.
     The slope is x^H K'(lam) x for the Ritz vector x of mu_k (Hellmann-
-    Feynman), with K' differenced backward over delta = sqrt(eps) max(1,
-    |lam|) in the same cells call: the turns grow with lam, so lam - delta
-    passes the turn check wherever lam does.  From a converged Ritz vector
-    it is good to about sqrt(eps) relative; it only chooses the next probe
-    of :func:`_refine`.
+    Feynman), with K' assembled from the cells' exact lam-derivatives,
+    which the one cells call per distinct lam returns with them
+    (``odesolve.cell_dtn``).  From a converged Ritz vector it is exact up to
+    rounding and the vector's error squared, so :func:`_refine` can accept
+    a Newton step without probing it.
     """
     lams, at, pu = np.asarray(lams, dtype=float), None, None
     if g.P == 1:                     # as in _Glued.count: no (lam, problem) keys
@@ -783,14 +789,9 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
         keys, first, inv = np.unique(lams + 1j * u, return_index=True, return_inverse=True)
         uniq, at = np.unique(keys.real, return_inverse=True)
         pu = keys.imag.astype(int)
-    G = len(uniq)
-    delta = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(uniq))
-    both = g.cells(np.concatenate([uniq, uniq - delta]))
-    cells = tuple(c[:G] for c in both)
+    both = g.cells(uniq, slopes=True)
+    cells, slopes = both[:3], both[3:]
     counts, sure = g.tree(*cells, at, pu)
-    # K' entry-wise: _values of the cells' difference subtracts A once, from
-    # the boundary block's entries, which come last
-    slopes = tuple((c[:G] - c[G:]) / delta[:, np.newaxis, np.newaxis] for c in both)
     if at is not None:
         cells, slopes = (tuple(c[at] for c in v) for v in (cells, slopes))
 
@@ -806,6 +807,8 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     theta, cert, vecs = theta[inv], _certified(theta, resid)[inv], vecs[inv]
     j = _column(theta, counts[inv], sure[inv], ks, k0s, ms)
     rows, hit = np.arange(len(inv)), j >= 0
+    # K' entry-wise: _values of the cells' derivatives subtracts A, from the
+    # boundary block's entries, which come last; add it back
     dk = g._values(*slopes, pu)
     dk[:, len(g.rows) - len(g.iu[0]):] += _pick(g.bc.A, pu)[..., g.iu[0], g.iu[1]]
     x = vecs[rows, :, j]
@@ -826,10 +829,21 @@ def _refine(g: _Glued, brackets):
     certified, mu_k' < 0, c lies inside the bracket and |c - x| is at most
     half the step before the last; any other step bisects.  The side of a
     probe comes from the sign of mu_k where its value is certified, and from
-    the count where it is not; the slope only chooses the probe.  The root
-    is the probe where |mu_k| is below 1e-12 of the largest Ritz value, else
-    the midpoint of a bracket 1e-12 relative wide.  Each probe of a level
-    starts from the Ritz vectors of the level's last probe.  The levels of
+    the count where it is not.  The root is the probe where |mu_k| is below
+    1e-12 of the largest Ritz value, else the midpoint of a bracket 1e-12
+    relative wide, else a Newton step taken without a probe (rtsafe too
+    stops on its step).  That needs the step h to c and the step h_last to
+    x both to be Newton's, h_last from a probe, not from a bracket end, and
+    Newton's next error C h**2 within a quarter of 1e-12 max(1, |c|), with
+    C = |mu_k'' / 2 mu_k'| read as the larger of h / h_last**2 and
+    |mu_k'(x) - mu_k'(x_last)| / (2 h_last |mu_k'(x)|).  Either estimate
+    alone, or one read from a step out of a bracket end, can be far too
+    small: a long first step that lands 1e-5 from the root says little of
+    the curvature there.  The slope is exact (see :func:`_mu`), so on the
+    usual probes, ~1e-1, 1e-4 and 1e-8 relative from the root, the fourth
+    round that would only confirm it is skipped.  Each probe of
+    a level starts from the Ritz vectors of the level's last probe, and so
+    does the Ritz step of :func:`_eigenpairs` at its root.  The levels of
     every problem are refined together, ordered by problem, then k, which
     is returned with them."""
     items = [(a, b, k, na, nb - na, u) for a, b, na, nb, u in brackets for k in range(na, nb)]
@@ -847,6 +861,9 @@ def _refine(g: _Glued, brackets):
     x, fx, dfx = np.where(at_a, a, b), np.where(at_a, fa, fb), np.where(at_a, *np.split(df, 2))
     vecs = np.where(at_a[:, np.newaxis, np.newaxis], *np.split(vecs, 2))
     step = before = b - a                       # the last two steps
+    # mu_k' at the probe before x, nan while x is the bracket end, and
+    # whether the step to x was Newton's and started at a probe
+    df_last, newton_last = np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)
     for _ in range(500):
         xtol = _REFINE * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         act = np.flatnonzero(b - a > xtol)
@@ -855,13 +872,28 @@ def _refine(g: _Glued, brackets):
         A, B = a[act], b[act]
         with np.errstate(invalid="ignore", divide="ignore"):
             c = x[act] - fx[act] / dfx[act]
-        newton = (dfx[act] < 0.0) & (c > A) & (c < B) & (np.abs(c - x[act]) <= 0.5 * before[act])
+        h = np.abs(c - x[act])
+        newton = (dfx[act] < 0.0) & (c > A) & (c < B) & (h <= 0.5 * before[act])
+        # Newton's next error is about C h**2, C = |mu_k'' / 2 mu_k'|, read
+        # from the step h_last to x two ways, the larger counting: as
+        # h / h_last**2, and from the exact slopes at its two ends
+        with np.errstate(invalid="ignore", divide="ignore"):
+            C = np.maximum(h / step[act], np.abs(dfx[act] - df_last[act])
+                           / (2.0 * np.abs(dfx[act]))) / step[act]
+        accept = newton & newton_last[act] & (
+            C * h ** 2 < _ACCEPT * _REFINE * np.maximum(1.0, np.abs(c)))
         c = np.where(newton, c, 0.5 * (A + B))
         before, step = step, step.copy()
-        step[act] = np.where(newton, np.abs(c - x[act]), 0.5 * (B - A))
+        step[act] = np.where(newton, h, 0.5 * (B - A))
+        newton_last[act] = newton & ~np.isnan(df_last[act])
+        a[act[accept]], b[act[accept]] = c[accept], c[accept]
+        act, A, B, c = act[~accept], A[~accept], B[~accept], c[~accept]
+        if not act.size:
+            continue
         c = np.clip(c, A + 0.25 * xtol[act], B - 0.25 * xtol[act])
         fc, dfc, cert, nc, sure, scale, vecs[act] = _mu(g, c, k[act], k0[act], m[act], p,
                                                       vecs[act], u[act])
+        df_last[act] = dfx[act]
         x[act], fx[act], dfx[act] = c, np.where(cert, fc, np.nan), dfc
         # the root lies left of c: by the sign of a certified mu_k, else by a
         # sure count, else by the sign of mu_k where it has one

@@ -152,6 +152,57 @@ def test_cell_dtn_constant_interval_against_closed_form():
         assert np.allclose(beta[g], want[1], rtol=1e-13, atol=0.0)
 
 
+def _free_cell_dtn(h):
+    # alpha and beta of a free cell of width h as mpmath functions of lam,
+    # complex above 0 with a vanishing imaginary part
+    def alpha(x):
+        k = mpmath.sqrt(-2 * x)
+        return k * mpmath.coth(k * h)
+
+    def beta(x):
+        k = mpmath.sqrt(-2 * x)
+        return -k / mpmath.sinh(k * h)
+
+    return alpha, beta
+
+
+@pytest.mark.parametrize("metric, potential", [("1", "0"), ("1", "x^2/2"),
+                                               ("(1+0.3*x)^2", "0")])
+def test_cell_dtn_slopes_are_the_lam_derivatives(metric, potential):
+    # alpha', beta', gamma' of the 64 sample cells of [0, 2] in forbidden,
+    # slow and oscillating cells, against Richardson-extrapolated central
+    # differences of the cells themselves (steps 1e-2, or 1e-3 |lam| past
+    # |lam| = 1: wide enough for their rounding, short against the cells'
+    # scale in lam), and on the free cell against the closed form by
+    # mpmath.  [[alpha', beta'], [beta', gamma']] is -2 times the Gram
+    # matrix of the cell's solutions with unit end values, so it is
+    # negative definite.  Asking for the slopes leaves the cells unchanged.
+    iv = Interval(0.0, 2.0, metric, potential)
+    for lam in (-1e4, -1.0, 0.3, 50.0):
+        got = cell_dtn(iv, [lam], rel_tol=1e-12, samples=65, slopes=True)
+        assert len(got) == 6
+        assert all(np.array_equal(g, c)
+                   for g, c in zip(got[:3], cell_dtn(iv, [lam], rel_tol=1e-12, samples=65)))
+        h = 1e-3 * abs(lam) if abs(lam) > 1.0 else 1e-2
+
+        def central(step):
+            up, down = (cell_dtn(iv, [lam + s], rel_tol=1e-12, samples=65) for s in (step, -step))
+            return [(u - d) / (2.0 * step) for u, d in zip(up, down)]
+
+        want = [(4.0 * fine - coarse) / 3.0 for fine, coarse in zip(central(h / 2), central(h))]
+        for slope, ref in zip(got[3:], want):
+            assert np.all(np.abs(slope - ref) <= 1e-8 * np.abs(ref))
+        da, db, dg = (v[0] for v in got[3:])
+        assert np.all(da < 0.0) and np.all(da * dg - db * db > 0.0)
+        if metric == "1" and potential == "0":
+            with mpmath.workdps(30):
+                exact = [float(mpmath.re(mpmath.diff(f, lam)))
+                         for f in _free_cell_dtn(mpmath.mpf(2) / 64)]
+            assert np.allclose(da, exact[0], rtol=1e-12, atol=0.0)
+            assert np.allclose(db, exact[1], rtol=1e-12, atol=0.0)
+            assert np.array_equal(da, dg)
+
+
 def test_cell_dtn_is_the_inverse_transfer_entry():
     # alpha = t00/t01, gamma = t11/t01 and beta = -1/t01 of each cell's
     # transfer matrix, here from the canonical pair on one cell of 16

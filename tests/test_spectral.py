@@ -406,10 +406,7 @@ def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
     # rotated Dirichlet condition e^{it}, t = 10^(-far / 2).  A level comes
     # back only inside [lo, hi], up to each end's own nudge of two moves,
     # 1 + 2 steps.  A far lo once moved hi too: (-1e9, 0.5) on [0, pi]
-    # returned 0.5 and the 13 above it.  A variable interval goes to 1e9
-    # only: near -1e11 its cells' mesh halving meets its rounding floor
-    # (OdeError), whatever the window; the xfail test below keeps that seen
-    assume(not variable or far <= 9.0)
+    # returned 0.5 and the 13 above it
     ivs = [Interval(0.0, L)] + ([Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")] if variable else [])
     dom, n = QuantumDomain(ivs), len(ivs)
     hi = (k * math.pi / L) ** 2 / 2.0
@@ -425,15 +422,15 @@ def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
         assert np.all(lams >= lo - nudge[0])
 
 
-@pytest.mark.xfail(raises=OdeError, strict=True,
-                   reason="mesh halving of a variable interval meets its rounding floor "
-                          "near lam = -1e11 (odesolve._converged_cells)")
 def test_a_variable_window_down_to_minus_1e12():
-    # the window that test_every_level_lies_in_its_window does not draw: a
-    # variable interval with lo = -1e12
+    # a variable interval with lo = -1e12: the cells' log factors, ~1e5
+    # there, are rounded to ~1e-11 relative, the size of the per-cell
+    # tolerance, and mesh halving raised OdeError before it allowed for that
     dom = QuantumDomain([Interval(0.0, math.pi), Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")])
     lams = find_eigenvalues(make_dirichlet(2), dom, (-1e12, 0.5)).lams
-    assert np.all(lams >= -1e12) and np.all(lams <= 0.5 + 3e-7)
+    assert lams == pytest.approx([0.5], rel=1e-12)                 # Dirichlet on [0, pi]
+    x2 = QuantumDomain([Interval(0.0, 2.0 * math.pi, "1", "x^2/2")])
+    assert count_eigenvalues(make_dirichlet(1), x2, [-1e11, -1e12, -1e13]).tolist() == [0, 0, 0]
 
 
 def test_counts_interlace_with_the_dirichlet_counts():
@@ -460,7 +457,7 @@ def test_a_cell_ode_error_propagates_from_the_search_samples(monkeypatch):
     # samples: no solve runs again on more
     seen = []
 
-    def failing(iv, lams, rel_tol, samples):
+    def failing(iv, lams, rel_tol, samples, slopes=False):
         seen.append(samples)
         raise OdeError("mesh halving did not reach rel_tol")
 
@@ -881,15 +878,30 @@ def test_ritz_pairs_on_the_fewest_samples(case, samples):
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
 
+def test_mu_takes_one_cells_call_per_distinct_lam(monkeypatch):
+    # Work guard: the slope comes with the cells, so a Newton round asks
+    # each interval for its cells once, at each distinct lam, with their
+    # derivatives; the backward difference took a second lam per probe
+    dom = QuantumDomain([Interval(0.0, 1.0), Interval(0.0, 1.3, "1", "x^2/2")])
+    g = spectral._Glued(random_unitary(4, np.random.default_rng(3)), dom, SolveOptions(), 33)
+    calls = count_calls(monkeypatch, spectral, "cell_dtn")
+    lams = np.array([0.7, 3.1, 0.7, 9.4])
+    spectral._mu(g, lams, np.array([0, 1, 1, 2]), np.array([0, 1, 1, 2]), np.ones(4, dtype=int), 3)
+    assert len(calls) == 2
+    for call in calls:
+        assert call.kwargs == {"slopes": True}
+        assert np.array_equal(call[1], [0.7, 3.1, 9.4])
+
+
 @pytest.mark.parametrize("case", ["periodic circle", "Haar U(4)"])
 def test_the_slope_of_mu_is_its_derivative(monkeypatch, case):
     # K'(lam) is negative definite (DtN bracketing), so mu_k' = x^H K' x < 0
     # at every probe of a solve.  From converged Ritz vectors the slope is
     # the derivative of mu_k, the k-th smallest eigenvalue of the dense
-    # K(lam) - A, up to its backward difference's ~sqrt(eps): checked by a
-    # central difference at lam off the levels, where mu_k is smooth (at a
-    # level of multiplicity 2 the two eigenvalues cross and the k-th
-    # smallest has a kink)
+    # K(lam) - A, exactly, since K' comes from the cells' exact derivatives:
+    # checked by a central difference at lam off the levels, where mu_k is
+    # smooth (at a level of multiplicity 2 the two eigenvalues cross and the
+    # k-th smallest has a kink)
     if case == "periodic circle":
         U, dom = make_quasiperiodic(0.0), FREE
     else:
@@ -914,16 +926,22 @@ def test_the_slope_of_mu_is_its_derivative(monkeypatch, case):
     # k: the level above lam, or below it for the lam just above a level
     ks = count_eigenvalues(U, dom, lams)
     ks[-len(levels):] -= 1
-    h = 1e-6 * np.maximum(1.0, np.abs(lams))
-    dense = [np.linalg.eigvalsh(_dense_glued(g, g.cells(lams + s)))[np.arange(len(lams)), ks]
-             for s in (h, -h)]
-    central = (dense[0] - dense[1]) / (2.0 * h)
+
+    def difference(h):
+        dense = [np.linalg.eigvalsh(_dense_glued(g, g.cells(lams + s)))[np.arange(len(lams)), ks]
+                 for s in (h, -h)]
+        return (dense[0] - dense[1]) / (2.0 * h)
+
+    # Richardson's extrapolation of central differences, with steps inside
+    # the 1e-3 to the nearest level and wide enough that their rounding,
+    # eps ||K|| / h, stays near 1e-9 relative
+    central = (4.0 * difference(2.5e-4) - difference(5e-4)) / 3.0
     # a start block spanning the three eigenvectors nearest 0 converges at once
     w, v = np.linalg.eigh(_dense_glued(g, g.cells(lams)))
     start = np.take_along_axis(v, np.argsort(np.abs(w), axis=1)[:, np.newaxis, :3], axis=2)
     _, slope, cert, *_ = mu(g, lams, ks, ks, np.ones_like(ks), 3, start)
     assert cert.all()
-    assert np.all(np.abs(slope - central) <= 1e-5 * np.abs(central))
+    assert np.all(np.abs(slope - central) <= 1e-8 * np.abs(central))
 
 
 @pytest.mark.parametrize("U, domain, window, levels", [
@@ -932,13 +950,37 @@ def test_the_slope_of_mu_is_its_derivative(monkeypatch, case):
     (random_unitary(2, np.random.default_rng(1)),
      QuantumDomain([Interval(-3.0, 3.0, "1", "x^2/2")]), (-1.0, 20.0), 12)])
 def test_newton_refines_in_few_probes(monkeypatch, U, domain, window, levels):
-    # Work guard: Newton steps on mu_k with its slope refine every level of
-    # these windows in at most 5 lockstep probes, where the Illinois secant
-    # took 11 (periodic), 8 (Dirichlet) and 6 (x**2 / 2).  In the last, a
-    # step from an end whose value is not certified took 7
+    # Work guard: Newton steps on mu_k with its exact slope refine every
+    # level of these windows in 3 lockstep probes: both bracket ends, then
+    # two Newton steps, ~1e-1 and ~1e-4 relative from the root, after which
+    # the quadratic model accepts the third step unprobed.  The Illinois
+    # secant took 11 (periodic), 8 (Dirichlet) and 6 (x**2 / 2), Newton with
+    # a differenced slope and a confirming probe 4 each.  In the last, a
+    # step from an end whose value is not certified once took 7
     calls = count_calls(monkeypatch, spectral, "_mu")
     assert len(find_eigenvalues(U, domain, window).eigs) == levels
-    assert len(calls) <= 5
+    assert len(calls) == 3
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2]), variable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_an_unprobed_newton_step_is_the_confirmed_root(n, variable, seed):
+    # _refine accepts a Newton step without probing it where the quadratic
+    # model puts it within 1e-12 of the root; with that turned off, a
+    # confirming probe is made at every level, and the levels and their
+    # multiplicities agree to 1e-12 relative.  Haar U(2) and U(4) on free
+    # and variable intervals
+    ivs = [Interval(0.0, 1.0), Interval(0.0, 1.3, "(1+0.3*x)^2" if variable else "1",
+                                        "x^2/2" if variable else "0")][2 - n:]
+    dom = QuantumDomain(ivs)
+    U = random_unitary(2 * n, np.random.default_rng(seed))
+    skipped = find_eigenvalues(U, dom, (-math.inf, 60.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_ACCEPT", 0.0)
+        probed = find_eigenvalues(U, dom, (-math.inf, 60.0))
+    assert [e.multiplicity for e in skipped.eigs] == [e.multiplicity for e in probed.eigs]
+    assert np.all(np.abs(skipped.lams - probed.lams)
+                  <= 1e-12 * np.maximum(1.0, np.abs(probed.lams)))
 
 
 def test_count_is_zero_at_minus_infinity():
