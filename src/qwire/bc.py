@@ -49,8 +49,8 @@ _CAYLEY_ANGLE_TOL = 1e-8
 def _unitary_stack(matrices) -> np.ndarray:
     """``matrices`` stacked as one complex array, each checked as UnitaryBC
     checks its matrix: square of even size, with ||U^H U - I||_F at most
-    _UNITARITY_TOL.  The first that fails raises the ValueError UnitaryBC
-    would raise for it."""
+    _UNITARITY_TOL (a NaN defect fails).  The first that fails raises the
+    ValueError UnitaryBC would raise for it."""
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     for U in mats:
         if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 != 0 or U.shape[0] == 0:
@@ -58,7 +58,7 @@ def _unitary_stack(matrices) -> np.ndarray:
     stack = np.stack(mats)
     defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(stack.shape[1]),
                              axis=(1, 2))
-    bad = np.flatnonzero(defects > _UNITARITY_TOL)
+    bad = np.flatnonzero(~(defects <= _UNITARITY_TOL))
     if bad.size:
         raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {defects[bad[0]]:.3e}")
     return stack
@@ -109,7 +109,7 @@ class CayleyOperator:
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         defect = np.linalg.norm(A - A.conj().T)
-        if defect > _UNITARITY_TOL:
+        if not defect <= _UNITARITY_TOL:
             raise ValueError(f"matrix is not Hermitian: ||A - A^H||_F = {defect:.3e}")
         A = A.copy()
         A.setflags(write=False)

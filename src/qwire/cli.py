@@ -15,7 +15,9 @@ range-checked, they warn and have no effect).  Any other key, and a second
 
 Matrix files: header line "n rows cols", then ``rows`` lines of whitespace-
 separated complex entries "re,im".  Curve files: header "m n", then m+1
-blocks of a theta line followed by the 2n x 2n complex matrix rows.
+blocks of a theta line followed by the 2n x 2n complex matrix rows.  Their
+ConfigErrors start with the path, and name the first bad line in file order
+("row r" from 1, "block j row i" from 0) with its entry or theta.
 
 Numbers are serialized with 17 significant digits (bit-stable round trips);
 complex values as "re,im".  Exit codes: 0 success, 2 usage error, 3 numeric
@@ -55,26 +57,19 @@ def _sample_lines(head: str, xs, values) -> str:
     return fmt % tuple(np.column_stack([xs, values.real, values.imag]).ravel().tolist())
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g},{z.imag:.17g}"
+# ---------------------------------------------------------------------------
+# file formats
 
-
-def _parse_complex(tok: str) -> complex:
-    parts = tok.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"complex entry must be 're,im', got {tok!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as err:
-        raise ConfigError(f"bad complex entry {tok!r}") from err
+def _rows_text(M: np.ndarray) -> str:
+    """The rows of ``M``, a line of "re,im" entries each."""
+    return "".join(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in M)
 
 
 def _complex_rows(rows: list[str], cols: int) -> np.ndarray:
     """The entries "re,im" of whitespace-separated rows, (len(rows), cols),
     in one float conversion per 128 rows, which bounds the strings held at
     once.  Raises ValueError where a row has not ``cols`` entries or an entry
-    is not one pair of numbers; the per-token parse then names the bad
-    entry."""
+    is not one pair of numbers; :func:`_bad_entry` then names it."""
     out = np.empty((len(rows), cols), dtype=complex)
     for i in range(0, len(rows), 128):
         toks = [ln.split() for ln in rows[i:i + 128]]
@@ -88,101 +83,101 @@ def _complex_rows(rows: list[str], cols: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# file formats
+def _bad_entry(path: str, body: list[str], cols: int, block: int = 0) -> ConfigError:
+    """The ConfigError naming the first line of ``body`` in file order that is
+    not a row of ``cols`` entries "re,im", and its entry; in a curve the
+    first of every ``block`` lines is a number theta instead."""
+    for k, line in enumerate(body):
+        j, i = divmod(k, block or 1)
+        where = f"block {j} row {i - 1}" if block else f"row {k + 1}"
+        if block and i == 0:
+            try:
+                float(line)
+            except ValueError:
+                return ConfigError(f"{path}: bad theta in block {j}: {line!r}")
+            continue
+        toks = line.split()
+        if len(toks) != cols:
+            return ConfigError(f"{path}: {where} has {len(toks)} entries, expected {cols}")
+        for tok in toks:
+            parts = tok.split(",")
+            if len(parts) != 2:
+                return ConfigError(f"{path}: {where}: complex entry must be 're,im', got {tok!r}")
+            try:
+                complex(float(parts[0]), float(parts[1]))
+            except ValueError:
+                return ConfigError(f"{path}: {where}: bad complex entry {tok!r}")
+    return ConfigError(f"{path}: the data lines do not parse")
+
+
+def _data_lines(path: str, kind: str, header: str) -> tuple[list[int], list[str]]:
+    """The positive integers of a matrix or curve file's ``header`` and its
+    data lines; blank lines and lines that start with ``#`` are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in (raw.strip() for raw in fh) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ConfigError(f"{path}: empty {kind} file")
+    head = lines[0].split()
+    if len(head) != len(header.split()):
+        raise ConfigError(f"{path}: header must be {header!r}")
+    try:
+        values = [int(t) for t in head]
+    except ValueError as err:
+        raise ConfigError(f"{path}: non-integer header") from err
+    if min(values) < 1:
+        raise ConfigError(f"{path}: header values must be positive")
+    return values, lines[1:]
+
 
 def read_matrix(path: str) -> np.ndarray:
     """Read a complex matrix file: header "n rows cols", rows of "re,im"."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: empty matrix file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ConfigError(f"{path}: header must be 'n rows cols'")
+    (_, rows, cols), body = _data_lines(path, "matrix", "n rows cols")
+    if len(body) != rows:
+        raise ConfigError(f"{path}: expected {rows} matrix rows, got {len(body)}")
     try:
-        n, rows, cols = (int(t) for t in head)
+        return _complex_rows(body, cols)
     except ValueError as err:
-        raise ConfigError(f"{path}: non-integer header") from err
-    if rows < 1 or cols < 1 or n < 1:
-        raise ConfigError(f"{path}: header values must be positive")
-    if len(lines) != 1 + rows:
-        raise ConfigError(f"{path}: expected {rows} matrix rows, got {len(lines) - 1}")
+        raise _bad_entry(path, body, cols) from err
+
+
+def _read_bc(path: str, make) -> bc.UnitaryBC:
+    """The boundary condition ``make`` builds from a matrix file (U, or the
+    Robin operator A); a matrix it refuses is a ConfigError naming the file."""
     try:
-        return _complex_rows(lines[1:], cols)
-    except ValueError:
-        pass
-    M = np.empty((rows, cols), dtype=complex)
-    for i, ln in enumerate(lines[1:]):
-        toks = ln.split()
-        if len(toks) != cols:
-            raise ConfigError(f"{path}: row {i + 1} has {len(toks)} entries, expected {cols}")
-        M[i] = [_parse_complex(t) for t in toks]
-    return M
+        return make(read_matrix(path))
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def write_matrix(path: str, M: np.ndarray) -> None:
     M = np.asarray(M, dtype=complex)
-    rows, cols = M.shape
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows // 2} {rows} {cols}\n")
-        for i in range(rows):
-            fh.write(" ".join(_fmt_complex(z) for z in M[i]) + "\n")
+        fh.write(f"{M.shape[0] // 2} {M.shape[0]} {M.shape[1]}\n" + _rows_text(M))
 
 
 def read_curve(path: str) -> curves.UnitaryCurve:
     """Read a curve file: header "m n", then m+1 theta blocks with matrices."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: empty curve file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ConfigError(f"{path}: header must be 'm n'")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError as err:
-        raise ConfigError(f"{path}: non-integer header") from err
+    (m, n), body = _data_lines(path, "curve", "m n")
     dim = 2 * n
     block = 1 + dim
-    if len(lines) != 1 + (m + 1) * block:
-        raise ConfigError(f"{path}: expected {(m + 1) * block} data lines, got {len(lines) - 1}")
-    body = lines[1:]
+    if len(body) != (m + 1) * block:
+        raise ConfigError(f"{path}: expected {(m + 1) * block} data lines, got {len(body)}")
     try:
         thetas = [float(t) for t in body[::block]]
-        mats = _complex_rows([ln for i, ln in enumerate(body) if i % block], dim).reshape(
-            m + 1, dim, dim)
-    except ValueError:
-        thetas = None
-    if thetas is None:
-        thetas, mats = [], []
-        for j in range(m + 1):
-            base = 1 + j * block
-            try:
-                thetas.append(float(lines[base]))
-            except ValueError as err:
-                raise ConfigError(f"{path}: bad theta in block {j}") from err
-            M = np.empty((dim, dim), dtype=complex)
-            for i in range(dim):
-                toks = lines[base + 1 + i].split()
-                if len(toks) != dim:
-                    raise ConfigError(f"{path}: block {j} row {i} has {len(toks)} entries")
-                M[i] = [_parse_complex(t) for t in toks]
-            mats.append(M)
+        mats = _complex_rows([ln for i, ln in enumerate(body) if i % block], dim)
+    except ValueError as err:
+        raise _bad_entry(path, body, dim, block) from err
     try:
-        return curves.UnitaryCurve(thetas, mats)
+        return curves.UnitaryCurve(thetas, mats.reshape(m + 1, dim, dim))
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
 def write_curve(path: str, curve: curves.UnitaryCurve) -> None:
-    m = len(curve.thetas) - 1
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {curve.dim // 2}\n")
+        fh.write(f"{len(curve.thetas) - 1} {curve.dim // 2}\n")
         for theta, M in zip(curve.thetas, curve.matrices):
-            fh.write(_fmt(theta) + "\n")
-            for row in M:
-                fh.write(" ".join(_fmt_complex(z) for z in row) + "\n")
+            fh.write(_fmt(theta) + "\n" + _rows_text(M))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +337,9 @@ def _build_bc(section: dict, n: int) -> bc.UnitaryBC:
         if kind == "neumann":
             return bc.make_neumann(n)
         if kind == "robin":
-            A = read_matrix(_require(section, "file", "bc"))
-            return bc.cayley_to_unitary(A)
+            return _read_bc(_require(section, "file", "bc"), bc.cayley_to_unitary)
         if kind == "unitary":
-            return bc.UnitaryBC(read_matrix(_require(section, "file", "bc")))
+            return _read_bc(_require(section, "file", "bc"), bc.UnitaryBC)
         if kind == "quasiperiodic":
             return bc.make_quasiperiodic(_as_float(section, "theta", "bc"))
         if kind == "u2":
@@ -409,11 +403,13 @@ def _cmd_eigenfunctions(args) -> int:
 
 def _float_list(text: str, flag: str) -> list[float]:
     """The numbers of a comma-separated flag value; ConfigError (exit 4) if
-    one does not parse or there is none."""
+    one does not parse or is not finite, or there is none."""
     try:
         values = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"bad {flag} list: {err}") from err
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad {flag} list: {text!r} holds a value that is not finite")
     if not values:
         raise ConfigError(f"{flag} is empty")
     return values
@@ -421,6 +417,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
+    times = _float_list(args.times, "--times")
     spectrum = spectral.find_eigenvalues(cfg.boundary, cfg.domain, cfg.lambda_range, cfg.options)
     if not spectrum.eigs:
         raise OdeError("no eigenvalues found in the configured lambda range")
@@ -428,7 +425,6 @@ def _cmd_evolve(args) -> int:
     re = expr.parse(args.initial)
     im = expr.parse(args.initial_imag) if args.initial_imag else None
     initial = expr.evaluate(re, xs) + 1j * (expr.evaluate(im, xs) if im else 0.0)
-    times = _float_list(args.times, "--times")
     report = spectral.evolve(cfg.boundary, cfg.domain, spectrum, initial, times)
     lines = ["# qwire-evolve v1",
              f"# truncation_residual {_fmt(report['truncation_residual'])}",
@@ -466,7 +462,7 @@ def _cmd_edge_scan(args) -> int:
 
 
 def _cmd_wire_check(args) -> int:
-    U = bc.UnitaryBC(read_matrix(args.bc))
+    U = _read_bc(args.bc, bc.UnitaryBC)
     spec = _parse_perm_phases(args.perm, args.phases)
     report = bc.verify_wire(U, spec, tol=args.tol)
     lines = []

@@ -49,9 +49,9 @@ class UnitaryCurve:
             raise ValueError("one matrix per theta sample required")
         if len(mats) < 2:
             raise ValueError("a curve needs at least two samples")
-        if abs(thetas[0]) > 1e-12 or abs(thetas[-1] - 2 * math.pi) > 1e-12:
+        if not (abs(thetas[0]) <= 1e-12 and abs(thetas[-1] - 2 * math.pi) <= 1e-12):
             raise ValueError("theta must run from 0 to 2*pi")
-        if np.any(np.diff(thetas) <= 0):
+        if not np.all(np.diff(thetas) > 0):  # NaN fails here or above
             raise ValueError("theta samples must be strictly increasing")
         if np.linalg.norm(mats[-1] - mats[0]) > 1e-10:
             raise ValueError("curve is not closed: U(2*pi) != U(0)")

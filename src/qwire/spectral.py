@@ -183,9 +183,10 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
 class Eigenpair:
     """One eigenvalue with its boundary data and sampled eigenfunctions.
 
-    ``samples`` (mult, n, m) holds L2(sqrt(eta) dx)-orthonormal
-    eigenfunctions on the per-interval grids ``xs`` (n, m).  ``residual`` is
-    the largest relative boundary-condition residual
+    ``samples`` (mult, n, m) holds eigenfunctions on the grids ``xs`` (n, m),
+    orthonormal in L2(sqrt(eta) dx) by Simpson's rule on those grids, which is
+    not the exact norm (ROADMAP item 4).  ``residual`` is the largest relative
+    boundary-condition residual
     ||(psi - i dpsi) - U (psi + i dpsi)|| / (||psi|| + ||dpsi||) of the members.
     """
 

@@ -54,6 +54,11 @@ def test_unitary_bc_rejects_non_unitary_and_odd_size():
         UnitaryBC(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         UnitaryBC(np.eye(3))
+    # a NaN defect fails the check, as every comparison with NaN does
+    with pytest.raises(ValueError, match="not unitary.*= nan"):
+        UnitaryBC(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="not unitary"):
+        make_quasiperiodic(np.nan)
 
 
 def test_u2_requires_normalized_row():
@@ -196,3 +201,5 @@ def test_compose():
 def test_cayley_operator_requires_hermitian():
     with pytest.raises(ValueError):
         CayleyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian.*= nan"):
+        CayleyOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwire import bc, cli, curves
 from qwire.cli import (
@@ -118,16 +119,22 @@ def test_curve_round_trip(tmp_path):
     ("0,0,1 0", "complex entry must be 're,im', got '0,0,1'", None),
     ("0,0 x,0", "bad complex entry 'x,0'", None),
     ("0,0", "row 2 has 1 entries, expected 2", "block 1 row 1 has 1 entries"),
+    # a bad number in row 1 is named before the missing comma of row 2, the
+    # check that the conversion of the rows makes first
+    pytest.param(("x,0 0,0", "0,0 1.0"), "row 1: bad complex entry 'x,0'",
+                 "block 1 row 0: bad complex entry 'x,0'", id="the-first-bad-line-in-file-order"),
 ])
 def test_a_malformed_entry_is_named(tmp_path, row, matrix_message, curve_message):
-    # the entries of a file are parsed in one conversion; a malformed one in
-    # the last row is named as the per-token parse names it.  "0,0,1 0" has
-    # as many commas as entries, but not one in each
+    # the entries of a file are parsed in one conversion; where it fails, the
+    # first malformed line in file order is named with its entry.  "0,0,1 0"
+    # has as many commas as entries, but not one in each.  ``row`` is the
+    # last row, or a pair of rows for both
+    rows = list(row) if isinstance(row, tuple) else ["1,0 0,0", row]
     matrix = tmp_path / "m.mat"
-    matrix.write_text("\n".join(["1 2 2", "1,0 0,0", row]) + "\n")
+    matrix.write_text("\n".join(["1 2 2"] + rows) + "\n")
     curve = tmp_path / "c.crv"
     curve.write_text("\n".join(["1 1", "0", "1,0 0,0", "0,0 1,0",
-                                repr(2.0 * math.pi), "1,0 0,0", row]) + "\n")
+                                repr(2.0 * math.pi)] + rows) + "\n")
     if matrix_message is None:
         assert np.array_equal(read_matrix(str(matrix)), np.eye(2))
         assert np.array_equal(read_curve(str(curve)).matrices[1], np.eye(2))
@@ -136,6 +143,71 @@ def test_a_malformed_entry_is_named(tmp_path, row, matrix_message, curve_message
         read_matrix(str(matrix))
     with pytest.raises(ConfigError, match=re.escape(curve_message or matrix_message)):
         read_curve(str(curve))
+
+
+_CORRUPTIONS = ["drop a comma", "add a comma", "not a number", "drop an entry", "bad theta"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_bad_token_of_a_written_file_is_named(tmp_path_factory, data):
+    # a matrix or curve file written by write_matrix or write_curve reads back
+    # bit exact; one corrupted token is named, with its row or block, after
+    # the path, and the command that reads the file exits 4
+    path = str(tmp_path_factory.mktemp("files") / "f.txt")
+    curve = data.draw(st.booleans(), "curve")
+    if curve:
+        dim = 2 * data.draw(st.integers(1, 2), "n")
+        Q = bc.random_unitary(dim, np.random.default_rng(data.draw(st.integers(0, 99), "seed")))
+        ks = np.arange(dim) - 1
+
+        def f(theta):
+            return (Q.matrix * np.exp(1j * ks * theta)) @ Q.matrix.conj().T
+
+        written = curves.UnitaryCurve.from_function(f, samples=data.draw(st.integers(2, 6), "m"))
+        write_curve(path, written)
+        back = read_curve(path)
+        assert np.array_equal(back.thetas, written.thetas)
+        assert np.array_equal(np.array(back.matrices), np.array(written.matrices))
+        block = data.draw(st.integers(0, len(written.thetas) - 1), "block")
+        row = data.draw(st.integers(0, dim - 1), "row")
+        line, where, cols = 1 + block * (dim + 1) + 1 + row, f"block {block} row {row}", dim
+        argv = ["maslov", "--curve", path]
+    else:
+        rows, cols = data.draw(st.integers(2, 4), "rows"), data.draw(st.integers(2, 4), "cols")
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(number, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        written = np.array(values).view(complex).reshape(rows, cols)
+        write_matrix(path, written)
+        assert np.array_equal(read_matrix(path), written)
+        row = data.draw(st.integers(0, rows - 1), "row")
+        line, where = 1 + row, f"row {row + 1}"
+        argv = ["wire-check", "--bc", path, "--perm", "2 1", "--phases", "0 0"]
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    toks = lines[line].split()
+    k = data.draw(st.integers(0, cols - 1), "entry")
+    re_part, im_part = toks[k].split(",")
+    corruption = data.draw(st.sampled_from(_CORRUPTIONS[:5 if curve else 4]), "corruption")
+    if corruption == "bad theta":
+        line -= row + 1
+        toks, message = ["theta"], f"bad theta in block {block}: 'theta'"
+    elif corruption == "drop an entry":
+        del toks[k]
+        message = f"{where} has {cols - 1} entries, expected {cols}"
+    else:
+        toks[k] = {"drop a comma": re_part + im_part, "add a comma": toks[k] + ",0",
+                   "not a number": "abc," + im_part}[corruption]
+        kind = ("bad complex entry" if corruption == "not a number"
+                else "complex entry must be 're,im', got")
+        message = f"{where}: {kind} {toks[k]!r}"
+    lines[line] = " ".join(toks)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        (read_curve if curve else read_matrix)(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert run(argv) == 4
 
 
 def test_spectrum_range_caps_output(free_cfg, capsys):
@@ -220,6 +292,17 @@ def test_maslov_rejects_a_non_unitary_sample(tmp_path, capsys):
     assert "not unitary" in capsys.readouterr().err
 
 
+def test_maslov_rejects_a_nan_theta(tmp_path, capsys):
+    # the constant loop U = I whose first theta is NaN, which read as index 0
+    lines = ["8 1"]
+    for j, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 9)):
+        lines += ["nan" if j == 0 else repr(float(theta)), "1,0 0,0", "0,0 1,0"]
+    path = tmp_path / "loop.crv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["maslov", "--curve", str(path)]) == 4
+    assert capsys.readouterr().err == f"qwire: {path}: theta must run from 0 to 2*pi\n"
+
+
 def test_wire_check_pass(tmp_path, capsys):
     path = str(tmp_path / "wire.mat")
     write_matrix(path, bc.make_quasiperiodic(0.0).matrix)
@@ -232,6 +315,27 @@ def test_wire_check_fail(tmp_path, capsys):
     write_matrix(path, bc.make_quasiperiodic(1.0).matrix)
     assert run(["wire-check", "--bc", path, "--perm", "2 1", "--phases", "0 0"]) == 1
     assert capsys.readouterr().out.startswith("FAIL max_residual=")
+
+
+@pytest.mark.parametrize("rows, kinds", [
+    ("1.001,0 0,0\n0,0 1,0", ["unitary"]),
+    ("nan,0 0,0\n0,0 1,0", ["unitary", "robin"]),
+])
+def test_a_bad_boundary_matrix_file_exits_4(tmp_path, capsys, rows, kinds):
+    # a non-unitary or NaN matrix file is a file error (exit 4) wherever it is
+    # read, in a config as in wire-check --bc
+    mat = tmp_path / "u.mat"
+    mat.write_text("1 2 2\n" + rows + "\n")
+    path = tmp_path / "u.cfg"
+    for kind in kinds:
+        path.write_text(f"[interval]\na = 0\nb = 1\n[bc]\nkind = {kind}\nfile = {mat}\n")
+        assert run(["spectrum", "--config", str(path)]) == 4
+    assert run(["wire-check", "--bc", str(mat), "--perm", "2 1", "--phases", "0 0"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(kinds) + 1
+    assert all(line.startswith(f"qwire: {mat}: matrix is not ") for line in err)
+    path.write_text("[interval]\na = 0\nb = 1\n[bc]\nkind = quasiperiodic\ntheta = nan\n")
+    assert run(["spectrum", "--config", str(path)]) == 4
 
 
 def test_spectrum_default_window_starts_at_the_bottom(tmp_path, capsys):
@@ -368,8 +472,13 @@ def test_exit_code_bad_flag_list(tmp_path, capsys):
     assert run(["evolve", "--config", str(path), "--initial", "sin(x)",
                 "--times", "1,abc"]) == 4
     assert run(["edge-scan", "--config", str(path), "--t-list", ","]) == 4
+    # a value that is not finite is not a time either
+    assert run(["evolve", "--config", str(path), "--initial", "sin(x)",
+                "--times", "nan,1"]) == 4
+    assert run(["evolve", "--config", str(path), "--initial", "sin(x)", "--times", "inf"]) == 4
+    assert run(["edge-scan", "--config", str(path), "--t-list", "nan"]) == 4
     err = capsys.readouterr().err.splitlines()
-    assert [line.split()[1] for line in err] == ["bad", "bad", "--t-list"]
+    assert [line.split()[1] for line in err] == ["bad", "bad", "--t-list", "bad", "bad", "bad"]
 
 
 def test_oracle_compare_window_holds_every_level(tmp_path, capsys):

@@ -157,4 +157,13 @@ def test_curve_validation():
     bad = list(eye)
     bad[5] = np.eye(2) * (1.0 + 1e-11)               # within the tolerance
     UnitaryCurve(thetas, bad)
+    bad = list(eye)
+    bad[2] = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match=r"not unitary: .* = nan$"):
+        UnitaryCurve(thetas, bad)
+    for j in (0, 4, 8):                               # a NaN theta at either end or between
+        bad = thetas.copy()
+        bad[j] = np.nan
+        with pytest.raises(ValueError, match="^theta "):
+            UnitaryCurve(bad, eye)
 
