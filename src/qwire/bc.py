@@ -262,6 +262,8 @@ def verify_wire(U: UnitaryBC, spec: WireSpec, tol: float = 1e-10) -> dict:
     pass flag, and a ``degenerate`` flag raised when the admissible data
     already forces psi = 0 (the identifications then hold vacuously).
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     m = len(spec.sigma)
     if m != U.matrix.shape[0]:
         raise ValueError("spec size does not match boundary dimension")

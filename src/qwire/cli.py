@@ -151,8 +151,8 @@ def _read_bc(path: str, make) -> bc.UnitaryBC:
 
 def write_matrix(path: str, M: np.ndarray) -> None:
     M = np.asarray(M, dtype=complex)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M.shape[0] // 2} {M.shape[0]} {M.shape[1]}\n" + _rows_text(M))
+    with open(path, "w", encoding="utf-8") as fh:   # n >= 1 even for a single row
+        fh.write(f"{max(1, M.shape[0] // 2)} {M.shape[0]} {M.shape[1]}\n" + _rows_text(M))
 
 
 def read_curve(path: str) -> curves.UnitaryCurve:
@@ -509,6 +509,14 @@ def _int_in(low: int, high: float = math.inf):
     return parse
 
 
+def _positive(text: str) -> float:
+    """argparse type: a positive finite number; anything else is a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qwire", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -545,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", required=True, help="unitary matrix file")
     p.add_argument("--perm", required=True, help="1-based endpoint permutation, e.g. '2 1'")
     p.add_argument("--phases", required=True, help="gluing phases, e.g. '0 0'")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
 
     p = add("oracle-compare", _cmd_oracle_compare, help="cross-check against finite differences")
     p.add_argument("--config", required=True)

@@ -59,6 +59,8 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "metric", _as_expr(self.metric))
         object.__setattr__(self, "potential", _as_expr(self.potential))
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise DomainError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise DomainError(f"interval endpoints must satisfy a < b, got [{self.a}, {self.b}]")
 

@@ -27,14 +27,19 @@ below lam is the number of negative eigenvalues of H - lam M, which a
 pairwise tree of 2x2 Schur complements on each interval's chain of nodes
 plus the 2n x 2n block of its end nodes gives in O(n N) per lam (Haynsworth
 inertia additivity, the discrete form of the count of the spectral solver).
-Multisection on the count isolates the levels.  At resolution N it starts
-from the Gershgorin interval.  At 2N it starts from the N brackets, whose
-midpoints lie within ~1e-4 of a level spacing of the 2N levels: its first
-count takes a short ladder of points on both sides of each midpoint, at
-fractions of the distance to the next.  On smooth problems that count or
-one more round separates the levels (1 or 2 counts at 2N, against 13 to 20
-from the Gershgorin interval).  Only the counts decide the brackets, so a seed far
-off costs counts, not accuracy.  Each level is then polished:
+Multisection on the count isolates the levels, started from seeds.  At
+resolution N the seeds are the lowest levels of two small meshes, N0 =
+max(16, 64 // n) and 2 N0 (LAPACK's banded eigensolver, the cost of a few
+counts at N), extrapolated to N under the O(h**2) law of the Richardson
+step.  At 2N they are the midpoints of the N brackets, within ~1e-4 of a
+level spacing of the 2N levels.  The first count takes a short ladder of
+points on both sides of each seed, at fractions of the distance to the
+next.  On smooth problems that count or one more round separates the levels
+(1 or 2 counts at N and at 2N, against 11 to 20 from the Gershgorin
+interval).  Only the counts decide the brackets, so a seed far off costs
+counts, not accuracy: an edge state narrower than the small meshes' step,
+or a level above their dimension, is found as from the Gershgorin interval.
+Each level is then polished:
 two steps of inverse iteration by banded LU at the bracket midpoints give
 vectors spanning the k lowest eigenspaces, and the Rayleigh-Ritz values of
 the quadratic form, summed over edge differences so that the O(1/h**2)
@@ -350,15 +355,25 @@ def fd_spectrum(U: UnitaryBC, domain: QuantumDomain, N: int = 600, k: int = 8,
         raise ValueError(f"k = {k} must lie in [1, {dim}], the dimension of the "
                          f"N = {N} matrix")
 
-    def solve(res: int, seeds=()):
+    def hs(res: int):
         disc = _discretize(domain, res)
         band = _band(disc, A, 2 * domain.n)
-        if dirichlet:
-            band = band[:, 2 * domain.n:]
+        return disc, band[:, 2 * domain.n:] if dirichlet else band
+
+    def solve(res: int, seeds):
+        disc, band = hs(res)
         shifts, levels = _lowest(band, disc, A, k, seeds)
         return _ritz(band, shifts, disc, A)[:k], _norm1(band), levels
 
-    lam_1, norm_1, levels = solve(N)
+    # seeds at N: the lowest levels of two small meshes, ~64 nodes in all and
+    # at least 16 per interval, extrapolated to N under the O(h**2) law that
+    # the Richardson step assumes
+    N0 = max(16, 64 // domain.n)
+    m = min(k + 1, domain.n * (N0 - 1))
+    l0, l1 = (scipy.linalg.eigvals_banded(hs(res)[1], lower=True, select="i",
+                                          select_range=(0, m - 1)) for res in (N0, 2 * N0))
+    seeds = l1 - (l0 - l1) / 3.0 + 4.0 / 3.0 * (l0 - l1) * (N0 / N) ** 2
+    lam_1, norm_1, levels = solve(N, seeds)
     if not extrapolate:
         return lam_1, None
     lam_2, norm_2, _ = solve(2 * N, levels)    # searched from the N brackets

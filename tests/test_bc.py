@@ -173,6 +173,13 @@ def test_verify_wire_pass_and_degenerate():
     assert report["passed"] and report["degenerate"]
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_verify_wire_requires_a_positive_finite_tolerance(tol):
+    spec = WireSpec(sigma=(1, 0), beta=(0.0, 0.0))
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        verify_wire(make_wire(spec), spec, tol)
+
+
 def test_verify_wire_fails_on_wrong_phase():
     spec = WireSpec(sigma=(1, 0), beta=(0.7, -0.7))
     wrong = WireSpec(sigma=(1, 0), beta=(0.1, -0.1))

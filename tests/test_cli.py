@@ -100,6 +100,15 @@ def test_matrix_round_trip(tmp_path):
     assert np.array_equal(M, M2)  # 17 significant digits are bit-exact
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2)])
+def test_small_matrix_round_trip(tmp_path, shape):
+    # a single row still writes a header whose values are all positive
+    M = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape) * (2.0 - 0.5j)
+    path = str(tmp_path / "m.mat")
+    write_matrix(path, M)
+    assert np.array_equal(read_matrix(path), M)
+
+
 def test_curve_round_trip(tmp_path):
     def f(theta):
         return np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
@@ -317,6 +326,19 @@ def test_wire_check_fail(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL max_residual=")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
+def test_wire_check_tol_must_be_positive(tmp_path, capsys, tol):
+    # a tolerance no residual can be judged by is a usage error, not a FAIL
+    path = str(tmp_path / "wire.mat")
+    write_matrix(path, bc.make_quasiperiodic(0.0).matrix)
+    with pytest.raises(SystemExit) as exc:
+        run(["wire-check", "--bc", path, "--perm", "2 1", "--phases", "0 0", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert run(["wire-check", "--bc", path, "--perm", "2 1", "--phases", "0 0",
+                "--tol", "1e-3"]) == 0
+
+
 @pytest.mark.parametrize("rows, kinds", [
     ("1.001,0 0,0\n0,0 1,0", ["unitary"]),
     ("nan,0 0,0\n0,0 1,0", ["unitary", "robin"]),
@@ -391,6 +413,16 @@ def test_exit_code_usage_error():
 def test_exit_code_io_error(tmp_path, capsys):
     assert run(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 4
     assert "qwire:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [("1", "0"), ("0", "inf"), ("-inf", "0")])
+def test_exit_code_bad_interval_ends(tmp_path, capsys, a, b):
+    # a reversed or an infinite interval is refused as a bad domain (exit 3)
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[interval]\na = {a}\nb = {b}\n[bc]\nkind = dirichlet\n")
+    assert run(["spectrum", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("qwire: interval endpoints must") and err.count("\n") == 1
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

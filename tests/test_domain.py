@@ -28,6 +28,13 @@ def test_interval_requires_increasing_endpoints():
         Interval(2.0, -1.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+                                  (0.0, math.nan)])
+def test_interval_requires_finite_endpoints(a, b):
+    with pytest.raises(DomainError, match="must be finite"):
+        Interval(a, b)
+
+
 def test_interval_accepts_expression_strings_and_numbers():
     iv = Interval(0.0, 1.0, metric="1 + x^2", potential=3)
     assert iv.metric(0.5) == pytest.approx(1.25)

@@ -15,6 +15,7 @@ from qwire import oracle
 from qwire.bc import (
     CayleySingular,
     UnitaryBC,
+    cayley_to_unitary,
     make_dirichlet,
     make_neumann,
     make_quasiperiodic,
@@ -214,6 +215,11 @@ PAIR = QuantumDomain([Interval(0.0, math.pi, "1", "0"),
     # a pair 1e-7 apart: k = 1 and k = 3 split each pair between kept and left out
     (make_dirichlet(2), PAIR, 300, 1),
     (make_dirichlet(2), PAIR, 300, 3),
+    # seeds that the small meshes of the search at N cannot place: edge
+    # states narrower than their step, and levels above their dimension
+    *[(cayley_to_unitary(kappa * np.eye(2)), QuantumDomain([Interval(0.0, 1.0, "1", "0")]),
+       200, 4) for kappa in (20.0, 200.0, 2000.0)],
+    (make_dirichlet(1), FREE, 200, 150),
 ])
 def test_lowest_levels_match_dense_eigensolver(U, domain, N, k):
     H, disc, A = _dense_hs(U, domain, N)
@@ -290,20 +296,25 @@ def test_seeded_search_gives_the_cold_levels(case, data):
 ])
 def test_fine_search_starts_from_the_coarse_brackets(monkeypatch, U, domain, N):
     # Work guard: seeded with the brackets found at N, the search at 2N
-    # needs at most 3 counts; from the Gershgorin bound it takes 13 to 20.
+    # needs at most 3 counts; seeded with the levels of two small meshes
+    # extrapolated to N, the search at N needs at most 2.  From the
+    # Gershgorin bound either takes 11 to 20.
     calls = count_calls(monkeypatch, oracle, "_count")
     fd_spectrum(U, domain, N=N, k=5)
     nodes = [disc[4].size for disc, *_ in calls]
     assert 0 < nodes.count(domain.n * (2 * N + 1)) <= 3
+    assert 0 < nodes.count(domain.n * (N + 1)) <= 2
 
 
 @pytest.mark.parametrize("domain", [FREE, QuantumDomain([Interval(-6.0, 6.0, "1", "x^2/2")])])
 def test_the_upper_end_doubles_four_times_per_count(monkeypatch, domain):
-    # Work guard: at N = 1200 the upper end of the first count is doubled
-    # four times before it holds k + 1 = 6 levels; those four doublings take
-    # one count, where one count per doubling took four.
+    # Work guard: in the unseeded search at N = 1200 the upper end of the
+    # first count is doubled four times before it holds k + 1 = 6 levels;
+    # those four doublings take one count, where one count per doubling took four.
+    disc = oracle._discretize(domain, 1200)
+    band = oracle._band(disc, None, 2)[:, 2:]
     calls = count_calls(monkeypatch, oracle, "_count")
-    fd_spectrum(make_dirichlet(1), domain, N=1200, k=5)
+    oracle._lowest(band, disc, None, 5)
     first = [len(lams) for disc, _, lams in calls if disc[4].size == 1201]
     assert first[:2] == [1, 4] and first.count(1) == 1 and 4 not in first[2:]
 
