@@ -27,6 +27,7 @@ failure, 4 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -517,7 +518,9 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every :func:`run` reuses it."""
     parser = _Parser(prog="qwire", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -563,8 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ConfigError, expr.SyntaxErrorAt) as err:

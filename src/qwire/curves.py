@@ -126,12 +126,13 @@ def cayley_index(curve: UnitaryCurve) -> int:
 
     Ascending (anticlockwise) crossings count +1, descending -1, using the
     lifted tracks so eigenvalue collisions away from -1 are harmless.  Raises
-    on a sample sitting exactly at angle pi (perturb the theta grid).
+    on a sample within 1e-10 of angle pi, on either side (perturb the theta
+    grid).
     """
-    shifted = eigenangle_flow(curve).tracks - math.pi
-    if np.min(np.abs(shifted % (2 * math.pi))) < 1e-10:
-        raise ResolutionError("an eigenvalue sits exactly at -1 on a sample")
-    levels = np.floor(shifted / (2 * math.pi))
+    tracks = eigenangle_flow(curve).tracks
+    if np.min(np.abs(tracks % (2 * math.pi) - math.pi)) < 1e-10:
+        raise ResolutionError("an eigenvalue lies within 1e-10 of -1 on a sample")
+    levels = np.floor((tracks - math.pi) / (2 * math.pi))
     return int(np.sum(levels[-1] - levels[0]))
 
 

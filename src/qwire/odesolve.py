@@ -30,13 +30,14 @@ V - Vbar.  With V - Vbar expanded in Legendre polynomials of s, these are
 fixed combinations of Ixaru's functions eta_m(z) = i_m(sqrt z) / sqrt(z)**m
 (modified spherical Bessel functions) whose coefficients do not depend on
 lam.  The cells' l, Vbar and coefficients come from one pass of Gauss
-quadrature per level and are cached (for the 16 intervals used last,
-process-wide), so a value of lam costs the eta_m of every cell and one
-contraction.  What is left is third order in l**2 (V - Vbar), about l**9
-per cell for smooth V, and it does not grow with lam.  With constant eta and
-V the reference cell is exact and the same for every sample cell: such an
-interval is one cell at level 0, needs no halving, and is broadcast to its
-samples - 1 cells.
+quadrature per level and are cached for the 16 (interval, samples) pairs
+used last, process-wide (a solve on 9 variable intervals, at two sample
+counts each, rebuilds every mesh), so a value of lam costs the eta_m of
+every cell and one contraction.  What is left is third order in l**2
+(V - Vbar), about l**9 per cell for smooth V, and it does not grow with lam.
+With constant eta and V the reference cell is exact and the same for every
+sample cell: such an interval is one cell at level 0, needs no halving, and
+is broadcast to its samples - 1 cells.
 
 Error control halves the mesh per sample cell: level j is accepted when
 every sample cell's transfer matrix agrees between levels j and j + 1 (both
@@ -226,7 +227,7 @@ def _reference_cells(interval: Interval, n: int):
 
 
 def _cp_cells(interval: Interval, n: int):
-    """2 l**2, Vbar, l and the (4, M + 2, n) coefficients of eta_-1 .. eta_M
+    """2 l**2, Vbar, l and the (2, 2, M + 2, n) coefficients of eta_-1 .. eta_M
     in the transfer matrices of the n cells of equal width in x, by Gauss
     quadrature: l is a cell's arc length, Vbar the mean of V over it in s,
     and the coefficients hold the reference cell and its corrections, which
@@ -247,7 +248,7 @@ def _cp_cells(interval: Interval, n: int):
     coeffs[1, 1] += 1.0
     coeffs[1] *= ell
     coeffs[2] /= ell
-    return 2.0 * ell * ell, vbar, ell, coeffs
+    return 2.0 * ell * ell, vbar, ell, coeffs.reshape(2, 2, *coeffs.shape[1:])
 
 
 def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -392,10 +393,10 @@ def _etas_down(z: np.ndarray, slopes: bool = False) -> np.ndarray:
 
 
 def _cell_matrices(cells, lam, slopes: bool = False):
-    """Transfer matrices of the cells as rows (t00, t01, t10, t11), shape
-    (4, N) or (4, G, N) for a column of G values of lam, and their log
-    factors (growing cells are stored times exp(-sqrt z)).  With ``slopes``
-    the rows of their lam-derivatives T' follow, (8, ...), scaled like T.
+    """Transfer matrices of the cells, (1, 2, 2, N) or (1, 2, 2, G, N) for a
+    column of G values of lam, and their log factors (growing cells are
+    stored times exp(-sqrt z)).  With ``slopes`` they are dual numbers T +
+    eps T', (2, 2, 2, ...), the lam-derivatives T' scaled like T.
 
     Without corrections a cell is its reference cell [[xi, l eta_0],
     [z eta_0 / l, xi]]; with them, its coefficients hold the reference's
@@ -407,36 +408,34 @@ def _cell_matrices(cells, lam, slopes: bool = False):
     z = two_l2 * (vbar - lam)
     if coeffs is None:
         xi, eta0, log = _reference(z)
-        m = np.array([xi, ell * eta0, z * eta0 / ell, xi])
-        if not slopes:
-            return m, log
-        # (z eta_0)' = eta_0 + z eta_1 / 2 = (xi + eta_0) / 2
-        dm = np.array([eta0, ell * _eta1(z, xi, eta0, log), (xi + eta0) / ell, eta0])
+        m = [[[xi, ell * eta0], [z * eta0 / ell, xi]]]
+        if slopes:
+            # (z eta_0)' = eta_0 + z eta_1 / 2 = (xi + eta_0) / 2
+            m.append([[eta0, ell * _eta1(z, xi, eta0, log)], [(xi + eta0) / ell, eta0]])
+        m = np.array(m)
     else:
         etas, log = _etas(z, slopes)
-        m = np.einsum("emc,m...c->e...c", coeffs, etas[:coeffs.shape[1]])
-        m[2] += z * etas[1] / ell
-        if not slopes:
-            return m, log
-        dm = np.einsum("emc,m...c->e...c", coeffs, etas[1:])
-        dm[2] += (etas[0] + etas[1]) / ell
-    return np.concatenate([m, -0.5 * two_l2 * dm]), log
+        m = np.empty((1 + slopes, 2, 2) + z.shape)
+        for d in range(1 + slopes):                 # T' is the contraction one order up
+            np.einsum("ijmc,m...c->ij...c", coeffs, etas[d:d + coeffs.shape[2]], out=m[d])
+        m[0, 1, 0] += z * etas[1] / ell
+        if slopes:
+            m[1, 1, 0] += (etas[0] + etas[1]) / ell
+    m[1:] *= -0.5 * two_l2                          # dz/dlam, on T' where there is one
+    return m, log
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cellwise 2x2 products a @ b of (4, N) row-stacked matrices, or of
-    (8, N) stacks of matrices and their lam-derivatives: (ab)' = a'b + ab'."""
-    if len(a) == 8:
-        return np.concatenate([_mul(a[:4], b[:4]), _mul(a[4:], b[:4]) + _mul(a[:4], b[4:])])
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return np.stack([a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11])
+    """Cellwise products of dual numbers (see :func:`_cell_matrices`): (ab)' = a'b + ab'."""
+    c = np.einsum("yij...,jk...->yik...", a, b[0])
+    if len(a) > 1:
+        c[1] += np.einsum("ij...,jk...->ik...", a[0], b[1])
+    return c
 
 
 def _normalised(m: np.ndarray, logs: np.ndarray):
     """m divided by the largest entry of each matrix, derivatives by the same."""
-    peak = np.abs(m[:4]).max(axis=0)
+    peak = np.abs(m[0]).max(axis=(0, 1))
     return m / peak, logs + np.log(peak)
 
 
@@ -484,15 +483,15 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float, slopes: bool = False):
     """
     if mesh.constant:
         cell, logs = _cell_matrices(mesh.cells(0), lam, slopes=slopes)
-        return 0, cell[:4], logs, cell, logs
+        return 0, cell[:1], logs, cell, logs
     level = mesh.cell_start.get(cell_tol, 0)
     m, logs = _cell_matrices(mesh.pair(level), lam, slopes=slopes)
     n = mesh.cells0 << level
-    coarse, coarse_logs = _sample_cells(m[:4, ..., :n], logs[..., :n], mesh.cells0)
+    coarse, coarse_logs = _sample_cells(m[:1, ..., :n], logs[..., :n], mesh.cells0)
     fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], mesh.cells0)
     previous = math.inf
     while True:
-        error = np.max(np.abs(fine[:4] * np.exp(fine_logs - coarse_logs) - coarse).max(axis=0)
+        error = np.max(np.abs(fine[0] * np.exp(fine_logs - coarse_logs) - coarse[0]).max((0, 1))
                        - _LOG_ROUNDING * np.abs(fine_logs))
         if error <= cell_tol:
             mesh.cell_start[cell_tol] = level
@@ -502,7 +501,7 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float, slopes: bool = False):
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
         previous = error
-        coarse, coarse_logs = fine[:4], fine_logs
+        coarse, coarse_logs = fine[:1], fine_logs
         fine, fine_logs = _sample_cells(
             *_cell_matrices(mesh.cells(level + 1), lam, slopes=slopes), mesh.cells0)
 
@@ -541,7 +540,7 @@ def fundamental_solutions(
     mesh = _mesh(interval, samples)
     _, coarse, coarse_logs, cells, cell_logs = _converged_cells(mesh, lam,
                                                                 rel_tol / (samples - 1))
-    p, pl = _product(np.broadcast_to(cells, (4, samples - 1)),
+    p, pl = _product(np.broadcast_to(cells, (1, 2, 2, samples - 1)),
                      np.broadcast_to(cell_logs, samples - 1))
     # cells exact to rounding leave the product's own rounding, up to (samples - 1) eps
     error = 0.0 if mesh.constant else (_distance(*_product(coarse, coarse_logs), p, pl)
@@ -551,7 +550,7 @@ def fundamental_solutions(
                        f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
                        f"{error:.3g} > rel_tol={rel_tol:g})")
     # y = (u, eta**-0.5 u') starts at (1, 0) and (0, 1 / sqrt(eta(a)))
-    pl = float(pl)
+    pl, p = float(pl), p[0].ravel()
     scale = pl if pl > _SCALE_LOG else 0.0
     f, sf = math.exp(pl - scale), math.exp(-scale)
     if sf < np.finfo(float).tiny:
@@ -578,7 +577,7 @@ def _cells_free(mesh: _Mesh, lams: np.ndarray, rel_tol: float, slopes: bool = Fa
     level, _, _, fine, fine_logs = _converged_cells(mesh, lams, rel_tol, slopes)
     two_l2, vbar = mesh.cells(level)[:2]
     turn = np.sqrt(np.maximum(two_l2 * (lams - vbar), 0.0))
-    ok = (fine[1] > 0.0) & (turn.reshape(len(lams), mesh.cells0, -1).sum(axis=-1) < math.pi)
+    ok = (fine[0, 0, 1] > 0.0) & (turn.reshape(len(lams), mesh.cells0, -1).sum(axis=-1) < math.pi)
     return fine, fine_logs, ok
 
 
@@ -620,14 +619,14 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         block = lams[start:start + max(1, _BATCH_CELLS // pair)]
         start += len(block)
         fine, fine_logs, ok = _cells_free(mesh, block, rel_tol, slopes)
-        t00, t01, _, t11 = fine[:4]
+        (t00, t01), (_, t11) = fine[0]
         if not ok.all():
             raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "
                            f"inside one of the {samples - 1} sample cells of "
                            f"[{interval.a:g}, {interval.b:g}]")
         dtn = np.array([t00, -np.exp(-fine_logs), t11]) / t01
         if slopes:
-            d00, d01, _, d11 = fine[4:] / t01
+            (d00, d01), (_, d11) = fine[1] / t01
             dtn = np.concatenate([dtn, [d00 - dtn[0] * d01, -dtn[1] * d01, d11 - dtn[2] * d01]])
         parts.append(dtn)
     return tuple(np.broadcast_to(np.concatenate(parts, axis=1),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_calls
 from qwire import bc, cli, curves
 from qwire.cli import (
     ConfigError,
@@ -286,6 +287,36 @@ def test_maslov_command(tmp_path, capsys):
     write_curve(path, curve)
     assert run(["maslov", "--curve", path]) == 0
     assert capsys.readouterr().out == "index 2\n"
+
+
+@pytest.mark.parametrize("offset", [1e-13, -1e-13])
+def test_maslov_refuses_a_sample_beside_minus_one(tmp_path, capsys, offset):
+    # an eigenphase within 1e-10 of pi on a sample, on either side: a numeric
+    # failure, exit 3, not an index
+    def f(theta):
+        return np.diag([np.exp(1j * (theta + offset)), np.exp(-0.3j)])
+
+    path = str(tmp_path / "loop.crv")
+    write_curve(path, curves.UnitaryCurve.from_function(f, samples=256))
+    assert run(["maslov", "--curve", path]) == 3
+    assert capsys.readouterr().err == "qwire: an eigenvalue lies within 1e-10 of -1 on a sample\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process: after a first call, a usage
+    # error (exit 2) and a good call build none, and the good call still works
+    path = str(tmp_path / "loop.crv")
+    loop = curves.UnitaryCurve.from_function(lambda t: np.exp(1j * (t + 0.3)) * np.eye(2))
+    write_curve(path, loop)
+    assert run(["maslov", "--curve", path]) == 0
+    built = count_calls(monkeypatch, cli._Parser, "__init__")
+    with pytest.raises(SystemExit) as exc:
+        run(["wire-check", "--bc", path])
+    assert exc.value.code == 2
+    assert run(["maslov", "--curve", path]) == 0
+    out = capsys.readouterr()
+    assert out.out == "index 2\nindex 2\n" and "required" in out.err
+    assert built == []
 
 
 def test_maslov_rejects_a_non_unitary_sample(tmp_path, capsys):

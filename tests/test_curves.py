@@ -127,6 +127,16 @@ def test_sample_exactly_at_minus_one_raises():
         cayley_index(curve)
 
 
+@pytest.mark.parametrize("offset", [1e-13, -1e-13])
+def test_sample_just_beside_minus_one_raises(offset):
+    # an eigenphase 1e-13 above or below pi at the sample theta = pi: a
+    # crossing that close to a sample is not counted on either side
+    curve = UnitaryCurve.from_function(
+        lambda t: np.diag([np.exp(1j * (t + offset)), np.exp(-0.3j)]), samples=256)
+    with pytest.raises(ResolutionError):
+        cayley_index(curve)
+
+
 def test_curve_validation():
     thetas = np.linspace(0.0, 2 * math.pi, 9)
     eye = [np.eye(2, dtype=complex)] * 9

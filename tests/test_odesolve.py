@@ -421,15 +421,91 @@ def test_cp_cells_converge_against_airy():
     mesh = odesolve._Mesh(iv, 5)
     for lam in (-0.5, 1.2, 4.0):
         u, du = _airy_pair(iv.a, lam, [iv.b])
-        exact = np.array([u[:, 0], du[:, 0]]).ravel()
+        exact = np.array([u[:, 0], du[:, 0]])
         errors = []
         for level in range(4):
             cells = odesolve._cell_matrices(mesh.cells(level), lam)
             p, logs = odesolve._product(*odesolve._sample_cells(*cells, mesh.cells0))
-            errors.append(np.max(np.abs(p * math.exp(logs) - exact)) / np.max(np.abs(exact)))
+            errors.append(np.max(np.abs(p[0] * math.exp(logs) - exact)) / np.max(np.abs(exact)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse >= 100.0 * fine
         assert errors[-1] <= 2e-12
+
+
+def test_dual_product_against_the_row_formulas():
+    # Cells are dual numbers T + eps T' of shape (2, 2, 2, ...): the product
+    # is the 2x2 product row by row, and its derivative part (AB)' = A'B + AB'.
+    # Without slopes the dual axis has length 1 and holds T alone.
+    rng = np.random.default_rng(5)
+    for shape in [(7,), (3, 5), (2, 4, 3)]:
+        a, b = rng.standard_normal((2, 2, 2, 2) + shape)
+
+        def mul(x, y):
+            (x00, x01), (x10, x11) = x
+            (y00, y01), (y10, y11) = y
+            return np.array([[x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
+                             [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]])
+
+        got = odesolve._mul(a, b)
+        scale = np.max(np.abs(a)) * np.max(np.abs(b))
+        assert got.shape == a.shape
+        assert np.max(np.abs(got[0] - mul(a[0], b[0]))) <= 1e-15 * scale
+        assert np.max(np.abs(got[1] - mul(a[1], b[0]) - mul(a[0], b[1]))) <= 1e-15 * scale
+        assert np.array_equal(odesolve._mul(a[:1], b[:1]), got[:1])
+
+
+def test_odd_cell_is_carried_through_a_level():
+    # Five cells: one level of pair products gives M2 M1, M4 M3 and M5
+    # carried as it is; the whole product is M5 M4 M3 M2 M1, derivative
+    # included, with the log factors added up.
+    rng = np.random.default_rng(6)
+    m, logs = rng.standard_normal((2, 2, 2, 3, 5)), rng.uniform(0.0, 2.0, (3, 5))
+    prod, pl = odesolve._pair_products(m, logs)
+    assert prod.shape == (2, 2, 2, 3, 3)
+    assert np.array_equal(prod[..., 2], m[..., 4]) and np.array_equal(pl[:, 2], logs[:, 4])
+    assert np.array_equal(prod[..., 0], odesolve._mul(m[..., 1], m[..., 0]))
+    want = m[..., 0]
+    for i in range(1, 5):
+        want = odesolve._mul(m[..., i], want)
+    p, p_log = odesolve._product(m, logs)
+    got = p * np.exp(p_log - logs.sum(axis=-1))
+    assert np.max(np.abs(got - want) / np.max(np.abs(want[0]), axis=(0, 1))) <= 1e-14
+    assert np.max(np.abs(p[0]).max(axis=(0, 1))) == 1.0
+
+
+def test_product_of_a_read_only_broadcast_cell():
+    # fundamental_solutions multiplies a constant interval's one exact cell,
+    # broadcast read-only to every sample cell: 7 rotations by 0.3 are one
+    # by 2.1, and the input is left as it was.
+    c, s = math.cos(0.3), math.sin(0.3)
+    cell = np.array([[[c, s], [-s, c]]])[..., np.newaxis]
+    cells = np.broadcast_to(cell, (1, 2, 2, 7))
+    assert not cells.flags.writeable
+    p, pl = odesolve._product(cells, np.broadcast_to(np.zeros(1), 7))
+    c7, s7 = math.cos(2.1), math.sin(2.1)
+    want = np.array([[c7, s7], [-s7, c7]])
+    assert np.max(np.abs(p[0] * math.exp(pl) - want)) <= 1e-15
+    assert np.array_equal(cells[..., 0], cell[..., 0])
+
+
+# fundamental_solutions of x^2/2 on [0, 2 pi] (samples 257, rel_tol 1e-10) as
+# (lam, psi_b, dpsi_b): reference values from the row-stacked products that
+# preceded the dual numbers, which the cells' layout must not move
+_X2_ENDPOINTS = [
+    (-3.0, [73028717850.59183, 29619494500.20802], [487371808936.0297, 197671642597.7918]),
+    (0.5, [-6.563529998449101e-08, 30137426.31990397], [-4.3485377741685657e-07, 184432498.9747892]),
+    (3.0, [302395.14395258296, -122647.52232866231], [1720475.3493469849, -697802.3392367542]),
+    (20.0, [1.9661861672072012, 0.06257149482776928], [0.9013478609474271, 0.5372831426841785]),
+]
+
+
+@pytest.mark.parametrize("lam, psi_b, dpsi_b", _X2_ENDPOINTS)
+def test_endpoint_data_of_x2_over_2(lam, psi_b, dpsi_b):
+    fp = fundamental_solutions(Interval(0.0, 2.0 * math.pi, "1", "x^2/2"), lam)
+    want = np.array([psi_b, dpsi_b])
+    got = np.array([fp.psi_b, fp.dpsi_b])
+    assert fp.scale_exponent == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_coefficients_evaluated_once_per_level(monkeypatch):
@@ -496,7 +572,7 @@ def test_cells_against_mpmath(case):
         i = int((x - iv.a) / mesh.width)
         a = iv.a + i * mesh.width
         want = _mp_transfer(a, a + mesh.width, root, pot, lam)
-        got = fine[:, 0, i] * math.exp(logs[0, i])
+        got = fine[0, :, :, 0, i].ravel() * math.exp(logs[0, i])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
