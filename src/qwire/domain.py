@@ -55,6 +55,8 @@ class Interval:
     b: float
     metric: Expr = field(default=_ONE)
     potential: Expr = field(default=_ZERO)
+    # lam-independent cell data, held by qwire.odesolve for as long as the interval lives
+    _cells: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metric", _as_expr(self.metric))

@@ -30,11 +30,11 @@ V - Vbar.  With V - Vbar expanded in Legendre polynomials of s, these are
 fixed combinations of Ixaru's functions eta_m(z) = i_m(sqrt z) / sqrt(z)**m
 (modified spherical Bessel functions) whose coefficients do not depend on
 lam.  The cells' l, Vbar and coefficients come from one pass of Gauss
-quadrature per level and are cached for the 16 (interval, samples) pairs
-used last, process-wide (a solve on 9 variable intervals, at two sample
-counts each, rebuilds every mesh), so a value of lam costs the eta_m of
-every cell and one contraction.  What is left is third order in l**2
-(V - Vbar), about l**9 per cell for smooth V, and it does not grow with lam.
+quadrature per number of cells and are held on the interval for as long as
+it lives, shared by every sample count whose mesh reaches that number (see
+:class:`_Store`), so a value of lam costs the eta_m of every cell and one
+contraction.  What is left is third order in l**2 (V - Vbar), about l**9
+per cell for smooth V, and it does not grow with lam.
 With constant eta and V the reference cell is exact and the same for every
 sample cell: such an interval is one cell at level 0, needs no halving, and
 is broadcast to its samples - 1 cells.
@@ -145,47 +145,61 @@ class FundamentalPair:
         return abs(w_b - w_a) / max(t_a * t_a, t_b * t_b, 1e-300)
 
 
-class _Mesh:
-    """Lam-independent data of one interval.
+class _Store:
+    """The lam-independent data of one interval, held on it (``Interval._cells``)
+    for as long as it lives: ``cells[n]`` the n cells of equal width in x
+    (:func:`_cells`), shared by every sample count whose mesh reaches n;
+    ``pairs[n]`` the cells of n and 2n side by side, for one pass of
+    :func:`_cell_matrices`; ``start`` the level last accepted per (samples,
+    per-cell tolerance); ``reference[n]`` l and Vbar of n quadrature cells."""
 
-    Per level j the (samples - 1) * 2**j cells of equal width in x hold
-    2 l**2, Vbar, l and the correction coefficients (see :func:`_cp_cells`),
-    evaluated in one pass over their Gauss points the first time the level
-    is used.  With constant eta and V every sample cell is the same and its
-    reference cell is exact, so the mesh holds that one cell at level 0.
-    """
-
-    def __init__(self, interval: Interval, samples: int):
-        self.interval = interval
+    def __init__(self, interval: Interval):
         self.constant = all(expr.is_constant(e) for e in (interval.metric, interval.potential))
-        self.cells0 = 1 if self.constant else samples - 1
-        self.width = interval.length / (samples - 1)
-        self.sqrt_eta_a, self.sqrt_eta_b = np.sqrt(_metric_at(interval, [interval.a, interval.b]))
-        self.levels: dict = {}
-        self.pairs: dict = {}
-        self.cell_start: dict = {}                      # per-cell tolerance -> last level
-
-    def cells(self, level: int):
-        if level not in self.levels:
-            if self.constant:
-                pot = expr.evaluate(self.interval.potential, np.array([self.interval.a]))
-                ell = self.sqrt_eta_a * np.array([self.width])
-                self.levels[level] = 2.0 * ell * ell, pot, ell, None
-            else:
-                self.levels[level] = _cp_cells(self.interval, self.cells0 << level)
-        return self.levels[level]
-
-    def pair(self, level: int):
-        """The cells of levels j and j + 1 side by side, formed in one pass."""
-        if level not in self.pairs:
-            self.pairs[level] = tuple(None if a is None else np.concatenate([a, b], axis=-1)
-                                      for a, b in zip(self.cells(level), self.cells(level + 1)))
-        return self.pairs[level]
+        self.sqrt_eta = np.sqrt(_metric_at(interval, [interval.a, interval.b]))
+        self.cells, self.pairs, self.start, self.reference = {}, {}, {}, {}
 
 
-@functools.lru_cache(maxsize=16)
-def _mesh(interval: Interval, samples: int) -> _Mesh:
-    return _Mesh(interval, samples)
+def _store(interval: Interval) -> _Store:
+    if interval._cells is None:
+        object.__setattr__(interval, "_cells", _Store(interval))
+    return interval._cells
+
+
+def _cells(interval: Interval, n: int):
+    """:func:`_cp_cells` of the n cells of equal width in x, built once per
+    interval and n; with constant eta and V the one exact cell that each is."""
+    store = _store(interval)
+    if n not in store.cells:
+        if store.constant:
+            ell = store.sqrt_eta[0] * np.array([interval.length / n])
+            pot = expr.evaluate(interval.potential, np.array([interval.a]))
+            store.cells[n] = 2.0 * ell * ell, pot, ell, None
+        else:
+            store.cells[n] = _cp_cells(interval, n)
+    return store.cells[n]
+
+
+def _pair(interval: Interval, n: int):
+    """The cells of n and 2n side by side, formed once per interval and n."""
+    pairs = _store(interval).pairs
+    if n not in pairs:
+        pairs[n] = tuple(None if a is None else np.concatenate([a, b], axis=-1)
+                         for a, b in zip(_cells(interval, n), _cells(interval, 2 * n)))
+    return pairs[n]
+
+
+def _turns(ell, vbar, lam):
+    """Each cell's exact turn l sqrt(2 (lam - Vbar))+ at lam."""
+    return ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0))
+
+
+def _reference_turns(interval: Interval, n: int, lam):
+    """The turns at lam of the n cells of equal width in x, whose l and Vbar
+    come from Gauss quadrature once per interval and n."""
+    reference = _store(interval).reference
+    if n not in reference:
+        reference[n] = _arc_means(interval, n)[2:]
+    return _turns(*reference[n], lam)
 
 
 def _metric_at(interval: Interval, xs) -> np.ndarray:
@@ -217,13 +231,6 @@ def _arc_means(interval: Interval, n: int):
     pot = expr.evaluate(interval.potential, xs).reshape(n, _GAUSS)
     ell = ds @ w
     return ds, pot, ell, (ds * pot) @ w / ell
-
-
-@functools.lru_cache(maxsize=16)
-def _reference_cells(interval: Interval, n: int):
-    """l and Vbar of the n reference cells of equal width in x, cached apart
-    from :func:`_mesh`: a cell's turn at lam is l sqrt(2 (lam - Vbar))+."""
-    return _arc_means(interval, n)[2:]
 
 
 def _cp_cells(interval: Interval, n: int):
@@ -466,7 +473,7 @@ def _sample_cells(m: np.ndarray, logs: np.ndarray, n: int):
     return _product(m.reshape(m.shape[:-1] + (n, -1)), logs.reshape(logs.shape[:-1] + (n, -1)))
 
 
-def _converged_cells(mesh: _Mesh, lam, cell_tol: float, slopes: bool = False):
+def _converged_cells(interval: Interval, samples: int, lam, cell_tol: float, slopes: bool = False):
     """Sample cells of levels j - 1 and j, halving the mesh from the level last
     accepted at ``cell_tol`` until every cell agrees between the two levels to
     ``cell_tol`` of its own largest entry, beyond the rounding of its log
@@ -481,29 +488,30 @@ def _converged_cells(mesh: _Mesh, lam, cell_tol: float, slopes: bool = False):
 
     Returns (j, coarse, coarse logs, fine, fine logs).
     """
-    if mesh.constant:
-        cell, logs = _cell_matrices(mesh.cells(0), lam, slopes=slopes)
+    store = _store(interval)
+    if store.constant:
+        cell, logs = _cell_matrices(_cells(interval, samples - 1), lam, slopes=slopes)
         return 0, cell[:1], logs, cell, logs
-    level = mesh.cell_start.get(cell_tol, 0)
-    m, logs = _cell_matrices(mesh.pair(level), lam, slopes=slopes)
-    n = mesh.cells0 << level
-    coarse, coarse_logs = _sample_cells(m[:1, ..., :n], logs[..., :n], mesh.cells0)
-    fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], mesh.cells0)
+    level = store.start.get((samples, cell_tol), 0)
+    n = (samples - 1) << level
+    m, logs = _cell_matrices(_pair(interval, n), lam, slopes=slopes)
+    coarse, coarse_logs = _sample_cells(m[:1, ..., :n], logs[..., :n], samples - 1)
+    fine, fine_logs = _sample_cells(m[..., n:], logs[..., n:], samples - 1)
     previous = math.inf
     while True:
         error = np.max(np.abs(fine[0] * np.exp(fine_logs - coarse_logs) - coarse[0]).max((0, 1))
                        - _LOG_ROUNDING * np.abs(fine_logs))
         if error <= cell_tol:
-            mesh.cell_start[cell_tol] = level
+            store.start[samples, cell_tol] = level
             return level + 1, coarse, coarse_logs, fine, fine_logs
-        level += 1
+        level, n = level + 1, 2 * n
         if level >= _MAX_LEVEL or 1.5e-8 > error >= previous:
             raise OdeError(f"mesh halving did not reach rel_tol={cell_tol:g} "
                            f"(difference {error:.3g} at level {level})")
         previous = error
         coarse, coarse_logs = fine[:1], fine_logs
         fine, fine_logs = _sample_cells(
-            *_cell_matrices(mesh.cells(level + 1), lam, slopes=slopes), mesh.cells0)
+            *_cell_matrices(_cells(interval, 2 * n), lam, slopes=slopes), samples - 1)
 
 
 def _distance(t, t_log: float, ref, ref_log: float) -> float:
@@ -537,14 +545,13 @@ def fundamental_solutions(
         raise ValueError("samples must be at least 3")
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
-    mesh = _mesh(interval, samples)
-    _, coarse, coarse_logs, cells, cell_logs = _converged_cells(mesh, lam,
+    _, coarse, coarse_logs, cells, cell_logs = _converged_cells(interval, samples, lam,
                                                                 rel_tol / (samples - 1))
     p, pl = _product(np.broadcast_to(cells, (1, 2, 2, samples - 1)),
                      np.broadcast_to(cell_logs, samples - 1))
     # cells exact to rounding leave the product's own rounding, up to (samples - 1) eps
-    error = 0.0 if mesh.constant else (_distance(*_product(coarse, coarse_logs), p, pl)
-                                        + (samples - 1) * np.finfo(float).eps)
+    error = 0.0 if _store(interval).constant else (
+        _distance(*_product(coarse, coarse_logs), p, pl) + (samples - 1) * np.finfo(float).eps)
     if error > rel_tol:
         raise OdeError(f"lam={lam:.6g}: the endpoint transfer matrix of [{interval.a:g}, "
                        f"{interval.b:g}] is ill-conditioned (mesh levels differ by "
@@ -557,7 +564,7 @@ def fundamental_solutions(
         raise OdeError(f"lam={lam:.6g}: the solutions grow by e^{scale:.6g} over "
                        f"[{interval.a:g}, {interval.b:g}], so their data at a, stored "
                        f"with the factor e^-{scale:.6g}, would underflow")
-    sa, sb = mesh.sqrt_eta_a, mesh.sqrt_eta_b
+    sa, sb = _store(interval).sqrt_eta
     return FundamentalPair(
         lam=lam, interval=interval,
         psi_a=np.array([sf, 0.0]), dpsi_a=np.array([0.0, sf]),
@@ -570,15 +577,14 @@ def fundamental_solutions(
 _BATCH_CELLS = 1 << 14
 
 
-def _cells_free(mesh: _Mesh, lams: np.ndarray, rel_tol: float, slopes: bool = False):
+def _cells_free(interval: Interval, samples: int, lams, rel_tol: float, slopes: bool = False):
     """The converged sample cells at each of the (G, 1) ``lams``, with their
     lam-derivatives where ``slopes``, their log factors, and whether each
     holds no Dirichlet level of its own, (G, cells)."""
-    level, _, _, fine, fine_logs = _converged_cells(mesh, lams, rel_tol, slopes)
-    two_l2, vbar = mesh.cells(level)[:2]
-    turn = np.sqrt(np.maximum(two_l2 * (lams - vbar), 0.0))
-    ok = (fine[0, 0, 1] > 0.0) & (turn.reshape(len(lams), mesh.cells0, -1).sum(axis=-1) < math.pi)
-    return fine, fine_logs, ok
+    level, _, _, fine, fine_logs = _converged_cells(interval, samples, lams, rel_tol, slopes)
+    _, vbar, ell, _ = _cells(interval, (samples - 1) << level)
+    turn = _turns(ell, vbar, lams).reshape(len(lams), fine.shape[-1], -1)
+    return fine, fine_logs, (fine[0, 0, 1] > 0.0) & (turn.sum(axis=-1) < math.pi)
 
 
 def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 257,
@@ -611,14 +617,15 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
     negative definite.
     """
     lams = np.asarray(lams, dtype=float)[:, np.newaxis]
-    mesh = _mesh(interval, samples)
+    store = _store(interval)
+    cells0 = 1 if store.constant else samples - 1
     parts = []
     start = 0
     while start < len(lams):
-        pair = 3 * (mesh.cells0 << mesh.cell_start.get(rel_tol, 0))
+        pair = 3 * (cells0 << store.start.get((samples, rel_tol), 0))
         block = lams[start:start + max(1, _BATCH_CELLS // pair)]
         start += len(block)
-        fine, fine_logs, ok = _cells_free(mesh, block, rel_tol, slopes)
+        fine, fine_logs, ok = _cells_free(interval, samples, block, rel_tol, slopes)
         (t00, t01), (_, t11) = fine[0]
         if not ok.all():
             raise OdeError(f"lam={block[~ok.all(axis=-1)][0, 0]:.6g} puts a Dirichlet level "

@@ -64,8 +64,8 @@ import scipy.linalg
 from . import expr
 from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
-from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _cells_free, _mesh,
-                       _reference_cells, cell_dtn)
+from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _cells_free, _reference_turns,
+                       cell_dtn)
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -185,7 +185,7 @@ class Eigenpair:
 
     ``samples`` (mult, n, m) holds eigenfunctions on the grids ``xs`` (n, m),
     orthonormal in L2(sqrt(eta) dx) by Simpson's rule on those grids, which is
-    not the exact norm (ROADMAP item 4).  ``residual`` is the largest relative
+    not the exact norm (ROADMAP item 6).  ``residual`` is the largest relative
     boundary-condition residual
     ||(psi - i dpsi) - U (psi + i dpsi)|| / (||psi|| + ||dpsi||) of the members.
     """
@@ -515,8 +515,7 @@ def _grid(domain: QuantumDomain, lam: float) -> tuple[int, np.ndarray]:
     turn by pi, the cap's :class:`~qwire.odesolve.OdeError`."""
     turns = np.zeros(len(_COUNTS))
     for iv in domain.intervals:
-        ell, vbar = _reference_cells(iv, _MAX_SAMPLES - 1)
-        t, top = ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0)), []
+        t, top = _reference_turns(iv, _MAX_SAMPLES - 1, lam), []
         while t.size >= _LEAST - 1:                         # 4096 cells, then 2048, ..
             top.append(t.max())
             t = t[0::2] + t[1::2]
@@ -545,7 +544,7 @@ def _samples(domain: QuantumDomain, lam: float,
     above = np.array([[lam + _ISOLATE * max(1.0, abs(lam))]])
     for s, turn in zip(_COUNTS.tolist(), turns.tolist()):
         if (turn <= _MARGIN or s >= grid) and all(
-                _cells_free(_mesh(iv, s), above, rel_tol)[2].all() for iv in domain.intervals):
+                _cells_free(iv, s, above, rel_tol)[2].all() for iv in domain.intervals):
             return s, grid
     raise OdeError(f"lam={lam:.6g} puts a Dirichlet level inside a sample cell "
                    f"at the cap of {_MAX_SAMPLES} samples")
@@ -630,7 +629,9 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     moves the search of every problem to the samples it needs; the counts
     already taken stay, since N_U does not depend on the samples.  An end
     whose count is not sure moves out past the level there in steps of its
-    own, 1e-7 max(1, |end|), doubling, and plans again as a probe does.  The
+    own, 1e-7 max(1, |end|), doubling, and plans again as a probe does.
+    Only levels within the first such step of the ends asked for come back,
+    and a level below lo that a move took in holds no place of max_eigs.  The
     eigenpairs of all problems are read on ``g`` in one call, from the
     vectors of each level's last Newton probe, and each problem's are moved
     to the grid of :func:`_samples` at its highest level found, so the grid
@@ -661,14 +662,22 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     ends = np.stack([los, his], axis=1)
     counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
     step = _ISOLATE * np.maximum(1.0, np.abs(ends))
+    asked = ends + step * [-1.0, 1.0]  # what an end that moves out keeps
     while not sure.all():              # an end on a level moves out past it
         ends += np.where(sure, 0.0, step * [-1.0, 1.0])
         g = _reaching(g, ends.max())
         counts, sure = (v.reshape(P, 2) for v in g.count(ends.ravel(), np.repeat(u, 2)))
         step *= 2.0
     n_lo, n_hi = counts.T
-    top = n_hi if opts.max_eigs is None else np.minimum(n_hi, n_lo + opts.max_eigs)
-    roots, vecs, ru = _refine(g, _isolate(g, *ends.T, n_lo, n_hi, top))
+    below = np.zeros(P, dtype=int)
+    while True:        # a level below lo that its move took in holds no place of max_eigs
+        top = n_hi if opts.max_eigs is None else np.minimum(n_hi, n_lo + below + opts.max_eigs)
+        roots, vecs, ru = _refine(g, _isolate(g, *ends.T, n_lo, n_hi, top))
+        was, below = below, np.bincount(ru[roots < asked[ru, 0]], minlength=P)
+        if opts.max_eigs is None or np.array_equal(below, was):
+            break
+    inside = (roots >= asked[ru, 0]) & (roots <= asked[ru, 1])
+    roots, vecs, ru = roots[inside], vecs[inside], ru[inside]
     found = [[] for _ in range(P)]
     if not roots.size:
         return found

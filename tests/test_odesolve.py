@@ -395,22 +395,20 @@ def test_halving_stops_at_the_rounding_floor():
     # differences fall to ~5e-15 (17 samples) or start there (257) and then
     # rise, and the first rise raises instead of halving on to _MAX_LEVEL.
     for samples, finest in ((17, 6), (257, 3)):
-        odesolve._mesh.cache_clear()
         iv = Interval(-6.0, 6.0, "1", "x^2/2")
         with pytest.raises(OdeError, match="did not reach"):
             fundamental_solutions(iv, 1.0, rel_tol=1e-14, samples=samples)
-        assert max(odesolve._mesh(iv, samples).levels) <= finest
+        assert max(odesolve._store(iv).cells) <= (samples - 1) << finest
 
 
 def test_halving_goes_on_past_a_rising_truncation_error():
     # 17 sample cells of 12800 sin 48x on [0, 10] span 4.8 periods each: the
     # first halvings raise the level difference from ~2 to ~2e3 before it
     # falls, which is truncation on cells too coarse for V, not rounding
-    odesolve._mesh.cache_clear()
     iv = Interval(0.0, 10.0, "1", "12800*sin(48*x)")
     alpha, beta, gamma = cell_dtn(iv, [-12000.0], rel_tol=1e-11, samples=17)
     assert np.all(np.isfinite(alpha)) and np.all(beta < 0.0)
-    assert max(odesolve._mesh(iv, 17).levels) > 4
+    assert max(odesolve._store(iv).cells) > 16 << 4
 
 
 def test_cp_cells_converge_against_airy():
@@ -418,14 +416,13 @@ def test_cp_cells_converge_against_airy():
     # l**2 (V - Vbar), about l**9 for V = x, so halving the mesh of 4 sample
     # cells divides the endpoint error by about 2**8.
     iv = Interval(-1.0, 3.0, "1", "x")
-    mesh = odesolve._Mesh(iv, 5)
     for lam in (-0.5, 1.2, 4.0):
         u, du = _airy_pair(iv.a, lam, [iv.b])
         exact = np.array([u[:, 0], du[:, 0]])
         errors = []
         for level in range(4):
-            cells = odesolve._cell_matrices(mesh.cells(level), lam)
-            p, logs = odesolve._product(*odesolve._sample_cells(*cells, mesh.cells0))
+            cells = odesolve._cell_matrices(odesolve._cells(iv, 4 << level), lam)
+            p, logs = odesolve._product(*odesolve._sample_cells(*cells, 4))
             errors.append(np.max(np.abs(p[0] * math.exp(logs) - exact)) / np.max(np.abs(exact)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse >= 100.0 * fine
@@ -513,13 +510,12 @@ def test_coefficients_evaluated_once_per_level(monkeypatch):
     # cells, and later calls on the same interval evaluate nothing.
     calls = count_calls(monkeypatch, expr, "evaluate")
     iv = Interval(0.0, 2.0 * math.pi, "1", "x^2/2 + 0.1*sin(3*x)")
-    odesolve._mesh.cache_clear()
     lams = np.linspace(-1.0, 6.0, 20)
     for lam in lams:
         fundamental_solutions(iv, lam, rel_tol=1e-11)
     points = [np.size(x) for e, x in calls if e is iv.potential]
-    levels = sorted(odesolve._mesh(iv, 257).levels)
-    assert len(levels) >= 2 and levels == list(range(len(levels)))
+    levels = sorted(odesolve._store(iv).cells)
+    assert len(levels) >= 2 and levels == [256 << j for j in range(len(levels))]
     assert len(points) == len(levels)                                     # one pass per level
     assert sum(points) == odesolve._GAUSS * 256 * (2 ** len(levels) - 1)  # every point once
     evaluated = sum(points)
@@ -563,15 +559,15 @@ def test_cells_against_mpmath(case):
     # potential, tunnelling 2000 below V, cells turning by up to 2.4 rad, and
     # a lam equal to the mean potential of one level-1 cell (z = 0 there).
     iv, lam, xs, root, pot = _MPMATH_CASES[case]
-    mesh = odesolve._mesh(iv, 257)
+    width = iv.length / 256
     if lam is None:
-        lam = float(mesh.cells(1)[1][341])              # in the sample cell of x = 2
-    level, _, _, fine, logs = odesolve._converged_cells(mesh, np.array([[lam]]), 1e-12)
+        lam = float(odesolve._cells(iv, 512)[1][341])   # in the sample cell of x = 2
+    level, _, _, fine, logs = odesolve._converged_cells(iv, 257, np.array([[lam]]), 1e-12)
     assert level == 1
     for x in xs:
-        i = int((x - iv.a) / mesh.width)
-        a = iv.a + i * mesh.width
-        want = _mp_transfer(a, a + mesh.width, root, pot, lam)
+        i = int((x - iv.a) / width)
+        a = iv.a + i * width
+        want = _mp_transfer(a, a + width, root, pot, lam)
         got = fine[0, :, :, 0, i].ravel() * math.exp(logs[0, i])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -650,7 +646,6 @@ def test_cell_dtn_builds_two_levels_per_lam(monkeypatch):
     # cells agree with their 512 halves, so cell_dtn builds at most
     # 256 + 512 cells per lam, from a cold mesh and on later calls.
     calls = count_calls(monkeypatch, odesolve, "_cell_matrices")
-    odesolve._mesh.cache_clear()
     iv = Interval(-6.0, 6.0, "1", "x^2/2")
     lams = np.linspace(0.1, 60.0, 40)
     for block in (lams, lams[:1], lams[10:14]):

@@ -12,7 +12,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import count_calls
-from qwire import expr, spectral
+from qwire import expr, odesolve, spectral
 from qwire.bc import (
     UnitaryBC,
     WireSpec,
@@ -28,7 +28,7 @@ from qwire.bc import (
 )
 from qwire.domain import Interval, QuantumDomain, lagrange_form
 from qwire.edge import rotate_bc
-from qwire.odesolve import (OdeError, _reference_cells, free_exponential_basis,
+from qwire.odesolve import (OdeError, free_exponential_basis,
                             fundamental_solutions)
 from qwire.oracle import fd_spectrum
 from qwire.spectral import (
@@ -361,7 +361,7 @@ INTERVALS = (Interval(0.0, 2.0 * math.pi), Interval(0.0, 1.3),
 def _turn_reach(iv, samples):
     """The lam at which a sample cell of ``samples`` per interval turns by pi,
     its turn summed over the 4096 reference cells."""
-    ell, vbar = _reference_cells(iv, 4096)
+    ell, vbar = odesolve._arc_means(iv, 4096)[2:]
 
     def turn(lam):
         t = ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0))
@@ -397,6 +397,9 @@ def test_tops_just_below_each_counts_reach_raise_nothing(iv, samples, below, see
 
 @settings(max_examples=16, deadline=None)
 @example(L=math.pi, k=1, variable=False, far=9.0, edge=False, seed=0)
+@example(L=2.2942037865923375, k=5, variable=True, far=3.0, edge=False, seed=321)
+@example(L=0.8506811297238908, k=2, variable=True, far=6.927942351130881, edge=False,
+         seed=3765266117)
 @given(L=st.floats(0.5, 3.0), k=st.integers(1, 6), variable=st.booleans(),
        far=st.floats(3.0, 12.0), edge=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
@@ -420,6 +423,34 @@ def test_every_level_lies_in_its_window(L, k, variable, far, edge, seed):
     assert np.all(lams <= hi + nudge[1])
     if lo > -math.inf:
         assert np.all(lams >= lo - nudge[0])
+
+
+def test_a_level_below_a_moved_lo_takes_no_place_of_max_eigs():
+    # lo on the Dirichlet level 25 pi^2 / (2 L^2) of the free interval, where
+    # the count is not sure and lo moves down past a level 1e-6 relative
+    # below it; that level is not returned, and the max_eigs lowest levels
+    # above lo are, as without the cap
+    L = 2.294190063794966
+    lo = (5.0 * math.pi / L) ** 2 / 2.0
+    dom = QuantumDomain([Interval(0.0, L), Interval(0.0, 1.5, "(1+0.3*x)^2", "x^2/2")])
+    U = random_unitary(4, np.random.default_rng(321))
+    below = find_eigenvalues(U, dom, (lo - 1e-4, lo)).lams
+    assert below.size == 1 and lo - below[0] < 2e-6 * lo
+    want = find_eigenvalues(U, dom, (lo, 60.0)).lams[:2]
+    got = find_eigenvalues(U, dom, (lo, 60.0), SolveOptions(max_eigs=2)).lams
+    assert got.size == 2 and np.all(got >= lo)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_a_repeated_solve_on_nine_variable_intervals_builds_no_cells(monkeypatch):
+    # Work guard: each interval holds its cells for as long as it lives, so
+    # a second identical solve builds none.  A process-wide cache of the 16
+    # (interval, samples) meshes used last rebuilt all 18 of such a solve.
+    dom = QuantumDomain([Interval(0.0, 1.0 + 0.1 * k, "1", "x^2/2") for k in range(9)])
+    first = find_eigenvalues(make_dirichlet(9), dom, (0.0, 30.0)).lams
+    calls = count_calls(monkeypatch, odesolve, "_cp_cells")
+    assert np.array_equal(find_eigenvalues(make_dirichlet(9), dom, (0.0, 30.0)).lams, first)
+    assert len(calls) == 0
 
 
 def test_a_variable_window_down_to_minus_1e12():
