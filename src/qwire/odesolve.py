@@ -48,7 +48,9 @@ first halving that does not lower a difference below sqrt(eps).  The next
 call with the same tolerance on the same interval starts at the level last
 accepted.  :func:`cell_dtn` turns the finer sample cells, for an array of
 lam, into Dirichlet-to-Neumann matrices; the count, the roots and the
-spectral determinant of :mod:`qwire.spectral` are built on those.
+spectral determinant of :mod:`qwire.spectral` are built on those, but for
+the count on a constant interval, whose Dirichlet count and DtN matrix
+:func:`_whole_dtn` gives in closed form from its one exact cell.
 :func:`fundamental_solutions` gives the canonical pair's endpoint data, an
 independent reference for them: it takes the per-cell tolerance rel_tol /
 (samples - 1) and multiplies the finer cells pairwise into the endpoint
@@ -151,7 +153,8 @@ class _Store:
     (:func:`_cells`), shared by every sample count whose mesh reaches n;
     ``pairs[n]`` the cells of n and 2n side by side, for one pass of
     :func:`_cell_matrices`; ``start`` the level last accepted per (samples,
-    per-cell tolerance); ``reference[n]`` l and Vbar of n quadrature cells."""
+    per-cell tolerance); ``reference[n]`` l and Vbar of n quadrature cells,
+    or of the exact cell where eta and V are constant."""
 
     def __init__(self, interval: Interval):
         self.constant = all(expr.is_constant(e) for e in (interval.metric, interval.potential))
@@ -195,11 +198,16 @@ def _turns(ell, vbar, lam):
 
 def _reference_turns(interval: Interval, n: int, lam):
     """The turns at lam of the n cells of equal width in x, whose l and Vbar
-    come from Gauss quadrature once per interval and n."""
-    reference = _store(interval).reference
-    if n not in reference:
-        reference[n] = _arc_means(interval, n)[2:]
-    return _turns(*reference[n], lam)
+    come from Gauss quadrature once per interval and n; with constant eta
+    and V, the one exact cell's l = sqrt(eta) L / n and V, for all n."""
+    store = _store(interval)
+    if n not in store.reference:
+        if store.constant:
+            _, vbar, ell, _ = _cells(interval, n)
+            store.reference[n] = ell, vbar
+        else:
+            store.reference[n] = _arc_means(interval, n)[2:]
+    return np.broadcast_to(_turns(*store.reference[n], lam), n)
 
 
 def _metric_at(interval: Interval, xs) -> np.ndarray:
@@ -638,6 +646,34 @@ def cell_dtn(interval: Interval, lams, rel_tol: float = 1e-10, samples: int = 25
         parts.append(dtn)
     return tuple(np.broadcast_to(np.concatenate(parts, axis=1),
                                  (len(parts[0]), len(lams), samples - 1)))
+
+
+def _whole_cells(intervals) -> tuple:
+    """2 l**2, V and l of the one exact cell of each constant interval, each
+    (len(intervals),), for :func:`_whole_dtn`."""
+    return tuple(np.concatenate(v) for v in zip(*(_cells(iv, 1)[:3] for iv in intervals)))
+
+
+def _whole_dtn(cells, lams, unsure: float):
+    """The Dirichlet counts and DtN matrices of constant intervals at each of
+    the (G,) ``lams``, from their :func:`_whole_cells`, in closed form: the
+    entries alpha, beta, gamma as one (3, G, intervals) array, N_D (G,
+    intervals), and whether each N_D is sure.
+
+    An interval's one exact cell turns by l sqrt(2 (lam - V))+ and holds the
+    Dirichlet levels j pi below that turn, j >= 1; N_D is not sure where the
+    turn lies within ``unsure`` max(1, turn) of one.  Its DtN matrix is
+    :func:`cell_dtn`'s of that cell, with its poles at those levels.
+    """
+    lams = np.asarray(lams, dtype=float)[:, np.newaxis]
+    two_l2, vbar, ell = cells
+    m, log = _cell_matrices((two_l2, vbar, ell, None), lams)
+    (t00, t01), (_, t11) = m[0]
+    turn = _turns(ell, vbar, lams)
+    j = turn / math.pi
+    sure = np.abs(turn - math.pi * np.maximum(np.round(j), 1.0)) > unsure * np.maximum(1.0, turn)
+    return (np.array([t00, -np.exp(-log), t11]) / t01,
+            np.maximum(np.ceil(j) - 1.0, 0.0).astype(int), sure)
 
 
 def free_exponential_basis(interval: Interval, lam: float) -> FundamentalPair:

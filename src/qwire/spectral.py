@@ -28,6 +28,15 @@ taking its last step unprobed where the quadratic model certifies it; and
 its null vector there holds the eigenfunction at the sample nodes (DtN
 bracketing: L. Friedlander, Arch. Rational Mech. Anal. 116 (1991)).
 
+The count needs less than the whole matrix.  Eliminating an interval's
+interior nodes leaves its Dirichlet count N_D(lam) and its DtN matrix
+Lambda(lam), and N_U = sum N_D + the negative eigenvalues of
+Q^H Lambda Q - A, so the bulk enters only through those two terms per
+interval (see :meth:`_Glued.inertia`).  With constant eta and V both have
+closed forms, the turn l sqrt(2 (lam - V))+ and the interval's one exact
+cell, and such an interval's count builds no sample cells; a variable
+interval's come from a pairwise tree over its sample cells.
+
 Every cell is exact, so N_U and the roots of mu_k do not depend on how many
 sample cells there are, as long as none holds a Dirichlet level of its own.
 A solve therefore takes two sample counts per interval (see
@@ -43,8 +52,8 @@ and below the max_eigs cutoff; Newton's method finds each of its roots,
 so a level that symmetry makes degenerate costs no rounds of its own (see
 :func:`_isolate`).
 
-The cells, the pivots of the interior nodes and each interval's DtN matrix
-Lambda(lam) do not depend on U; Q, A and c(U) are the boundary part (see
+The cells, each interval's Dirichlet count and its DtN matrix Lambda(lam)
+do not depend on U; Q, A and c(U) are the boundary part (see
 :class:`_Glued`).  Boundary conditions whose Q have one rank share the
 layout of K(lam) - A and are searched in lockstep, each count, Newton probe
 and Ritz step taking the (lam, U) pairs of all of them in one call:
@@ -65,7 +74,7 @@ from . import expr
 from .bc import _CAYLEY_ANGLE_TOL, UnitaryBC
 from .domain import QuantumDomain
 from .odesolve import (_SCALE_LOG, FundamentalPair, OdeError, _cells_free, _reference_turns,
-                       cell_dtn)
+                       _store, _whole_cells, _whole_dtn, cell_dtn)
 from .oracle import _folded_positions
 
 __all__ = ["SolveOptions", "SpectralMatrix", "Eigenpair", "Spectrum", "spectral_matrix",
@@ -302,11 +311,15 @@ class _Glued:
     and ``rows`` <= ``cols`` list the entries that :meth:`_values` fills at
     each lam.
 
-    The cells, the interior pivots of the count and each interval's DtN
-    matrix Lambda(lam) depend on the domain and lam only; Q, A and c(U) on
-    the boundary condition.  So one call serves (lam, problem) pairs of all
-    its problems: the methods take the problem ``u`` of each row, which is
-    not needed where there is one problem."""
+    The count takes each interval down its own path (see :meth:`inertia`):
+    ``fixed`` lists the intervals with constant eta and V, counted in
+    closed form from their ``whole`` cells, and ``varying`` the others
+    (``variable``), whose sample cells :meth:`tree` reduces.  The cells,
+    each interval's Dirichlet count and its DtN matrix Lambda(lam) depend
+    on the domain and lam only; Q, A and c(U) on the boundary condition.  So
+    one call serves (lam, problem) pairs of all its problems: the methods
+    take the problem ``u`` of each row, which is not needed where there is
+    one problem."""
 
     def __init__(self, U, domain: QuantumDomain, opts: SolveOptions, samples: int = _SAMPLES):
         bc = U if isinstance(U, _Boundary) else _batches([U])[0][1]
@@ -321,6 +334,11 @@ class _Glued:
         self.pos = _folded_positions(n, N)[:, 1:N] - 2 * n + m        # interior nodes
         self.dim = m + n * (N - 1)
         self.iu = np.triu_indices(m)
+        constant = np.array([_store(iv).constant for iv in domain.intervals])
+        self.fixed, self.varying = np.flatnonzero(constant), np.flatnonzero(~constant)
+        self.variable = [domain.intervals[i] for i in self.varying]
+        self.whole = (_whole_cells([domain.intervals[i] for i in self.fixed])
+                      if constant.any() else None)
         bnd = np.repeat(np.arange(m), n)
         chain = self.pos[:, :-1].ravel(), self.pos[:, 1:].ravel()
         self.rows = np.concatenate([self.pos.ravel(), np.minimum(*chain), bnd, bnd, self.iu[0]])
@@ -333,35 +351,77 @@ class _Glued:
         self._gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(
             ("gbtrf", "gbtrs"), (np.empty(0, self.dtype),))
 
-    def cells(self, lams, samples: int | None = None, slopes: bool = False):
+    def cells(self, lams, samples: int | None = None, slopes: bool = False, intervals=None):
         """Cell DtN entries alpha, beta, gamma at every lam, each (G, n, S - 1),
-        on S = ``samples`` nodes per interval, or the search's; with
-        ``slopes``, their lam-derivatives follow."""
+        on S = ``samples`` nodes per interval, or the search's, of every
+        interval or of ``intervals``; with ``slopes``, their
+        lam-derivatives follow."""
         parts = [cell_dtn(iv, lams, self.opts.rel_tol, samples or self.samples, slopes=slopes)
-                 for iv in self.domain.intervals]
+                 for iv in (self.domain.intervals if intervals is None else intervals)]
         return tuple(np.stack(p, axis=1) for p in zip(*parts))
 
     def count(self, lams, u=None):
         """N_U of problem u[i] at lams[i], and whether it is sure there; see
-        :meth:`tree`.  Problems that share a lam share its cells."""
+        :meth:`inertia`.  Problems that share a lam share its terms."""
         lams = np.asarray(lams, dtype=float)
         if self.P == 1:      # deduping and gathering cost one U ~5% of its solve
-            return self.tree(*self.cells(lams))
+            return self.inertia(lams)
         uniq, at = np.unique(lams, return_inverse=True)
-        return self.tree(*self.cells(uniq), at, u)
+        return self.inertia(uniq, None, at, u)
 
-    def tree(self, alpha, beta, gamma, at=None, u=None):
-        """N_U from (G, n, N) cells, and whether no pivot or boundary eigenvalue
-        is within rounding of 0, per lam, or per row i where row i takes
-        the cells at[i] and the boundary part of problem u[i].
+    def inertia(self, lams, cells=None, at=None, u=None):
+        """N_U at each of the (G,) ``lams``, the number of negative
+        eigenvalues of K(lam) - A, and whether no term it was read from is
+        within rounding of 0, per lam, or per row i where row i takes
+        lams[at[i]] and the boundary part of problem u[i].
+
+        Eliminating each interval's interior nodes leaves its Dirichlet
+        count N_D and its DtN matrix Lambda(lam), and N_U = sum N_D + the
+        negative eigenvalues of Q^H Lambda Q - A (Haynsworth; DtN
+        bracketing).  A constant interval gives both in closed form
+        (``odesolve._whole_dtn``), with no sample cells; the chain of a
+        variable interval's sample cells, ``cells`` (G, n, N) of every
+        interval or else built here, is reduced by :meth:`tree`.  A
+        boundary eigenvalue within _UNSURE of 0, relative to the largest
+        |A| and the largest entry of Lambda or of the terms a tree summed
+        it from, makes the count unsure.  Lambda has a pole at a Dirichlet
+        level of a whole interval, and near one the count is good to about
+        sqrt(eps) only.
+        """
+        G, n, k = len(lams), self.domain.n, np.arange(self.domain.n)
+        dtn = np.empty((3, G, n))
+        below, sure, scale = np.zeros(G, dtype=int), np.ones(G, dtype=bool), np.zeros(G)
+        if self.whole is not None:
+            d, nd, ok = _whole_dtn(self.whole, lams, _UNSURE)
+            dtn[:, :, self.fixed] = d
+            below, sure, scale = nd.sum(axis=1), ok.all(axis=1), np.abs(d).max(axis=(0, 2))
+        if self.variable:
+            cells = (self.cells(lams, intervals=self.variable) if cells is None
+                     else (c[:, self.varying] for c in cells))
+            nv, ok, dtn[:, :, self.varying], sv = self.tree(*cells)
+            below, sure, scale = below + nv, sure & ok, np.maximum(scale, sv)
+        lam_mat = np.zeros((G, 2 * n, 2 * n))
+        lam_mat[:, k, k], lam_mat[:, n + k, n + k] = dtn[0], dtn[2]
+        lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = dtn[1]
+        if at is not None:
+            sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
+        bc = self.bc
+        ev = np.linalg.eigvalsh(_pick(bc.Qh, u) @ lam_mat @ _pick(bc.Q, u) - _pick(bc.A, u))
+        sure &= (np.min(np.abs(ev), axis=-1, initial=np.inf)
+                 > _UNSURE * (scale + _pick(bc.amax, u)))
+        return below + np.count_nonzero(ev < 0.0, axis=-1), sure
+
+    def tree(self, alpha, beta, gamma):
+        """The interior nodes of (G, n, N) chains of cells eliminated, per
+        lam: the negative pivots, whether none is within rounding of 0, each
+        chain's DtN matrix as its entries alpha, beta, gamma (3, G, n), and
+        the largest of those entries and of the terms they were summed from.
 
         A pairwise tree eliminates the node shared by neighbouring cells with
         the pivot d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
         alpha_1 - beta_1**2/d, gamma_2 - beta_2**2/d, -beta_1 beta_2/d; the
-        inertia adds up over the pivots (Haynsworth).  Q^H Lambda Q - A, from
-        each interval's DtN matrix Lambda, adds its negative eigenvalues.
-        Lambda has a pole at a Dirichlet level of a whole interval, and near
-        one the count is good to about sqrt(eps) only.
+        inertia adds up over the pivots (Haynsworth).  With exact cells the
+        negative pivots are the chain's Dirichlet count.
         """
         # ma, mg: the sizes of the terms alpha and gamma were summed from
         ma, mg = np.abs(alpha), np.abs(gamma)
@@ -382,20 +442,10 @@ class _Glued:
                           for v, rest in zip(merged, (alpha, beta, gamma, ma, mg)))
             alpha, beta, gamma, ma, mg = merged
         pivots, scales = np.concatenate(pivots, axis=-1), np.concatenate(scales, axis=-1)
-        sure = ~np.any(np.abs(pivots) <= _UNSURE * scales, axis=(1, 2))
-        below = np.count_nonzero(pivots < 0.0, axis=(1, 2))
-        n, k = self.domain.n, np.arange(self.domain.n)
-        lam_mat = np.zeros((len(sure), 2 * n, 2 * n))
-        lam_mat[:, k, k], lam_mat[:, n + k, n + k] = alpha[..., 0], gamma[..., 0]
-        lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = beta[..., 0]
-        scale = np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2))
-        if at is not None:
-            sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
-        bc = self.bc
-        ev = np.linalg.eigvalsh(_pick(bc.Qh, u) @ lam_mat @ _pick(bc.Q, u) - _pick(bc.A, u))
-        sure &= (np.min(np.abs(ev), axis=-1, initial=np.inf)
-                 > _UNSURE * (scale + _pick(bc.amax, u)))
-        return below + np.count_nonzero(ev < 0.0, axis=-1), sure
+        return (np.count_nonzero(pivots < 0.0, axis=(1, 2)),
+                ~np.any(np.abs(pivots) <= _UNSURE * scales, axis=(1, 2)),
+                np.array([alpha[..., 0], beta[..., 0], gamma[..., 0]]),
+                np.max(np.concatenate([ma, mg, np.abs(beta)], axis=-1), axis=(1, 2)))
 
     def _values(self, alpha, beta, gamma, u=None):
         """Entry values in the order of ``rows``, (G, entries), from (G, n, N)
@@ -788,7 +838,9 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
     which the one cells call per distinct lam returns with them
     (``odesolve.cell_dtn``).  From a converged Ritz vector it is exact up to
     rounding and the vector's error squared, so :func:`_refine` can accept
-    a Newton step without probing it.
+    a Newton step without probing it.  The count reads the same cells on
+    variable intervals and the closed form on constant ones (see
+    :meth:`_Glued.inertia`).
     """
     lams, at, pu = np.asarray(lams, dtype=float), None, None
     if g.P == 1:                     # as in _Glued.count: no (lam, problem) keys
@@ -801,7 +853,7 @@ def _mu(g: _Glued, lams, ks, k0s, ms, p: int, start=None, u=None):
         pu = keys.imag.astype(int)
     both = g.cells(uniq, slopes=True)
     cells, slopes = both[:3], both[3:]
-    counts, sure = g.tree(*cells, at, pu)
+    counts, sure = g.inertia(uniq, cells, at, pu)
     if at is not None:
         cells, slopes = (tuple(c[at] for c in v) for v in (cells, slopes))
 

@@ -1,6 +1,7 @@
 """Spectral function, eigenvalue search, eigenfunctions, evolution."""
 
 import cmath
+import copy
 import dataclasses
 import math
 
@@ -483,9 +484,90 @@ def test_counts_interlace_with_the_dirichlet_counts():
         assert np.all(n_d <= n_u) and np.all(n_u <= n_d + 6), (n_d, n_u)
 
 
+def _tree_count(g, lams):
+    # the count of g with every interval's chain of sample cells reduced by
+    # the tree, as a variable interval's is
+    t = copy.copy(g)
+    t.whole, t.varying, t.variable = None, np.arange(g.domain.n), list(g.domain.intervals)
+    return t.count(lams)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_constant_intervals_count_in_closed_form_as_the_tree_does(n, seed, data):
+    # Constant eta and V on each interval: the closed-form count (each
+    # interval's Dirichlet count from its turn and Lambda from its one exact
+    # cell) equals the count tree's on the sample cells wherever both are
+    # sure, and interlaces with the Dirichlet counts, from -1e6 to the reach
+    # of 4097 samples, and 10**-j relative beside the Dirichlet levels.  U
+    # is Haar but for a drawn number of eigenvalues -1, so rank Q is 0 .. 2n
+    rng = np.random.default_rng(seed)
+    eta, pot = rng.uniform(0.25, 4.0, n), rng.uniform(-20.0, 20.0, n)
+    lengths = rng.uniform(0.3, 3.0, n)
+    dom = QuantumDomain([Interval(0.0, L, repr(float(e)), repr(float(v)))
+                         for L, e, v in zip(lengths, eta, pot)])
+    ell = np.sqrt(eta) * lengths
+    # the reach of 4097 samples: every sample cell turns by less than pi
+    reach = np.min(pot + 0.5 * (4096 * math.pi / ell) ** 2)
+    lams = [-1e6, *rng.uniform(-1e6, reach, 3),
+            *(pot.min() + 10.0 ** rng.uniform(-2.0, math.log10(reach - pot.min()), 6))]
+    far = len(lams)
+    for _ in range(6):
+        i = data.draw(st.integers(0, n - 1))
+        level = pot[i] + 0.5 * (data.draw(st.integers(1, 40)) * math.pi / ell[i]) ** 2
+        lams.append(level * (1.0 + data.draw(st.sampled_from([-1.0, 1.0]))
+                             * 10.0 ** -data.draw(st.integers(4, 16))))
+    lams = np.array([lam for lam in lams if lam < reach])
+    U = _haar_with_kernel(2 * n, data.draw(st.integers(0, 2 * n)), rng)
+    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, lams.max())[0])
+    got, sure = g.count(lams)
+    want, tree_sure = _tree_count(g, lams)
+    both = sure & tree_sure
+    assert both[:far].all() and np.array_equal(got[both], want[both])
+    # N_D of the intervals as given, each level V + (k pi)**2 / (2 eta L**2)
+    # to 40 digits
+    with mpmath.workdps(40):
+        n_d = np.array([sum(max(int(mpmath.ceil(mpmath.sqrt(2 * e * max(mpmath.mpf(lam) - v, 0))
+                                                * L / mpmath.pi)) - 1, 0)
+                            for L, e, v in zip(lengths, eta, pot)) for lam in lams])
+    assert np.all(n_d[sure] <= got[sure]) and np.all(got[sure] <= n_d[sure] + g.bc.m)
+
+
+def test_a_sure_count_beside_the_dirichlet_levels_is_right():
+    # eta = 2.25, V = 0.3 on [0, 1.7] under Dirichlet: N_U is the Dirichlet
+    # count, and 10**-j relative beside its 40 lowest levels a count that
+    # says it is sure agrees with the levels V + (k pi)**2 / (2 eta L**2)
+    # taken to 40 digits
+    eta, pot, L = 2.25, 0.3, 1.7
+    dom = QuantumDomain([Interval(0.0, L, "2.25", "0.3")])
+    k = np.arange(1, 41)[:, np.newaxis, np.newaxis]
+    rel = np.array([-1.0, 1.0])[:, np.newaxis] * 10.0 ** -np.arange(4, 17)
+    lams = ((pot + 0.5 * (k * math.pi) ** 2 / (eta * L * L)) * (1.0 + rel)).ravel()
+    got, sure = spectral._Glued(make_dirichlet(1), dom, SolveOptions(),
+                                spectral._samples(dom, lams.max())[0]).count(lams)
+    with mpmath.workdps(40):
+        want = np.array([int(mpmath.ceil(mpmath.sqrt(2 * eta * (mpmath.mpf(lam) - pot))
+                                          * L / mpmath.pi)) - 1 for lam in lams])
+    assert np.array_equal(got[sure], want[sure])
+    assert sure[np.abs(np.tile(rel.ravel(), 40)) >= 1e-8].all()
+
+
+def test_constant_intervals_count_without_the_tree_or_cells(monkeypatch):
+    # Work guard: on a free interval no count reduces sample cells, and a
+    # count builds none; the Ritz steps still read them
+    trees = count_calls(monkeypatch, spectral._Glued, "tree")
+    cells = count_calls(monkeypatch, spectral, "cell_dtn")
+    assert count_eigenvalues(make_quasiperiodic(0.0), FREE, [0.3, 2.2, 4.6]).tolist() == [1, 5, 7]
+    assert cells == []
+    spectrum = find_eigenvalues(make_quasiperiodic(0.0), FREE, (-0.2, 4.8))
+    assert [e.multiplicity for e in spectrum.eigs] == [1, 2, 2, 2]
+    assert trees == [] and cells != []
+
+
 def test_a_cell_ode_error_propagates_from_the_search_samples(monkeypatch):
     # an OdeError of a cell propagates as it is, from the search's 17
-    # samples: no solve runs again on more
+    # samples: no solve runs again on more.  A variable interval's count
+    # builds cells; a constant one's has none to fail
     seen = []
 
     def failing(iv, lams, rel_tol, samples, slopes=False):
@@ -494,7 +576,7 @@ def test_a_cell_ode_error_propagates_from_the_search_samples(monkeypatch):
 
     monkeypatch.setattr(spectral, "cell_dtn", failing)
     with pytest.raises(OdeError, match="^mesh halving did not reach rel_tol$"):
-        count_eigenvalues(make_dirichlet(1), FREE, 1.0)
+        count_eigenvalues(make_dirichlet(1), QuantumDomain([Interval(0.0, 1.0, "1", "x")]), 1.0)
     assert seen == [17]
 
 
@@ -537,7 +619,7 @@ def test_the_floor_counts_four_candidates_at_a_time(monkeypatch):
     # V = -15 on [0, 1]: the lowest Dirichlet level is pi**2 / 2 - 15 = -10.07,
     # so of -1, -2, .. the first floor with no level below is -16, as when
     # the floors are counted one at a time
-    calls = count_calls(monkeypatch, spectral, "cell_dtn")
+    calls = count_calls(monkeypatch, spectral._Glued, "count")
     dom = QuantumDomain([Interval(0.0, 1.0, "1", "-15")])
     spectrum = find_eigenvalues(make_dirichlet(1), dom, (-math.inf, 0.0))
     assert spectrum.lams == pytest.approx([math.pi ** 2 / 2.0 - 15.0], rel=1e-10)
@@ -550,9 +632,9 @@ def test_the_ceiling_moves_to_more_samples_without_counting_again(monkeypatch):
     # reach of 17, 33, .. 257 samples; each probe is counted once, and the
     # counts before it are kept.  The probes are the one-lam counts between
     # the floor's four-lam count and the two-lam count at the window's ends.
-    calls = count_calls(monkeypatch, spectral, "cell_dtn")
+    calls = count_calls(monkeypatch, spectral._Glued, "count")
     find_eigenvalues(make_dirichlet(1), FREE, (-math.inf, math.inf), SolveOptions(max_eigs=300))
-    calls = [(samples, list(lams)) for _, lams, _, samples in calls]
+    calls = [(g.samples, list(lams)) for g, lams, *_ in calls]
     sizes = [len(lams) for _, lams in calls]
     assert sizes[0] == 4
     probes = calls[1:sizes.index(2)]
