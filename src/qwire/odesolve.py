@@ -82,6 +82,8 @@ __all__ = ["FundamentalPair", "OdeError", "fundamental_solutions", "cell_dtn",
 _SCALE_LOG = 100.0 * math.log(10.0)
 # finest mesh level, (samples - 1) * 2**_MAX_LEVEL cells
 _MAX_LEVEL = 10
+# the cells per interval whose turns plan the samples: those of the cap, 4097
+_REFERENCE_CELLS = 4096
 # Legendre moments of V - Vbar kept per cell, and Gauss points per cell
 _MOMENTS = 4
 _GAUSS = 8
@@ -153,13 +155,14 @@ class _Store:
     (:func:`_cells`), shared by every sample count whose mesh reaches n;
     ``pairs[n]`` the cells of n and 2n side by side, for one pass of
     :func:`_cell_matrices`; ``start`` the level last accepted per (samples,
-    per-cell tolerance); ``reference[n]`` l and Vbar of n quadrature cells,
-    or of the exact cell where eta and V are constant."""
+    per-cell tolerance); ``reference`` l and Vbar of the 4096 quadrature
+    cells whose turns plan the sample counts, or of the exact cell where eta
+    and V are constant."""
 
     def __init__(self, interval: Interval):
         self.constant = all(expr.is_constant(e) for e in (interval.metric, interval.potential))
         self.sqrt_eta = np.sqrt(_metric_at(interval, [interval.a, interval.b]))
-        self.cells, self.pairs, self.start, self.reference = {}, {}, {}, {}
+        self.cells, self.pairs, self.start, self.reference = {}, {}, {}, None
 
 
 def _store(interval: Interval) -> _Store:
@@ -196,18 +199,18 @@ def _turns(ell, vbar, lam):
     return ell * np.sqrt(np.maximum(2.0 * (lam - vbar), 0.0))
 
 
-def _reference_turns(interval: Interval, n: int, lam):
-    """The turns at lam of the n cells of equal width in x, whose l and Vbar
-    come from Gauss quadrature once per interval and n; with constant eta
-    and V, the one exact cell's l = sqrt(eta) L / n and V, for all n."""
+def _reference_turns(interval: Interval, lam):
+    """The turns at lam of the 4096 cells of equal width in x, whose l and
+    Vbar come from Gauss quadrature once per interval; with constant eta
+    and V, the one exact cell's l = sqrt(eta) L / 4096 and V, for all."""
     store = _store(interval)
-    if n not in store.reference:
+    if store.reference is None:
         if store.constant:
-            _, vbar, ell, _ = _cells(interval, n)
-            store.reference[n] = ell, vbar
+            _, vbar, ell, _ = _cells(interval, _REFERENCE_CELLS)
+            store.reference = ell, vbar
         else:
-            store.reference[n] = _arc_means(interval, n)[2:]
-    return np.broadcast_to(_turns(*store.reference[n], lam), n)
+            store.reference = _arc_means(interval, _REFERENCE_CELLS)[2:]
+    return np.broadcast_to(_turns(*store.reference, lam), _REFERENCE_CELLS)
 
 
 def _metric_at(interval: Interval, xs) -> np.ndarray:

@@ -39,11 +39,11 @@ interval's come from a pairwise tree over its sample cells.
 
 Every cell is exact, so N_U and the roots of mu_k do not depend on how many
 sample cells there are, as long as none holds a Dirichlet level of its own.
-A solve therefore takes two sample counts per interval (see
-:func:`_samples`): the search counts and refines on the fewest that the
-highest lam it reaches needs, at least 17, and the eigenfunctions are
-given on a grid of 257 points per interval, or more where the highest
-level needs them.  They are read from the search's own null vectors: a
+One rule picks a solve's samples per interval (see :func:`_samples`):
+the search counts and refines on the fewest that the highest lam it
+reaches needs, at least 17, and the eigenfunctions are given on a grid
+of 257 points per interval, or more where the highest level needs them.
+They are read from the search's own null vectors: a
 finer grid's other points follow from its cells by one tridiagonal solve
 per search cell, and a coarser grid takes every r-th search sample (see
 :func:`_on_grid`).  The multisection stops at a bracket of several levels
@@ -94,8 +94,8 @@ _UNSURE = 1e6 * np.finfo(float).eps
 # sample nodes per interval, each 2**j + 1: the fewest a search takes, the
 # fewest of the eigenfunction grid, and the cap of both
 _LEAST, _SAMPLES, _MAX_SAMPLES = 17, 257, 4097
-# the largest turn of a search's sample cell at its top lam below the
-# grid's samples: it keeps the cells' DtN entries off their pole at pi;
+# the largest turn of a sample cell at the top lam below 257 samples: it
+# keeps the cells' DtN entries off their pole at pi;
 # measured on free-spectra, pi / 2 was slower and pi no faster
 _MARGIN = 0.75 * math.pi
 _COUNTS = 2 ** np.arange(4, 13) + 1                         # 17, 33, .., 4097
@@ -184,7 +184,7 @@ def spectral_function(U: UnitaryBC, domain: QuantumDomain, lam: float,
     lam (see :func:`_samples`); past the cap of 4097 they raise
     :class:`~qwire.odesolve.OdeError`.
     """
-    phase, log_mod = _Glued(U, domain, opts, _samples(domain, lam, opts.rel_tol)[0]).log_det(lam)
+    phase, log_mod = _Glued(U, domain, opts, _samples(domain, lam, opts.rel_tol)).log_det(lam)
     return complex(phase * math.exp(min(log_mod, _SCALE_LOG)))
 
 
@@ -304,12 +304,12 @@ def _pick(part: np.ndarray, u):
 
 
 class _Glued:
-    """K(lam) - A on one domain with ``samples`` nodes per interval, for the
-    boundary conditions of one :class:`_Boundary` (one U, or several whose Q
-    have one rank m).  The unknowns are c (psi = Q c), then the interior
-    sample nodes in the folded order of :func:`qwire.oracle._folded_positions`,
-    and ``rows`` <= ``cols`` list the entries that :meth:`_values` fills at
-    each lam.
+    """K(lam) - A on one domain with ``samples`` = 2**k + 1 nodes per
+    interval, k >= 1 (else ``ValueError``), for the boundary conditions of
+    one :class:`_Boundary` (one U, or several whose Q have one rank m).  The
+    unknowns are c (psi = Q c), then the interior sample nodes in the folded
+    order of :func:`qwire.oracle._folded_positions`, and ``rows`` <=
+    ``cols`` list the entries that :meth:`_values` fills at each lam.
 
     The count takes each interval down its own path (see :meth:`inertia`):
     ``fixed`` lists the intervals with constant eta and V, counted in
@@ -329,6 +329,8 @@ class _Glued:
         if not opts.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
         n, N, m = domain.n, samples - 1, bc.m
+        if N < 2 or N & (N - 1):
+            raise ValueError(f"samples must be 2**k + 1 with k >= 1, got {samples}")
         self.bc, self.domain, self.opts, self.samples = bc, domain, opts, samples
         self.P, self.dtype = len(bc.Us), bc.dtype
         self.pos = _folded_positions(n, N)[:, 1:N] - 2 * n + m        # interior nodes
@@ -388,21 +390,24 @@ class _Glued:
         level of a whole interval, and near one the count is good to about
         sqrt(eps) only.
         """
-        G, n, k = len(lams), self.domain.n, np.arange(self.domain.n)
-        dtn = np.empty((3, G, n))
+        G, n, parts = len(lams), self.domain.n, []
         below, sure, scale = np.zeros(G, dtype=int), np.ones(G, dtype=bool), np.zeros(G)
         if self.whole is not None:
             d, nd, ok = _whole_dtn(self.whole, lams, _UNSURE)
-            dtn[:, :, self.fixed] = d
+            parts.append((self.fixed, d))
             below, sure, scale = nd.sum(axis=1), ok.all(axis=1), np.abs(d).max(axis=(0, 2))
         if self.variable:
-            cells = (self.cells(lams, intervals=self.variable) if cells is None
-                     else (c[:, self.varying] for c in cells))
-            nv, ok, dtn[:, :, self.varying], sv = self.tree(*cells)
+            if cells is None:
+                cells = self.cells(lams, intervals=self.variable)
+            elif self.whole is not None:      # where every interval varies, its chains as given
+                cells = tuple(c[:, self.varying] for c in cells)
+            nv, ok, d, sv = self.tree(*cells)
+            parts.append((self.varying, d))
             below, sure, scale = below + nv, sure & ok, np.maximum(scale, sv)
         lam_mat = np.zeros((G, 2 * n, 2 * n))
-        lam_mat[:, k, k], lam_mat[:, n + k, n + k] = dtn[0], dtn[2]
-        lam_mat[:, k, n + k] = lam_mat[:, n + k, k] = dtn[1]
+        for j, (alpha, beta, gamma) in parts:         # interval j's ends are j and n + j
+            lam_mat[:, j, j], lam_mat[:, n + j, n + j] = alpha, gamma
+            lam_mat[:, j, n + j] = lam_mat[:, n + j, j] = beta
         if at is not None:
             sure, below, lam_mat, scale = sure[at], below[at], lam_mat[at], scale[at]
         bc = self.bc
@@ -412,10 +417,11 @@ class _Glued:
         return below + np.count_nonzero(ev < 0.0, axis=-1), sure
 
     def tree(self, alpha, beta, gamma):
-        """The interior nodes of (G, n, N) chains of cells eliminated, per
-        lam: the negative pivots, whether none is within rounding of 0, each
-        chain's DtN matrix as its entries alpha, beta, gamma (3, G, n), and
-        the largest of those entries and of the terms they were summed from.
+        """The interior nodes of (G, n, N) chains of N = 2**k cells
+        eliminated, per lam: the negative pivots, whether none is within
+        rounding of 0, each chain's DtN matrix as its entries alpha, beta,
+        gamma (3, G, n), and the largest of those entries and of the terms
+        they were summed from.
 
         A pairwise tree eliminates the node shared by neighbouring cells with
         the pivot d = gamma_1 + alpha_2, counting d < 0, and leaves the cell
@@ -427,20 +433,15 @@ class _Glued:
         ma, mg = np.abs(alpha), np.abs(gamma)
         pivots, scales = [], []
         while alpha.shape[-1] > 1:
-            size = alpha.shape[-1]
-            even = size & ~1
-            a1, b1, g1, ma1, mg1 = (v[..., 0:even:2] for v in (alpha, beta, gamma, ma, mg))
-            a2, b2, g2, ma2, mg2 = (v[..., 1:even:2] for v in (alpha, beta, gamma, ma, mg))
+            a1, b1, g1, ma1, mg1 = (v[..., 0::2] for v in (alpha, beta, gamma, ma, mg))
+            a2, b2, g2, ma2, mg2 = (v[..., 1::2] for v in (alpha, beta, gamma, ma, mg))
             scales.append(mg1 + ma2)
             d = g1 + a2
             d = np.where(d == 0.0, _UNSURE * scales[-1], d)
             pivots.append(d)
             s1, s2 = b1 * b1 / d, b2 * b2 / d
-            merged = a1 - s1, -b1 * b2 / d, g2 - s2, ma1 + np.abs(s1), mg2 + np.abs(s2)
-            if even < size:
-                merged = (np.concatenate([v, rest[..., even:]], axis=-1)
-                          for v, rest in zip(merged, (alpha, beta, gamma, ma, mg)))
-            alpha, beta, gamma, ma, mg = merged
+            alpha, beta, gamma = a1 - s1, -b1 * b2 / d, g2 - s2
+            ma, mg = ma1 + np.abs(s1), mg2 + np.abs(s2)
         pivots, scales = np.concatenate(pivots, axis=-1), np.concatenate(scales, axis=-1)
         return (np.count_nonzero(pivots < 0.0, axis=(1, 2)),
                 ~np.any(np.abs(pivots) <= _UNSURE * scales, axis=(1, 2)),
@@ -557,45 +558,35 @@ class _Glued:
         return np.concatenate(theta), np.concatenate(vecs), np.concatenate(resid)
 
 
-def _grid(domain: QuantumDomain, lam: float) -> tuple[int, np.ndarray]:
-    """The eigenfunction grid's samples per interval at ``lam``, the fewest
-    S >= 257 at which every sample cell turns by less than pi, and the
-    largest turn at each of ``_COUNTS``: l sqrt(2 (lam - Vbar))+ summed over
-    the cell's reference cells, of 4096 per interval.  Where 4097 samples
-    turn by pi, the cap's :class:`~qwire.odesolve.OdeError`."""
+def _samples(domain: QuantumDomain, lam: float, rel_tol: float = SolveOptions.rel_tol,
+             least: int = _LEAST) -> int:
+    """The samples per interval that lam, the highest of a solve, needs: the
+    fewest S >= ``least`` of 17, 33, .., 4097 at which every sample cell
+    turns by at most 3 pi / 4, or by less than pi once S >= 257 (a search
+    on twice the samples costs more than one that probes next to a cell's
+    pole), and whose cells hold no Dirichlet level of their own an end
+    nudge above lam, checked on the cells: the turns, l sqrt(2 (lam -
+    Vbar))+ summed over a cell's reference cells (4096 per interval), place
+    those levels only roughly.  Such a cell holds none at a lower lam, nor
+    does a part of it, so no lam of the solve meets one, and the plan from
+    ``least`` is the larger of ``least`` and the plan from 17.  The search
+    plans from 17, :func:`_reaching` from the search's samples and the
+    eigenfunction grid from 257 (see :func:`_levels`).  Past 4097, the
+    cap's OdeError."""
+    if lam == -math.inf:
+        return least
     turns = np.zeros(len(_COUNTS))
     for iv in domain.intervals:
-        t, top = _reference_turns(iv, _MAX_SAMPLES - 1, lam), []
+        t, top = _reference_turns(iv, lam), []
         while t.size >= _LEAST - 1:                         # 4096 cells, then 2048, ..
             top.append(t.max())
             t = t[0::2] + t[1::2]
-        if top[0] >= math.pi:
-            raise OdeError(f"lam={lam:.6g} turns a sample cell of [{iv.a:g}, {iv.b:g}] "
-                           f"by pi at the cap of {_MAX_SAMPLES} samples")
         turns = np.maximum(turns, top[::-1])
-    return max(int(_COUNTS[turns < math.pi][0]), _SAMPLES), turns
-
-
-def _samples(domain: QuantumDomain, lam: float,
-             rel_tol: float = SolveOptions.rel_tol) -> tuple[int, int]:
-    """The search's and the eigenfunction grid's samples per interval for a
-    solve whose highest lam is ``lam`` (see :func:`_grid`).  The search takes
-    the fewest S >= 17 at which every cell turns by at most 3 pi / 4, or
-    else S at least the grid's (a search on twice the samples costs more
-    than one that probes next to a cell's pole), whose cells hold no
-    Dirichlet level of their own an end nudge above lam, checked on the
-    cells: the turns place those levels only roughly.  Such a cell holds
-    none at a lower lam, nor does a part of it, so no lam of the solve meets
-    one; an end nudged further plans again.  Else the cap's OdeError.
-    """
-    if lam == -math.inf:
-        return _LEAST, _SAMPLES
-    grid, turns = _grid(domain, lam)
     above = np.array([[lam + _ISOLATE * max(1.0, abs(lam))]])
     for s, turn in zip(_COUNTS.tolist(), turns.tolist()):
-        if (turn <= _MARGIN or s >= grid) and all(
+        if s >= least and (turn <= _MARGIN or (s >= _SAMPLES and turn < math.pi)) and all(
                 _cells_free(iv, s, above, rel_tol)[2].all() for iv in domain.intervals):
-            return s, grid
+            return s
     raise OdeError(f"lam={lam:.6g} puts a Dirichlet level inside a sample cell "
                    f"at the cap of {_MAX_SAMPLES} samples")
 
@@ -611,7 +602,7 @@ def count_eigenvalues(U: UnitaryBC, domain: QuantumDomain, lams,
     if not np.all(lams < math.inf):
         raise ValueError("count_eigenvalues needs lam below +inf and not nan")
 
-    g = _Glued(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf), opts.rel_tol)[0])
+    g = _Glued(U, domain, opts, _samples(domain, np.max(lams, initial=-math.inf), opts.rel_tol))
     counts, finite = np.zeros(lams.shape, dtype=int), lams > -math.inf
     if finite.any():
         counts[finite] = g.count(lams[finite])[0]
@@ -627,8 +618,8 @@ def find_eigenvalues(U: UnitaryBC, domain: QuantumDomain,
     from min(0, hi) - 1 until no level lies below it; hi = inf needs
     ``max_eigs``, a ceiling stepped up until that many levels lie above lo.
     The search takes the fewest samples per interval that the top needs,
-    and the eigenfunctions are read on 257, or more where the top needs them
-    (see :func:`_samples`).  The count at the ends gives the levels;
+    and the eigenfunctions are read on 257, or more where the highest level
+    needs them (see :func:`_samples`).  The count at the ends gives the levels;
     multisection on the count isolates them, one per bracket, several in a
     bracket below the ``max_eigs`` cutoff a quarter as wide as its distance
     to every other level, or to 1e-7 relative; level k is the root of mu_k,
@@ -661,7 +652,7 @@ def _spectra(Us, domain: QuantumDomain, lambda_range: tuple[float, float],
     top = hi if hi < math.inf else max(lo, -1.0)
     eigs = [None] * len(Us)
     for idx, bc in _batches(Us):
-        levels = _levels(_Glued(bc, domain, opts, _samples(domain, top, opts.rel_tol)[0]), lo, hi)
+        levels = _levels(_Glued(bc, domain, opts, _samples(domain, top, opts.rel_tol)), lo, hi)
         for i, e in zip(idx, levels):
             eigs[i] = e
     return [Spectrum(eigs=tuple(e), lambda_range=tuple(lambda_range), options=opts)
@@ -684,8 +675,10 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     and a level below lo that a move took in holds no place of max_eigs.  The
     eigenpairs of all problems are read on ``g`` in one call, from the
     vectors of each level's last Newton probe, and each problem's are moved
-    to the grid of :func:`_samples` at its highest level found, so the grid
-    follows its levels, not the ceiling's probes or the other problems.
+    to its grid: 257 points where ``g`` has at most 257 samples, whose plan
+    lies above every level, else the plan of :func:`_samples` from 257 at
+    its highest level found, so the grid follows its levels, not the
+    ceiling's probes or the other problems.
     """
     P, opts = g.P, g.opts
     u = np.arange(P)
@@ -739,7 +732,8 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
     mults, lu = np.diff(np.append(first, len(roots))), ru[first]
     # each problem's grid, at its highest root: the last, as roots ascend
     highest = dict(zip(ru.tolist(), roots.tolist()))
-    grid = {v: _grid(g.domain, r)[0] for v, r in highest.items()}
+    grid = {v: _SAMPLES if g.samples <= _SAMPLES else _samples(g.domain, r, opts.rel_tol, _SAMPLES)
+            for v, r in highest.items()}
     for v, e in zip(lu, _eigenpairs(g, lams, mults, vecs[first], lu,
                                      np.array([grid[v] for v in lu.tolist()]))):
         found[v].append(e)
@@ -747,9 +741,10 @@ def _levels(g: _Glued, lo: float, hi: float) -> list[list[Eigenpair]]:
 
 
 def _reaching(g: _Glued, lam: float) -> _Glued:
-    """``g``, or its problems on the samples that ``lam`` needs if more."""
-    samples = _samples(g.domain, lam, g.opts.rel_tol)[0]
-    return g if samples <= g.samples else _Glued(g.bc, g.domain, g.opts, samples)
+    """``g``, or its problems on the samples that ``lam`` needs if more,
+    planned from g's own (see :func:`_samples`)."""
+    samples = _samples(g.domain, lam, g.opts.rel_tol, g.samples)
+    return g if samples == g.samples else _Glued(g.bc, g.domain, g.opts, samples)
 
 
 def _isolate(g: _Glued, lo, hi, n_lo, n_hi, top):

@@ -156,3 +156,12 @@ def test_edge_scan_shares_its_cells_calls(monkeypatch):
     calls = count_calls(monkeypatch, spectral, "cell_dtn")
     edge_scan(make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1])
     assert len(calls) <= 20
+
+
+def test_edge_scan_reads_the_turns_once_per_plan(monkeypatch):
+    # Work guard: the scan plans its search once at its top and once more
+    # where an end moves; its grids of 257 points need no plan of their own
+    # (each t's grid took one more read before)
+    calls = count_calls(monkeypatch, spectral, "_reference_turns")
+    edge_scan(make_dirichlet(1), DOM, [1.0, 0.5, 0.2, 0.1])
+    assert len(calls) == 2

@@ -396,6 +396,42 @@ def test_tops_just_below_each_counts_reach_raise_nothing(iv, samples, below, see
     find_eigenvalues(U, dom, (top - 2e-3 * abs(top), top))
 
 
+@settings(max_examples=30, deadline=None)
+@given(ivs=st.lists(st.sampled_from(INTERVALS), min_size=1, max_size=2),
+       sign=st.sampled_from([-1.0, 1.0]), e=st.floats(-3.0, 6.5),
+       least=st.sampled_from(spectral._COUNTS.tolist()))
+def test_a_plan_from_more_samples_takes_the_larger_count(ivs, sign, e, least):
+    # A search that reaches further plans from its own samples, and the
+    # eigenfunction grid from 257: the plan from `least` is the larger of
+    # `least` and the plan from 17, and it raises where that one does
+    dom, lam = QuantumDomain(ivs), sign * 10.0 ** e
+
+    def plan(*least):
+        try:
+            return spectral._samples(dom, lam, SolveOptions.rel_tol, *least)
+        except OdeError:
+            return None
+
+    fewest = plan()
+    assert plan(least) == (None if fewest is None else max(least, fewest))
+
+
+def test_a_solve_reads_the_turns_once_per_plan(monkeypatch):
+    # Work guard: a window that 17 samples reach reads the reference turns
+    # once, for the search's plan; the 257-point grid needs no plan of its
+    # own (the grid took a second read before)
+    calls = count_calls(monkeypatch, spectral, "_reference_turns")
+    find_eigenvalues(make_dirichlet(1), FREE, (0.01, 4.8))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("samples", [2, 4, 16, 18, 100, 258])
+def test_the_glued_matrix_takes_2k_plus_1_samples(samples):
+    # the count tree halves each chain of samples - 1 cells down to one
+    with pytest.raises(ValueError, match=r"2\*\*k \+ 1"):
+        spectral._Glued(make_dirichlet(1), FREE, SolveOptions(), samples)
+
+
 @settings(max_examples=16, deadline=None)
 @example(L=math.pi, k=1, variable=False, far=9.0, edge=False, seed=0)
 @example(L=2.2942037865923375, k=5, variable=True, far=3.0, edge=False, seed=321)
@@ -519,7 +555,7 @@ def test_constant_intervals_count_in_closed_form_as_the_tree_does(n, seed, data)
                              * 10.0 ** -data.draw(st.integers(4, 16))))
     lams = np.array([lam for lam in lams if lam < reach])
     U = _haar_with_kernel(2 * n, data.draw(st.integers(0, 2 * n)), rng)
-    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, lams.max())[0])
+    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, lams.max()))
     got, sure = g.count(lams)
     want, tree_sure = _tree_count(g, lams)
     both = sure & tree_sure
@@ -544,7 +580,7 @@ def test_a_sure_count_beside_the_dirichlet_levels_is_right():
     rel = np.array([-1.0, 1.0])[:, np.newaxis] * 10.0 ** -np.arange(4, 17)
     lams = ((pot + 0.5 * (k * math.pi) ** 2 / (eta * L * L)) * (1.0 + rel)).ravel()
     got, sure = spectral._Glued(make_dirichlet(1), dom, SolveOptions(),
-                                spectral._samples(dom, lams.max())[0]).count(lams)
+                                spectral._samples(dom, lams.max())).count(lams)
     with mpmath.workdps(40):
         want = np.array([int(mpmath.ceil(mpmath.sqrt(2 * eta * (mpmath.mpf(lam) - pot))
                                           * L / mpmath.pi)) - 1 for lam in lams])
@@ -737,7 +773,7 @@ def test_batched_counts_equal_counts_one_u_at_a_time(n, variable, seed, data):
     dom = QuantumDomain(ivs)
     lams = np.repeat(rng.uniform(-20.0, 60.0, 6), 2)
     u = rng.integers(len(Us), size=len(lams))
-    samples = spectral._samples(dom, lams.max())[0]
+    samples = spectral._samples(dom, lams.max())
     batches = spectral._batches(Us)
     assert sorted(i for idx, _ in batches for i in idx) == list(range(len(Us)))
     got = np.full(len(lams), -1)
@@ -1236,11 +1272,11 @@ def test_no_level_is_misplaced(n, variable, seed):
 def _reach(dom, samples):
     """The top lam past which a search on ``dom`` takes more than ``samples``."""
     lo, hi = 0.0, 1.0
-    while spectral._samples(dom, hi)[0] <= samples:
+    while spectral._samples(dom, hi) <= samples:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if spectral._samples(dom, mid)[0] <= samples else (lo, mid)
+        lo, hi = (mid, hi) if spectral._samples(dom, mid) <= samples else (lo, mid)
     return hi
 
 
@@ -1258,7 +1294,7 @@ def test_levels_do_not_depend_on_the_search_samples(n, variable, seed, reach, wh
     dom = QuantumDomain(ivs)
     hi = where * _reach(dom, reach)
     window = ((1.0 - width) * hi, hi)
-    assert spectral._samples(dom, hi)[0] < 257
+    assert spectral._samples(dom, hi) < 257
     got = find_eigenvalues(U, dom, window).eigs
     want = spectral._levels(spectral._Glued(U, dom, SolveOptions()), *window)[0]
     assert [e.multiplicity for e in got] == [e.multiplicity for e in want]
@@ -1307,7 +1343,7 @@ def test_degenerate_levels_cost_no_rounds_of_their_own(monkeypatch):
 def test_brackets_of_several_levels_are_tight(U, dom, window):
     # every bracket of several levels is at most a quarter as wide as its
     # distance to the other brackets and the window's ends
-    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, window[1])[0])
+    g = spectral._Glued(U, dom, SolveOptions(), spectral._samples(dom, window[1]))
     (n_lo, n_hi), _ = g.count(window)
     brackets = spectral._isolate(g, [window[0]], [window[1]], [n_lo], [n_hi], [n_hi])
     assert sum(nb - na for _, _, na, nb, _ in brackets) == n_hi - n_lo
@@ -1395,7 +1431,7 @@ def test_dirichlet_eigenfunctions_prolonged_from_17_samples(monkeypatch):
 def test_prolonged_samples_equal_a_read_on_the_grid(U, dom, window):
     # the search's samples prolonged to the grid equal the samples of a
     # search forced onto the grid's 257
-    assert spectral._samples(dom, window[1])[0] < 257
+    assert spectral._samples(dom, window[1]) < 257
     got = find_eigenvalues(U, dom, window).eigs
     want = spectral._levels(spectral._Glued(U, dom, SolveOptions(), 257), *window)[0]
     assert [e.multiplicity for e in got] == [e.multiplicity for e in want] == [1] * len(got)
